@@ -5,7 +5,10 @@ closure that maps the output cotangent to parent cotangent contributions.
 `backward` seeds a scalar with 1 and walks the graph in reverse
 topological order (iteratively, so deep recurrent chains cannot blow the
 recursion limit).  Broadcasting follows numpy; gradients are summed back
-over broadcast axes.  No op reads global mutable state.
+over broadcast axes, except that a 2-D weight under a batched input gets
+its gradient from one GEMM over the flattened leading axes.  A tensor's
+first gradient contribution is stored as a copy and later ones are added
+in place.  No op reads global mutable state.
 """
 
 import numpy as np
@@ -101,9 +104,13 @@ def _topological_order(root: Tensor) -> list:
 
 
 def _accumulate(tensor: Tensor, grad: np.ndarray) -> None:
+    # The first contribution is copied: it may be a view of the output
+    # cotangent that other parents receive too (add, reshape, ...).
     if tensor.grad is None:
-        tensor.grad = np.zeros_like(tensor.data)
-    tensor.grad += grad
+        tensor.grad = np.empty_like(tensor.data)
+        tensor.grad[...] = grad
+    else:
+        tensor.grad += grad
 
 
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
@@ -181,6 +188,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data @ b.data
 
     def backward(g):
+        if b.ndim == 2 and a.ndim > 2:
+            # a weight shared by every leading index: 2-D GEMMs on the
+            # flattened rows instead of one small GEMM per leading index
+            rows = g.reshape(-1, g.shape[-1])
+            if a.requires_grad:
+                _accumulate(a, (rows @ b.data.T).reshape(a.data.shape))
+            if b.requires_grad:
+                _accumulate(b, a.data.reshape(-1, a.data.shape[-1]).T @ rows)
+            return
         if a.requires_grad:
             _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
         if b.requires_grad:

@@ -5,7 +5,9 @@ positions, then 8 self-attention blocks.  Decoder: a learned query token
 cross-attends to the encoder output through 8 blocks; a final linear head
 maps the token to one logit per expert (or per class in the imitation
 head used for pre-training).  Per-mesh weights are the softmax of
-walk-averaged logits.
+walk-averaged logits.  A batch of meshes is run as one gate call per walk
+length: the walks of every mesh with the same L are stacked into one
+(n * W, L, 4) array, so no padding or mask is needed.
 
 Pre-training runs one gate per expert against that expert's prediction
 vectors with KL(expert || gate); the pre-trained bodies are averaged to
@@ -103,23 +105,44 @@ def gate_forward_walk(walk, params: dict, config: GateConfig) -> Tensor:
     return ad.reshape(logits, (logits.shape[1],))
 
 
+def gate_forward_batch(meshes: list, walk_count: int, params: dict,
+                       config: GateConfig, seeds: list) -> list:
+    """GateWeights of each mesh, shape (J,) each, in input order.
+
+    Mesh i draws `walk_count` walks from `seeds[i]`.  Meshes are grouped by
+    walk length; each group runs through one `gate_forward_features` call,
+    and its logits are averaged over each mesh's walks before the softmax.
+    """
+    if len(meshes) != len(seeds):
+        raise GateError(f"{len(meshes)} meshes but {len(seeds)} seeds")
+    groups = {}
+    for index, (mesh, seed) in enumerate(zip(meshes, seeds)):
+        features = walk_feature_batch(extract_walks(mesh, walk_count, seed))
+        groups.setdefault(features.shape[1], []).append((index, features))
+    rows = [None] * len(meshes)
+    for members in groups.values():
+        logits = gate_forward_features(
+            np.concatenate([features for _, features in members]), params, config)
+        logits = ad.reshape(logits, (len(members), walk_count, logits.shape[-1]))
+        weights = ad.softmax(ad.tmean(logits, axis=1), axis=-1)
+        for k, (index, _) in enumerate(members):
+            rows[index] = ad.slice_index(weights, 0, k)
+    return rows
+
+
 def gate_forward_mesh(mesh, walk_count: int, params: dict, config: GateConfig,
                       seed: int) -> Tensor:
     """GateWeights: softmax over walk-averaged logits, shape (J,)."""
-    walks = extract_walks(mesh, walk_count, seed)
-    logits = gate_forward_features(walk_feature_batch(walks), params, config)
-    mean_logits = ad.tmean(logits, axis=0)
-    return ad.softmax(mean_logits, axis=-1)
+    return gate_forward_batch([mesh], walk_count, params, config, [seed])[0]
 
 
 def imitation_loss(gate_params: dict, config: GateConfig, meshes: list,
                    targets: list, walk_count: int, seed: int) -> Tensor:
     """Mean KL(expert prediction || gate class distribution) over meshes."""
-    terms = []
-    for mesh, target in zip(meshes, targets):
-        weights = gate_forward_mesh(mesh, walk_count, gate_params, config,
-                                    derive(seed, mesh.mesh_id))
-        terms.append(layers.kl_divergence(Tensor(target), weights))
+    rows = gate_forward_batch(meshes, walk_count, gate_params, config,
+                              [derive(seed, mesh.mesh_id) for mesh in meshes])
+    terms = [layers.kl_divergence(Tensor(target), weights)
+             for target, weights in zip(targets, rows)]
     return ad.tmean(ad.stack(terms))
 
 

@@ -96,7 +96,7 @@ def standard_battery(seed: int = 0, tolerance: float = 1e-4,
     from . import layers
     from .autodiff import Tensor
     from .experts import build_experts
-    from .gate import GateConfig, gate_forward_features, gate_forward_mesh, init_gate_params
+    from .gate import GateConfig, gate_forward_batch, gate_forward_features, init_gate_params
     from .synth import generate_classification_set
     from .trainer import build_system, diversity_loss, joint_loss, similarity_loss
 
@@ -165,15 +165,12 @@ def standard_battery(seed: int = 0, tolerance: float = 1e-4,
             {f"{expert.name}.{k}": v for k, v in expert.params.items()})
 
     def composite_fn():
-        rows, preds, targets = [], [], []
-        for mesh in batch:
-            rows.append(gate_forward_mesh(
-                mesh, system.walks_train, system.gate_params,
-                system.gate_config, derive(seed, "walks", mesh.mesh_id)))
-            preds.append([e.predict(mesh, derive(seed, "pred", e.name,
-                                                 mesh.mesh_id))
-                          for e in experts])
-            targets.append(mesh.class_label)
+        rows = gate_forward_batch(
+            batch, system.walks_train, system.gate_params, system.gate_config,
+            [derive(seed, "walks", mesh.mesh_id) for mesh in batch])
+        preds = [[e.predict(mesh, derive(seed, "pred", e.name, mesh.mesh_id))
+                  for e in experts] for mesh in batch]
+        targets = [mesh.class_label for mesh in batch]
         return joint_loss(similarity_loss(preds),
                           diversity_loss(rows, preds, targets), 0.7)
 

@@ -23,7 +23,8 @@ from . import autodiff as ad
 from . import layers
 from .autodiff import Tensor
 from .checkpoint import load_checkpoint, save_checkpoint
-from .gate import GateConfig, gate_forward_mesh, init_gate_params
+from .gate import (GateConfig, gate_forward_batch, gate_forward_mesh,
+                   init_gate_params)
 from .metrics import (edge_accuracy, mean_average_precision,
                       mean_instance_accuracy, ndcg, retrieval_results)
 from .optim import Adam
@@ -204,18 +205,21 @@ def batch_reward(task: str, meshes: list, chosen_predictions: list) -> float:
 def train_iteration(system: MoESystem, batch: list, lambda_t: float,
                     gate_opt: Adam, expert_opts: dict, seed: int,
                     sim_kind: str = "kld") -> BatchOutcome:
-    """One optimize step on a mesh batch; reward reflects the pre-step model."""
+    """One optimize step on a mesh batch; reward reflects the pre-step model.
+
+    The gate runs once per walk length in the batch (`gate_forward_batch`);
+    each mesh's row equals its `gate_forward_mesh` row.  The experts
+    predict mesh by mesh.
+    """
     if not batch:
         raise TrainerError("empty batch")
-    gate_rows = []
-    predictions = []
-    for mesh in batch:
-        gate_rows.append(gate_forward_mesh(
-            mesh, system.walks_train, system.gate_params, system.gate_config,
-            derive(seed, "gate", mesh.mesh_id)))
-        predictions.append([
-            expert.predict(mesh, derive(seed, "expert", expert.name, mesh.mesh_id))
-            for expert in system.experts])
+    gate_rows = gate_forward_batch(
+        batch, system.walks_train, system.gate_params, system.gate_config,
+        [derive(seed, "gate", mesh.mesh_id) for mesh in batch])
+    predictions = [
+        [expert.predict(mesh, derive(seed, "expert", expert.name, mesh.mesh_id))
+         for expert in system.experts]
+        for mesh in batch]
     per_mesh_weights = np.stack([row.data for row in gate_rows])
     chosen, picked = expert_chooser(per_mesh_weights, predictions)
     reward = batch_reward(system.task, batch, picked)
@@ -315,9 +319,14 @@ def train_run(system: MoESystem, dataset, agent, epochs: int,
 
 
 def inference(system: MoESystem, mesh, seed: int = 0):
-    """Route with 32 walks; returns (prediction array, chosen expert index)."""
+    """Route with 32 walks; returns (prediction array, chosen expert index).
+
+    The gate runs on grad-free views of its parameters, so its forward
+    pass builds no autodiff graph.
+    """
+    frozen = {name: Tensor(tensor.data) for name, tensor in system.gate_params.items()}
     weights = gate_forward_mesh(
-        mesh, system.walks_infer, system.gate_params, system.gate_config,
+        mesh, system.walks_infer, frozen, system.gate_config,
         derive(seed, "gate", mesh.mesh_id))
     j = int(np.argmax(weights.data))
     expert = system.experts[j]

@@ -45,6 +45,30 @@ def test_matmul_grads_batched():
     assert report.passed, str(report)
 
 
+@pytest.mark.parametrize("a_shape", [(3, 5, 4), (2, 3, 5, 4)])
+def test_shared_weight_gradient_is_one_gemm(a_shape):
+    """A 2-D weight under a batched input: same gradients as the batched
+    products (weight: summed over the batch axes), up to summation order."""
+    a = rand_tensor(a_shape, 6)
+    b = rand_tensor((4, 7), 7)
+    mix = Rng(8).normal_fill(a_shape[:-1] + (7,))
+    ad.tsum(ad.mul(ad.matmul(a, b), Tensor(mix))).backward()
+    reference = np.swapaxes(a.data, -1, -2) @ mix
+    while reference.ndim > 2:
+        reference = reference.sum(axis=0)
+    np.testing.assert_allclose(b.grad, reference, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(a.grad, mix @ b.data.T, rtol=1e-12, atol=0)
+
+
+def test_batched_matmul_gradient_unchanged():
+    a = rand_tensor((3, 5, 4), 9)
+    b = rand_tensor((3, 4, 7), 10)
+    mix = Rng(11).normal_fill((3, 5, 7))
+    ad.tsum(ad.mul(ad.matmul(a, b), Tensor(mix))).backward()
+    np.testing.assert_array_equal(b.grad, np.swapaxes(a.data, -1, -2) @ mix)
+    np.testing.assert_array_equal(a.grad, mix @ np.swapaxes(b.data, -1, -2))
+
+
 def test_matmul_rejects_vectors():
     with pytest.raises(ValueError, match="ndim >= 2"):
         ad.matmul(Tensor([1.0, 2.0]), Tensor([[1.0], [2.0]]))
@@ -121,6 +145,19 @@ def test_grad_accumulates_on_reuse():
     y = ad.add(ad.mul(x, x), x)  # x^2 + x -> 2x + 1 = 5
     y.backward()
     assert x.grad == pytest.approx(5.0)
+
+
+def test_first_gradient_is_not_shared_between_parents():
+    """add hands both parents the same cotangent; a later contribution to
+    one of them must not reach the other."""
+    a = rand_tensor((3,), 12)
+    b = rand_tensor((3,), 13)
+    y = ad.add(a, b)
+    loss = ad.tsum(ad.add(ad.mul(y, Tensor(2.0)), ad.mul(a, Tensor(5.0))))
+    loss.backward()
+    np.testing.assert_array_equal(b.grad, [2.0, 2.0, 2.0])
+    np.testing.assert_array_equal(a.grad, [7.0, 7.0, 7.0])
+    np.testing.assert_array_equal(y.grad, [2.0, 2.0, 2.0])
 
 
 def test_detach_blocks_gradient():

@@ -6,13 +6,13 @@ import pytest
 from meshmoe import autodiff as ad
 from meshmoe.autodiff import Tensor
 from meshmoe.gate import (GateConfig, GateError, average_pretrained_gates,
-                          gate_forward_features, gate_forward_mesh,
-                          gate_forward_walk, init_gate_params,
-                          pretrain_imitation)
+                          gate_forward_batch, gate_forward_features,
+                          gate_forward_mesh, gate_forward_walk,
+                          init_gate_params, pretrain_imitation)
 from meshmoe.gradcheck import check_gradients
 from meshmoe.rng import Rng
 from meshmoe.synth import generate_classification_set
-from meshmoe.walks import extract_walk
+from meshmoe.walks import extract_walk, walk_length
 
 TINY = GateConfig(num_experts=3, encoder_layers=2, decoder_layers=2,
                   d_model=8, heads=2, ff_width=16)
@@ -131,6 +131,31 @@ def test_batched_walks_match_loop(tetrahedron):
     for i, walk in enumerate(walks):
         np.testing.assert_allclose(
             batched[i], gate_forward_walk(walk, params, TINY).data, atol=1e-12)
+
+
+def test_batched_rows_equal_per_mesh_rows_in_input_order():
+    """One gate call per walk length gives each mesh its own row, bit for bit."""
+    ds = generate_classification_set(3, 4, seed=11)
+    params = init_gate_params(TINY, seed=14)
+    by_length = {}
+    for mesh in ds.meshes:
+        by_length.setdefault(walk_length(mesh.vertex_count), []).append(mesh)
+    short, long = sorted(by_length)[:2]
+    batch = [by_length[short][0], by_length[long][0], by_length[short][1],
+             by_length[long][1], by_length[short][2]]
+    seeds = [30 + i for i in range(len(batch))]
+    rows = gate_forward_batch(batch, 3, params, TINY, seeds)
+    assert len(rows) == len(batch)
+    for row, mesh, seed in zip(rows, batch, seeds):
+        assert row.shape == (3,)
+        np.testing.assert_array_equal(
+            row.data, gate_forward_mesh(mesh, 3, params, TINY, seed).data)
+
+
+def test_batched_rows_reject_seed_count_mismatch(tetrahedron):
+    params = init_gate_params(TINY, seed=15)
+    with pytest.raises(GateError, match="seeds"):
+        gate_forward_batch([tetrahedron, tetrahedron], 2, params, TINY, [1])
 
 
 def test_average_pretrained_gates_identities():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from meshmoe import autodiff as ad
 from meshmoe.autodiff import Tensor
 from meshmoe.experts import build_experts
-from meshmoe.gate import GateConfig
+from meshmoe.gate import GateConfig, gate_forward_batch, gate_forward_mesh
 from meshmoe.gradcheck import check_gradients
 from meshmoe.layers import PROB_FLOOR, cross_entropy
 from meshmoe.metrics import mean_instance_accuracy
@@ -24,6 +24,7 @@ from meshmoe.trainer import (BatchOutcome, MoESystem, TrainerError,
                              joint_loss, load_system, save_system,
                              similarity_loss, system_parameters,
                              train_iteration, train_run)
+from meshmoe.walks import walk_length
 
 TINY = GateConfig(num_experts=2, encoder_layers=1, decoder_layers=1,
                   d_model=8, heads=2, ff_width=16)
@@ -263,20 +264,20 @@ def test_gate_gradient_matches_finite_differences():
     # smooth experts keep the loss O(1) so central differences stay clean
     experts = build_experts(["face_mlp", "face_mlp"], num_classes=2, seed=11)
     system = build_system(experts, gate_config=TINY, seed=3)
-    batch = data.train_meshes[:2]
+    lengths = [walk_length(m.vertex_count) for m in data.train_meshes]
+    first = data.train_meshes[0]
+    other = next(m for m, length in zip(data.train_meshes, lengths)
+                 if length != lengths[0])
+    batch = [first, other]
     seed = 23
 
     def loss_fn():
-        from meshmoe.gate import gate_forward_mesh
-        rows, preds, targets = [], [], []
-        for mesh in batch:
-            rows.append(gate_forward_mesh(
-                mesh, system.walks_train, system.gate_params,
-                system.gate_config, derive(seed, "gate", mesh.mesh_id)))
-            preds.append([e.predict(mesh, derive(seed, "expert", e.name,
-                                                 mesh.mesh_id))
-                          for e in system.experts])
-            targets.append(mesh.class_label)
+        rows = gate_forward_batch(
+            batch, system.walks_train, system.gate_params, system.gate_config,
+            [derive(seed, "gate", mesh.mesh_id) for mesh in batch])
+        preds = [[e.predict(mesh, derive(seed, "expert", e.name, mesh.mesh_id))
+                  for e in system.experts] for mesh in batch]
+        targets = [mesh.class_label for mesh in batch]
         return joint_loss(similarity_loss(preds),
                           diversity_loss(rows, preds, targets), 0.7)
 
@@ -368,6 +369,32 @@ def test_inference_contract():
     assert 0 <= j1 < len(system.experts) and j1 == j2
     np.testing.assert_array_equal(pred1, pred2)
     assert pred1.shape == (2,)
+
+
+def test_inference_routes_like_the_gate_and_keeps_no_graph(monkeypatch):
+    import meshmoe.trainer as trainer
+    data = tiny_dataset()
+    system = oracle_system()
+    mesh = data.test_meshes[1]
+    weights = gate_forward_mesh(mesh, system.walks_infer, system.gate_params,
+                                system.gate_config, derive(5, "gate", mesh.mesh_id))
+    j_ref = int(np.argmax(weights.data))
+    expert = system.experts[j_ref]
+    pred_ref = expert.predict(mesh, derive(5, "expert", expert.name, mesh.mesh_id))
+
+    outputs = []
+
+    def recording(*args, **kwargs):
+        outputs.append(gate_forward_mesh(*args, **kwargs))
+        return outputs[-1]
+
+    monkeypatch.setattr(trainer, "gate_forward_mesh", recording)
+    pred, j = inference(system, mesh, seed=5)
+    assert j == j_ref
+    np.testing.assert_array_equal(pred, pred_ref.data)
+    assert len(outputs) == 1
+    np.testing.assert_array_equal(outputs[0].data, weights.data)
+    assert outputs[0]._parents == () and not outputs[0].requires_grad
 
 
 def test_evaluation_helpers_run():
