@@ -88,9 +88,10 @@ def standard_battery(seed: int = 0, tolerance: float = 1e-4,
                      max_coords: int = 8) -> list:
     """Finite-difference checks across every differentiable building block.
 
-    Returns [(name, GradReport), ...] covering attention, a full MHA block,
-    the recurrent cell, cross-entropy, KL divergence, the gate end to end,
-    and the joint training loss composite.
+    Returns [(name, GradReport), ...] covering the fused multi-head
+    attention (self and cross), linear and layer norm ops, a full MHA
+    block, the recurrent cell, cross-entropy, KL divergence, the gate end
+    to end, and the joint training loss composite.
     """
     from . import autodiff as ad
     from . import layers
@@ -106,9 +107,8 @@ def standard_battery(seed: int = 0, tolerance: float = 1e-4,
     attn = {name: Tensor(rng.normal_fill((2, 3, 4)) * 0.5, requires_grad=True)
             for name in ("q", "k", "v")}
     attn_mix = rng.normal_fill((2, 3, 4))
-    entries.append(("attention", lambda: ad.tsum(ad.mul(
-        layers.scaled_dot_product_attention(attn["q"], attn["k"], attn["v"]),
-        Tensor(attn_mix))), attn))
+    entries.append(("attention", lambda: ad.tsum(ad.mul(layers.multi_head_attention(
+        attn["q"], attn["k"], attn["v"], heads=2), Tensor(attn_mix))), attn))
 
     mha = {"x": Tensor(rng.normal_fill((2, 3, 8)) * 0.5, requires_grad=True)}
     layers.init_mha_block(mha, "blk", 8, 16, derive(seed, "mha"))
@@ -144,6 +144,29 @@ def standard_battery(seed: int = 0, tolerance: float = 1e-4,
         return ad.tsum(ad.mul(weights, Tensor(gate_mix)))
 
     entries.append(("gate_end_to_end", gate_fn, gate_params))
+
+    # the fused ops on their own; drawn after the blocks above so that
+    # those keep their seed-s data
+    cross = {"q": Tensor(rng.normal_fill((2, 1, 4)) * 0.5, requires_grad=True),
+             "k": Tensor(rng.normal_fill((2, 5, 4)) * 0.5, requires_grad=True),
+             "v": Tensor(rng.normal_fill((2, 5, 4)) * 0.5, requires_grad=True)}
+    cross_mix = rng.normal_fill((2, 1, 4))
+    entries.append(("cross_attention", lambda: ad.tsum(ad.mul(layers.multi_head_attention(
+        cross["q"], cross["k"], cross["v"], heads=2), Tensor(cross_mix))), cross))
+
+    lin = {"x": Tensor(rng.normal_fill((2, 3, 4)) * 0.5, requires_grad=True),
+           "w": layers.glorot((4, 5), derive(seed, "linear")),
+           "b": Tensor(rng.normal_fill((5,)) * 0.1, requires_grad=True)}
+    lin_mix = rng.normal_fill((2, 3, 5))
+    entries.append(("linear", lambda: ad.tsum(ad.mul(
+        layers.linear(lin["x"], lin["w"], lin["b"]), Tensor(lin_mix))), lin))
+
+    norm = {"x": Tensor(rng.normal_fill((2, 3, 6)), requires_grad=True),
+            "g": Tensor(1.0 + rng.normal_fill((6,)) * 0.1, requires_grad=True),
+            "b": Tensor(rng.normal_fill((6,)) * 0.1, requires_grad=True)}
+    norm_mix = rng.normal_fill((2, 3, 6))
+    entries.append(("layer_norm", lambda: ad.tsum(ad.mul(
+        layers.layer_norm(norm["x"], norm["g"], norm["b"]), Tensor(norm_mix))), norm))
 
     data = generate_classification_set(classes=2, per_class=4,
                                        seed=derive(seed, "data"))

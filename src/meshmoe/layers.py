@@ -1,9 +1,13 @@
 """Differentiable layers: linear, layer norm, attention, GRU, losses.
 
 Shapes use trailing (sequence, feature) axes so batch axes broadcast.
-Attention blocks are pre-norm residual: x + attn(norm(x)), then
-x + ff(norm(x)).  Probability inputs to the losses are clamped at
-PROB_FLOOR before any log.
+`linear`, `layer_norm` and `multi_head_attention` are fused: each is one
+autodiff node with a hand-written backward, so an attention block adds
+12 graph nodes and keeps one (heads, Lq, Lk) probability buffer alive.
+A 2-D weight under a batched input gets its gradient from one GEMM over
+the flattened leading axes.  Attention blocks are pre-norm residual:
+x + attn(norm(x)), then x + ff(norm(x)); the key projection has no bias.
+Probability inputs to the losses are clamped at PROB_FLOOR before any log.
 """
 
 import math
@@ -42,17 +46,53 @@ def ones(shape) -> Tensor:
 # --- basic layers ----------------------------------------------------------
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    out = ad.matmul(x, w)
-    return out if b is None else ad.add(out, b)
+    """x @ w (+ b) as one node; x (..., d) of any rank >= 1, w (d, k).
+
+    The forward product stays one small GEMM per leading index, so a row's
+    bits do not depend on the batch it sits in.  The backward treats every
+    leading index as a row of one 2-D GEMM.
+    """
+    out_data = x.data @ w.data
+    if b is not None:
+        out_data += b.data
+
+    def backward(g):
+        rows = g.reshape(-1, g.shape[-1])
+        if x.requires_grad:
+            ad._accumulate(x, (rows @ w.data.T).reshape(x.data.shape))
+        if w.requires_grad:
+            ad._accumulate(w, x.data.reshape(-1, x.data.shape[-1]).T @ rows)
+        if b is not None and b.requires_grad:
+            ad._accumulate(b, rows.sum(axis=0))
+
+    return ad._node(out_data, (x, w) if b is None else (x, w, b), backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean, unit variance, then affine."""
-    mu = ad.tmean(x, axis=-1, keepdims=True)
-    centered = ad.sub(x, mu)
-    var = ad.tmean(ad.mul(centered, centered), axis=-1, keepdims=True)
-    inv = ad.pow_const(ad.add(var, Tensor(eps)), -0.5)
-    return ad.add(ad.mul(ad.mul(centered, inv), gain), bias)
+    scale = 1.0 / x.shape[-1]
+    centered = x.data - x.data.sum(axis=-1, keepdims=True) * scale
+    var = (centered * centered).sum(axis=-1, keepdims=True) * scale
+    inv = (var + eps) ** -0.5
+    normed = centered * inv
+    out_data = normed * gain.data + bias.data
+
+    def backward(g):
+        rows = g.reshape(-1, g.shape[-1])
+        if x.requires_grad:
+            g_hat = g * gain.data
+            mean_g = g_hat.sum(axis=-1, keepdims=True) * scale
+            mean_gx = (g_hat * normed).sum(axis=-1, keepdims=True) * scale
+            g_hat -= mean_g
+            g_hat -= normed * mean_gx
+            g_hat *= inv
+            ad._accumulate(x, g_hat)
+        if gain.requires_grad:
+            ad._accumulate(gain, (rows * normed.reshape(rows.shape)).sum(axis=0))
+        if bias.requires_grad:
+            ad._accumulate(bias, rows.sum(axis=0))
+
+    return ad._node(out_data, (x, gain, bias), backward)
 
 
 @lru_cache(maxsize=64)
@@ -67,32 +107,59 @@ def positional_encoding(length: int, d_model: int) -> np.ndarray:
 
 # --- attention -------------------------------------------------------------
 
-def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """softmax(q k^T / sqrt(d)) v over trailing (sequence, feature) axes."""
-    d = q.shape[-1]
-    scores = ad.mul(ad.matmul(q, ad.swapaxes(k, -1, -2)), Tensor(1.0 / math.sqrt(d)))
-    return ad.matmul(ad.softmax(scores, axis=-1), v)
+def _heads(a: np.ndarray, heads: int) -> np.ndarray:
+    # (..., L, d) -> (..., heads, L, d // heads), a view
+    *batch, length, d = a.shape
+    return np.swapaxes(a.reshape(*batch, length, heads, d // heads), -2, -3)
 
 
-def _split_heads(x: Tensor, heads: int) -> Tensor:
-    # (..., L, d) -> (..., heads, L, d // heads)
-    *batch, length, d = x.shape
-    split = ad.reshape(x, (*batch, length, heads, d // heads))
-    return ad.swapaxes(split, -2, -3)
-
-
-def _merge_heads(x: Tensor) -> Tensor:
+def _merged(a: np.ndarray) -> np.ndarray:
     # (..., heads, L, dh) -> (..., L, heads * dh)
-    merged = ad.swapaxes(x, -2, -3)
-    *batch, length, heads, dh = merged.shape
-    return ad.reshape(merged, (*batch, length, heads * dh))
+    *batch, heads, length, dh = a.shape
+    return np.swapaxes(a, -2, -3).reshape(*batch, length, heads * dh)
+
+
+def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """softmax(q k^T / sqrt(dh)) v per head, as one node.
+
+    q is (..., Lq, d), k and v are (..., Lk, d); each head reads a
+    contiguous d / heads slice of the feature axis and the heads' outputs
+    are concatenated back to (..., Lq, d).  Only the attention
+    probabilities are stored; the backward recomputes everything else
+    from them and the inputs.
+    """
+    qh, kh, vh = (_heads(t.data, heads) for t in (q, k, v))
+    scale = 1.0 / math.sqrt(qh.shape[-1])
+    probs = qh @ np.swapaxes(kh, -1, -2)
+    probs *= scale
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    out_data = _merged(probs @ vh)
+
+    def backward(g):
+        gh = _heads(g, heads)
+        if v.requires_grad:
+            ad._accumulate(v, _merged(np.swapaxes(probs, -1, -2) @ gh))
+        d_scores = gh @ np.swapaxes(vh, -1, -2)
+        d_scores -= (d_scores * probs).sum(axis=-1, keepdims=True)
+        d_scores *= probs
+        d_scores *= scale
+        if q.requires_grad:
+            ad._accumulate(q, _merged(d_scores @ kh))
+        if k.requires_grad:
+            ad._accumulate(k, _merged(np.swapaxes(d_scores, -1, -2) @ qh))
+
+    return ad._node(out_data, (q, k, v), backward)
 
 
 def init_mha_block(params: dict, prefix: str, d_model: int, ff_width: int, seed: int) -> None:
     """Create one pre-norm attention + feed-forward block under `prefix`."""
     for name in ("wq", "wk", "wv", "wo"):
         params[f"{prefix}.attn.{name}"] = glorot((d_model, d_model), derive(seed, prefix, name))
-        params[f"{prefix}.attn.{name[1:]}b"] = zeros((d_model,))
+    # no key bias: softmax ignores a per-query shift, so its gradient is 0
+    for name in ("qb", "vb", "ob"):
+        params[f"{prefix}.attn.{name}"] = zeros((d_model,))
     params[f"{prefix}.ln1.g"] = ones((d_model,))
     params[f"{prefix}.ln1.b"] = zeros((d_model,))
     params[f"{prefix}.ln2.g"] = ones((d_model,))
@@ -114,10 +181,9 @@ def mha_block(x: Tensor, params: dict, prefix: str, heads: int,
     p = lambda name: params[f"{prefix}.{name}"]
     normed = layer_norm(x, p("ln1.g"), p("ln1.b"))
     source = normed if memory is None else memory
-    q = _split_heads(linear(normed, p("attn.wq"), p("attn.qb")), heads)
-    k = _split_heads(linear(source, p("attn.wk"), p("attn.kb")), heads)
-    v = _split_heads(linear(source, p("attn.wv"), p("attn.vb")), heads)
-    attended = _merge_heads(scaled_dot_product_attention(q, k, v))
+    attended = multi_head_attention(linear(normed, p("attn.wq"), p("attn.qb")),
+                                    linear(source, p("attn.wk")),
+                                    linear(source, p("attn.wv"), p("attn.vb")), heads)
     x = ad.add(x, linear(attended, p("attn.wo"), p("attn.ob")))
     normed = layer_norm(x, p("ln2.g"), p("ln2.b"))
     hidden = ad.relu(linear(normed, p("ff.w1"), p("ff.b1")))

@@ -47,12 +47,13 @@ def test_matmul_grads_batched():
 
 @pytest.mark.parametrize("a_shape", [(3, 5, 4), (2, 3, 5, 4)])
 def test_shared_weight_gradient_is_one_gemm(a_shape):
-    """A 2-D weight under a batched input: same gradients as the batched
-    products (weight: summed over the batch axes), up to summation order."""
+    """`linear` with a 2-D weight under a batched input: same gradients as
+    the batched products (weight: summed over the batch axes), up to
+    summation order."""
     a = rand_tensor(a_shape, 6)
     b = rand_tensor((4, 7), 7)
     mix = Rng(8).normal_fill(a_shape[:-1] + (7,))
-    ad.tsum(ad.mul(ad.matmul(a, b), Tensor(mix))).backward()
+    ad.tsum(ad.mul(layers.linear(a, b), Tensor(mix))).backward()
     reference = np.swapaxes(a.data, -1, -2) @ mix
     while reference.ndim > 2:
         reference = reference.sum(axis=0)

@@ -1,4 +1,5 @@
-"""Layer-level gradient checks: attention, MHA blocks, GRU, layer norm."""
+"""Layer-level checks: fused ops against composed references, attention,
+MHA blocks, GRU, layer norm."""
 
 import numpy as np
 import pytest
@@ -12,6 +13,75 @@ from meshmoe.rng import Rng, derive
 
 def rand(shape, seed, scale=0.5):
     return Tensor(Rng(seed).normal_fill(shape) * scale, requires_grad=True)
+
+
+# --- composed references: the fused ops spelled out in autodiff primitives --
+
+def reference_linear(x, w, b=None):
+    flat = ad.reshape(x, (-1, x.shape[-1]))
+    out = ad.reshape(ad.matmul(flat, w), x.shape[:-1] + (w.shape[-1],))
+    return out if b is None else ad.add(out, b)
+
+
+def reference_layer_norm(x, gain, bias, eps=1e-5):
+    mu = ad.tmean(x, axis=-1, keepdims=True)
+    centered = ad.sub(x, mu)
+    var = ad.tmean(ad.mul(centered, centered), axis=-1, keepdims=True)
+    inv = ad.pow_const(ad.add(var, Tensor(eps)), -0.5)
+    return ad.add(ad.mul(ad.mul(centered, inv), gain), bias)
+
+
+def reference_attention(q, k, v, heads):
+    def split(t):
+        *batch, length, d = t.shape
+        return ad.swapaxes(ad.reshape(t, (*batch, length, heads, d // heads)), -2, -3)
+
+    qh, kh, vh = split(q), split(k), split(v)
+    scores = ad.mul(ad.matmul(qh, ad.swapaxes(kh, -1, -2)),
+                    Tensor(1.0 / np.sqrt(qh.shape[-1])))
+    merged = ad.swapaxes(ad.matmul(ad.softmax(scores, axis=-1), vh), -2, -3)
+    *batch, length, _, _ = merged.shape
+    return ad.reshape(merged, (*batch, length, q.shape[-1]))
+
+
+def assert_fused_matches(fused, reference, inputs, out_shape, seed):
+    """Same output and the same gradient for every input, to rtol 1e-12."""
+    mix = Tensor(Rng(seed).normal_fill(out_shape))
+    results = []
+    for fn in (fused, reference):
+        for t in inputs:
+            t.grad = None
+        out = fn(*inputs)
+        ad.tsum(ad.mul(out, mix)).backward()
+        results.append((out.data, [t.grad for t in inputs]))
+    (fused_out, fused_grads), (ref_out, ref_grads) = results
+    np.testing.assert_allclose(fused_out, ref_out, rtol=1e-12, atol=0)
+    for got, want in zip(fused_grads, ref_grads):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("x_shape", [(5,), (3, 5), (2, 3, 5), (2, 2, 3, 5)])
+@pytest.mark.parametrize("bias", [True, False])
+def test_fused_linear_matches_composed(x_shape, bias):
+    inputs = [rand(x_shape, 71), rand((5, 4), 72)] + ([rand((4,), 73)] if bias else [])
+    assert_fused_matches(layers.linear, reference_linear, inputs,
+                         x_shape[:-1] + (4,), seed=74)
+
+
+def test_fused_layer_norm_matches_composed():
+    inputs = [rand((2, 3, 6), 81, scale=2.0), rand((6,), 82), rand((6,), 83)]
+    inputs[1].data += 1.0
+    assert_fused_matches(layers.layer_norm, reference_layer_norm, inputs, (2, 3, 6), seed=84)
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("q_len,k_len", [(4, 4), (1, 5)], ids=["self", "cross"])
+def test_fused_attention_matches_composed(heads, q_len, k_len):
+    inputs = [rand((3, q_len, 8), 91), rand((3, k_len, 8), 92), rand((3, k_len, 8), 93)]
+    assert_fused_matches(
+        lambda q, k, v: layers.multi_head_attention(q, k, v, heads),
+        lambda q, k, v: reference_attention(q, k, v, heads),
+        inputs, (3, q_len, 8), seed=94)
 
 
 def test_layer_norm_output_stats_and_grad():
@@ -39,7 +109,7 @@ def test_positional_encoding_shape_and_values():
 
 def test_attention_weights_rows_sum_to_one():
     q, k, v = rand((3, 4), 2), rand((5, 4), 3), rand((5, 4), 4)
-    out = layers.scaled_dot_product_attention(q, k, v)
+    out = layers.multi_head_attention(q, k, v, heads=1)
     assert out.shape == (3, 4)
     # rows of softmax(qk^T) are convex weights, so outputs stay in the
     # convex hull of the value rows
@@ -52,7 +122,7 @@ def test_attention_gradients():
     w = Tensor(Rng(8).normal_fill((3, 4)))
 
     def fn():
-        return ad.tsum(ad.mul(layers.scaled_dot_product_attention(q, k, v), w))
+        return ad.tsum(ad.mul(layers.multi_head_attention(q, k, v, heads=2), w))
 
     report = check_gradients(fn, {"q": q, "k": k, "v": v}, tolerance=1e-5)
     assert report.passed, str(report)
@@ -85,6 +155,37 @@ def test_mha_block_cross_attention_gradients():
 
     report = check_gradients(fn, {**params, "x": x, "memory": memory}, max_coords=6)
     assert report.passed, str(report)
+
+
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("cross", [False, True], ids=["self", "cross"])
+def test_mha_block_gradients_hold_for_any_seed(seed, cross):
+    d_model, heads, ff = 8, 2, 16
+    params = {}
+    layers.init_mha_block(params, "blk", d_model, ff, seed=derive(seed, "blk"))
+    x = rand((2, 1 if cross else 3, d_model), derive(seed, "x"))
+    inputs = {**params, "x": x}
+    if cross:
+        inputs["memory"] = rand((2, 5, d_model), derive(seed, "memory"))
+    w = Tensor(Rng(derive(seed, "mix")).normal_fill(x.shape))
+
+    def fn():
+        return ad.tsum(ad.mul(layers.mha_block(x, params, "blk", heads,
+                                               memory=inputs.get("memory")), w))
+
+    report = check_gradients(fn, inputs, max_coords=6, seed=seed)
+    assert report.passed, str(report)
+
+
+def test_mha_block_adds_twelve_graph_nodes():
+    """Two layer norms, six linears, attention, relu and two residual adds:
+    a de-fused layer shows up here as extra nodes."""
+    params = {}
+    layers.init_mha_block(params, "blk", 8, 16, seed=35)
+    x = rand((2, 3, 8), 36)
+    out = layers.mha_block(x, params, "blk", heads=2)
+    nodes = [n for n in ad._topological_order(out) if n._parents]
+    assert len(nodes) <= 12
 
 
 def test_mha_block_batched_matches_loop():
