@@ -71,3 +71,22 @@ def load_checkpoint(path) -> dict:
                 raise CheckpointError(f"{path}:{lineno}: duplicate parameter {name}")
             params[name] = Tensor(flat.reshape(shape).astype(np.float64), requires_grad=True)
     return params
+
+
+def copy_into(live: dict, stored: dict) -> None:
+    """Copy `stored` tensors into the same-named `live` ones, in place.
+
+    Both must hold exactly the same names with the same shapes; nothing is
+    copied unless they do.
+    """
+    missing = sorted(set(live) - set(stored))
+    extra = sorted(set(stored) - set(live))
+    if missing or extra:
+        raise CheckpointError(
+            f"checkpoint mismatch: missing {missing[:3]}, extra {extra[:3]}")
+    for name, tensor in live.items():
+        if stored[name].data.shape != tensor.data.shape:
+            raise CheckpointError(f"{name}: shape {stored[name].data.shape} "
+                                  f"vs {tensor.data.shape}")
+    for name, tensor in live.items():
+        tensor.data = stored[name].data.copy()

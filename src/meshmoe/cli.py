@@ -1,10 +1,10 @@
 """Command-line pipeline from data generation to evaluation.
 
 Subcommands: gen-data, pretrain-experts, pretrain-gate, train, eval,
-dump-walks, gradcheck, plot-lambda.  Every run writes a JSON manifest with
-the resolved configuration, the seed, and content hashes of the files it
-consumed, so a run can be reproduced bit for bit.  Config file values
-override the built-in defaults and command-line flags override both.
+dump-walks, gradcheck.  Every run writes a JSON manifest with the resolved
+configuration, the seed, and content hashes of the files it consumed, so a
+run can be reproduced bit for bit.  Config file values override the
+built-in defaults and command-line flags override both.
 """
 
 import argparse
@@ -15,10 +15,9 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from .autodiff import Tensor
-from .checkpoint import CheckpointError
+from .checkpoint import (CheckpointError, copy_into, load_checkpoint,
+                         save_checkpoint)
 from .config import ConfigError, RunConfig, config_snapshot, load_config
 from .experts import (ExpertError, build_experts, load_expert_checkpoint,
                       save_expert_checkpoint, train_expert_supervised)
@@ -138,24 +137,6 @@ def _build_full_system(cfg: RunConfig, dataset):
     return system
 
 
-def _gate_checkpoint_io(path, params, load: bool):
-    from .checkpoint import load_checkpoint, save_checkpoint
-    if not load:
-        save_checkpoint({f"gate.{k}": v for k, v in params.items()}, path)
-        return
-    stored = load_checkpoint(path)
-    live = {f"gate.{k}": v for k, v in params.items()}
-    missing = sorted(set(live) - set(stored))
-    extra = sorted(set(stored) - set(live))
-    if missing or extra:
-        raise TrainerError(f"gate checkpoint mismatch: missing {missing[:3]}, "
-                           f"extra {extra[:3]}")
-    for name, tensor in live.items():
-        if stored[name].data.shape != tensor.data.shape:
-            raise TrainerError(f"{name}: shape mismatch")
-        tensor.data = stored[name].data.copy()
-
-
 # -------------------------------------------------------------- subcommands
 
 def _cmd_gen_data(args) -> int:
@@ -246,7 +227,7 @@ def _cmd_pretrain_gate(args) -> int:
     averaged = average_pretrained_gates(pretrained, imitation_config,
                                         derive(cfg.seed, "gate"))
     ckpt = os.path.join(out, "gate_init.ckpt")
-    _gate_checkpoint_io(ckpt, averaged, load=False)
+    save_checkpoint({f"gate.{k}": v for k, v in averaged.items()}, ckpt)
     _write_manifest(out, "pretrain-gate", cfg, inputs, [ckpt])
     print(f"saved {ckpt}")
     return 0
@@ -267,7 +248,8 @@ def _cmd_train(args) -> int:
         print(f"loaded expert parameters from {experts_ckpt}")
     gate_init = args.gate_init or os.path.join(out, "gate_init.ckpt")
     if os.path.exists(gate_init):
-        _gate_checkpoint_io(gate_init, system.gate_params, load=True)
+        copy_into({f"gate.{k}": v for k, v in system.gate_params.items()},
+                  load_checkpoint(gate_init))
         inputs.append(gate_init)
         print(f"loaded gate initialization from {gate_init}")
 
@@ -374,27 +356,6 @@ def _cmd_gradcheck(args) -> int:
     return 0 if all_passed else 1
 
 
-def _cmd_plot_lambda(args) -> int:
-    log = args.log or os.path.join(args.out_dir, "train_log.csv")
-    if not os.path.exists(log):
-        raise TrainerError(f"no training log at {log}")
-    with open(log, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    if not rows:
-        raise TrainerError(f"{log} is empty")
-    out_csv = args.out or os.path.join(args.out_dir, "lambda_trace.csv")
-    with open(out_csv, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "lambda"])
-        for row in rows:
-            writer.writerow([row["iteration"], row["lambda"]])
-    values = np.array([float(r["lambda"]) for r in rows])
-    print(f"wrote {out_csv} ({len(values)} iterations, lambda mean "
-          f"{values.mean():+.3f}, range [{values.min():+.3f}, "
-          f"{values.max():+.3f}])")
-    return 0
-
-
 # -------------------------------------------------------------- parser
 
 def build_parser() -> argparse.ArgumentParser:
@@ -463,12 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", parents=[common],
                        help="finite-difference checks on every building block")
     p.set_defaults(func=_cmd_gradcheck)
-
-    p = sub.add_parser("plot-lambda", parents=[common],
-                       help="extract the lambda trace from a training log")
-    p.add_argument("--log", default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_plot_lambda)
     return parser
 
 

@@ -13,6 +13,7 @@ import numpy as np
 from . import autodiff as ad
 from . import layers
 from .autodiff import Tensor
+from .checkpoint import copy_into, load_checkpoint, save_checkpoint
 from .mesh import Mesh
 from .optim import Adam
 from .rng import Rng, derive
@@ -21,6 +22,15 @@ from .walks import extract_walks, walk_feature_batch
 
 class ExpertError(ValueError):
     pass
+
+
+def face_normals(mesh: Mesh):
+    """(F, 3) unit face normals and (F, 1) face areas."""
+    corners = mesh.vertices[mesh.faces]                       # (F, 3, 3)
+    cross = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+    norms = np.linalg.norm(cross, axis=1, keepdims=True)
+    # zero-area faces get zero normals rather than NaN
+    return np.where(norms > 1e-12, cross / np.maximum(norms, 1e-12), 0.0), norms / 2.0
 
 
 class WalkRnnExpert:
@@ -69,13 +79,8 @@ class FaceMlpExpert:
 
     @staticmethod
     def face_features(mesh: Mesh) -> np.ndarray:
-        corners = mesh.vertices[mesh.faces]                   # (F, 3, 3)
-        centroids = corners.mean(axis=1)
-        cross = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
-        norms = np.linalg.norm(cross, axis=1, keepdims=True)
-        areas = norms / 2.0
-        # zero-area faces contribute zero normals rather than NaN
-        normals = np.where(norms > 1e-12, cross / np.maximum(norms, 1e-12), 0.0)
+        centroids = mesh.vertices[mesh.faces].mean(axis=1)
+        normals, areas = face_normals(mesh)
         return np.concatenate([centroids, normals, areas], axis=1)
 
     def predict(self, mesh: Mesh, seed: int | None = None) -> Tensor:
@@ -110,10 +115,7 @@ class EdgeSegmenterExpert:
 
     @staticmethod
     def edge_features(mesh: Mesh) -> np.ndarray:
-        corners = mesh.vertices[mesh.faces]
-        cross = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
-        norms = np.linalg.norm(cross, axis=1, keepdims=True)
-        normals = np.where(norms > 1e-12, cross / np.maximum(norms, 1e-12), 0.0)
+        normals, _ = face_normals(mesh)
         features = np.zeros((mesh.edge_count, 3))
         midpoints = mesh.vertices[mesh.edges].mean(axis=1)
         features[:, 0] = mesh.edge_lengths
@@ -208,13 +210,11 @@ def build_experts(specs: list, num_classes: int, seed: int, hidden: int = 32) ->
 def expert_loss(expert, mesh: Mesh, seed: int) -> Tensor:
     """Supervised loss for one mesh: CE on the class or mean CE over edges."""
     pred = expert.predict(mesh, seed)
-    if pred.ndim == 2:
-        if mesh.edge_labels is None:
-            raise ExpertError(f"{mesh.mesh_id}: no edge labels")
-        return layers.cross_entropy_rows(pred, mesh.edge_labels)
-    if mesh.class_label is None:
-        raise ExpertError(f"{mesh.mesh_id}: no class label")
-    return layers.cross_entropy(pred, mesh.class_label)
+    labels, target = (("edge labels", mesh.edge_labels) if pred.ndim == 2
+                      else ("class label", mesh.class_label))
+    if target is None:
+        raise ExpertError(f"{mesh.mesh_id}: no {labels}")
+    return ad.tmean(layers.cross_entropy(pred, target))
 
 
 def train_expert_supervised(expert, meshes: list, epochs: int = 10,
@@ -244,39 +244,20 @@ def train_expert_supervised(expert, meshes: list, epochs: int = 10,
     return history
 
 
+def expert_parameters(experts: list) -> dict:
+    """Every trainable expert tensor, named expert.<name>.<key>."""
+    return {f"expert.{expert.name}.{key}": tensor
+            for expert in experts if expert.params is not None
+            for key, tensor in expert.params.items()}
+
+
 def save_expert_checkpoint(experts: list, path) -> None:
-    """Write every trainable expert's parameters under expert.<name>.<key>."""
-    from .checkpoint import save_checkpoint
-    flat = {}
-    for expert in experts:
-        if expert.params is None:
-            continue
-        for key, tensor in expert.params.items():
-            flat[f"expert.{expert.name}.{key}"] = tensor
-    save_checkpoint(flat, path)
+    save_checkpoint(expert_parameters(experts), path)
 
 
 def load_expert_checkpoint(experts: list, path) -> None:
     """Copy a checkpoint's parameters into matching experts, in place."""
-    from .checkpoint import load_checkpoint
-    stored = load_checkpoint(path)
-    live = {}
-    for expert in experts:
-        if expert.params is None:
-            continue
-        for key, tensor in expert.params.items():
-            live[f"expert.{expert.name}.{key}"] = tensor
-    missing = sorted(set(live) - set(stored))
-    extra = sorted(set(stored) - set(live))
-    if missing or extra:
-        raise ExpertError(
-            f"expert checkpoint mismatch: missing {missing[:3]}, "
-            f"extra {extra[:3]}")
-    for name, tensor in live.items():
-        if stored[name].data.shape != tensor.data.shape:
-            raise ExpertError(f"{name}: shape {stored[name].data.shape} vs "
-                              f"{tensor.data.shape}")
-        tensor.data = stored[name].data.copy()
+    copy_into(expert_parameters(experts), load_checkpoint(path))
 
 
 def dump_predictions(experts: list, meshes: list, path, seed: int = 0) -> None:

@@ -141,9 +141,7 @@ def imitation_loss(gate_params: dict, config: GateConfig, meshes: list,
     """Mean KL(expert prediction || gate class distribution) over meshes."""
     rows = gate_forward_batch(meshes, walk_count, gate_params, config,
                               [derive(seed, mesh.mesh_id) for mesh in meshes])
-    terms = [layers.kl_divergence(Tensor(target), weights)
-             for target, weights in zip(targets, rows)]
-    return ad.tmean(ad.stack(terms))
+    return ad.tmean(layers.kl_divergence(Tensor(np.stack(targets)), ad.stack(rows)))
 
 
 def pretrain_imitation(gate_params: dict, config: GateConfig, expert, meshes: list,

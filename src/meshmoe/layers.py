@@ -7,6 +7,8 @@ autodiff node with a hand-written backward, so an attention block adds
 A 2-D weight under a batched input gets its gradient from one GEMM over
 the flattened leading axes.  Attention blocks are pre-norm residual:
 x + attn(norm(x)), then x + ff(norm(x)); the key projection has no bias.
+The two losses, `cross_entropy` and `kl_divergence`, reduce the last axis
+and return one value per row, so callers take whatever mean they need.
 Probability inputs to the losses are clamped at PROB_FLOOR before any log.
 """
 
@@ -221,40 +223,33 @@ def gru_forward(xs: Tensor, params: dict, prefix: str, d_hidden: int) -> Tensor:
 
 # --- losses ------------------------------------------------------------------
 
-def cross_entropy(pred: Tensor, target: int) -> Tensor:
-    """-log pred[target] with the floor clamp; pred is a probability vector."""
-    if pred.ndim != 1:
-        raise ValueError("cross_entropy expects a 1-D probability vector")
-    if not (0 <= target < pred.shape[0]):
-        raise ValueError(f"target index {target} out of range for {pred.shape[0]} classes")
-    if abs(float(pred.data.sum()) - 1.0) > 1e-6:
-        raise ValueError("prediction does not sum to 1")
-    row = ad.reshape(pred, (1, pred.shape[0]))
-    picked = ad.gather_rows(ad.clamp_min(row, PROB_FLOOR), np.array([target]))
-    return ad.reshape(ad.mul(ad.log(picked), Tensor(-1.0)), ())
+def cross_entropy(pred: Tensor, target) -> Tensor:
+    """-log pred[..., target] with the floor clamp, one value per row.
 
-
-def cross_entropy_rows(pred: Tensor, targets) -> Tensor:
-    """Mean of -log pred[i, targets[i]] over the rows of a (N, C) tensor."""
-    targets = np.asarray(targets, dtype=np.int64)
-    picked = ad.gather_rows(ad.clamp_min(pred, PROB_FLOOR), targets)
-    return ad.mul(ad.tmean(ad.log(picked)), Tensor(-1.0))
+    pred (..., C) holds probability rows; target holds one class index per
+    row, shaped like pred's leading axes (a plain int for a (C,) vector).
+    """
+    target = np.asarray(target, dtype=np.int64)
+    num_classes = pred.shape[-1]
+    if target.shape != pred.shape[:-1]:
+        raise ValueError(f"target shape {target.shape} does not match "
+                         f"prediction rows {pred.shape[:-1]}")
+    if target.size and (target.min() < 0 or target.max() >= num_classes):
+        raise ValueError(f"target index out of range for {num_classes} classes")
+    if np.any(np.abs(pred.data.sum(axis=-1) - 1.0) > 1e-6):
+        raise ValueError("prediction row does not sum to 1")
+    rows = ad.reshape(ad.clamp_min(pred, PROB_FLOOR), (-1, num_classes))
+    picked = ad.gather_rows(rows, target.reshape(-1))
+    return ad.reshape(ad.mul(ad.log(picked), Tensor(-1.0)), target.shape)
 
 
 def kl_divergence(p: Tensor, q: Tensor) -> Tensor:
-    """sum p * (log p - log q), both clamped at the floor; natural log."""
-    if p.shape != q.shape:
+    """sum p * (log p - log q) over the last axis, one value per row.
+
+    Both sides are clamped at the floor; leading axes broadcast; natural log.
+    """
+    if p.shape[-1:] != q.shape[-1:]:
         raise ValueError(f"distribution shapes differ: {p.shape} vs {q.shape}")
     pc = ad.clamp_min(p, PROB_FLOOR)
     qc = ad.clamp_min(q, PROB_FLOOR)
-    return ad.tsum(ad.mul(pc, ad.sub(ad.log(pc), ad.log(qc))))
-
-
-def kl_divergence_rows(p: Tensor, q: Tensor) -> Tensor:
-    """Row-wise KL of (N, C) distributions, averaged over rows."""
-    if p.shape != q.shape:
-        raise ValueError(f"distribution shapes differ: {p.shape} vs {q.shape}")
-    pc = ad.clamp_min(p, PROB_FLOOR)
-    qc = ad.clamp_min(q, PROB_FLOOR)
-    per_row = ad.tsum(ad.mul(pc, ad.sub(ad.log(pc), ad.log(qc))), axis=-1)
-    return ad.tmean(per_row)
+    return ad.tsum(ad.mul(pc, ad.sub(ad.log(pc), ad.log(qc))), axis=-1)

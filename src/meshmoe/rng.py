@@ -94,18 +94,8 @@ class Rng:
             raise ValueError("randbelow needs n >= 1")
         return (self.next_u64() * n) >> 64
 
-    def choice(self, seq):
-        if len(seq) == 0:
-            raise ValueError("choice on empty sequence")
-        return seq[self.randbelow(len(seq))]
-
     def shuffle(self, items: list) -> None:
         # Fisher-Yates, in place
         for i in range(len(items) - 1, 0, -1):
             j = self.randbelow(i + 1)
             items[i], items[j] = items[j], items[i]
-
-    def permutation(self, n: int) -> list:
-        order = list(range(n))
-        self.shuffle(order)
-        return order

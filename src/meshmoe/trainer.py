@@ -7,7 +7,11 @@ mesh to its argmax-weight expert, and optimizes a joint objective
 
 where L_sim sums pairwise divergences between expert predictions (pushing
 experts together for lambda > 0, apart for lambda < 0) and L_div is the
-gate-weighted cross-entropy of every expert.  The batch-mean gate weights
+gate-weighted cross-entropy of every expert.  Both losses work on one
+(J, N, C) stack of every expert's probability rows (a class vector is one
+row, an edge matrix one row per edge): L_sim is one broadcast divergence
+over all ordered expert pairs, L_div one cross-entropy, and a constant
+(N, B) matrix averages each mesh's rows.  The batch-mean gate weights
 form the agent's state s_t and the batch accuracy its reward r_t; the agent
 answers with the next coefficient lambda.  Inference routes with 32 walks
 and returns the chosen expert's prediction alone; no coefficient involved.
@@ -22,7 +26,8 @@ from dataclasses import dataclass
 from . import autodiff as ad
 from . import layers
 from .autodiff import Tensor
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import copy_into, load_checkpoint, save_checkpoint
+from .experts import expert_parameters
 from .gate import (GateConfig, gate_forward_batch, gate_forward_mesh,
                    init_gate_params)
 from .metrics import (edge_accuracy, mean_average_precision,
@@ -92,30 +97,32 @@ def expert_chooser(per_mesh_weights: np.ndarray, expert_predictions: list):
     return chosen, picked
 
 
-def _pair_divergence(p: Tensor, q: Tensor, kind: str) -> Tensor:
-    if kind == "kld":
-        if p.ndim == 1:
-            return layers.kl_divergence(p, q)
-        return layers.kl_divergence_rows(p, q)
-    pm = p if p.ndim == 2 else ad.reshape(p, (1, p.shape[0]))
-    qm = q if q.ndim == 2 else ad.reshape(q, (1, q.shape[0]))
-    if kind == "cosine":
-        dot = ad.tsum(ad.mul(pm, qm), axis=-1)
-        norms = ad.mul(ad.sqrt(ad.tsum(ad.mul(pm, pm), axis=-1)),
-                       ad.sqrt(ad.tsum(ad.mul(qm, qm), axis=-1)))
-        cos = ad.div(dot, ad.clamp_min(norms, layers.PROB_FLOOR))
-        return ad.tmean(ad.sub(Tensor(1.0), cos))
-    if kind == "mse":
-        diff = ad.sub(pm, qm)
-        return ad.tmean(ad.mul(diff, diff))
-    raise TrainerError(f"unknown similarity kind {kind!r}; expected {SIM_KINDS}")
+def _stacked_rows(expert_predictions: list):
+    """Every expert's probability rows as one (J, N, C) tensor, plus the
+    constant (N, B) matrix that averages each mesh's rows.
+
+    A (C,) class vector is one row and an (E_i, S) edge matrix is E_i rows;
+    each row is weighted by 1 / (rows in its mesh), so a mesh counts once
+    whatever its edge count.
+    """
+    num_experts = len(expert_predictions[0])
+    if any(len(preds) != num_experts for preds in expert_predictions):
+        raise TrainerError("meshes disagree in expert count")
+    counts = [int(np.prod(preds[0].shape[:-1])) for preds in expert_predictions]
+    columns = zip(*[[ad.reshape(p, (-1, p.shape[-1])) for p in preds]
+                    for preds in expert_predictions])
+    rows = ad.stack([ad.concat(list(column)) for column in columns])
+    average = np.repeat(np.eye(len(counts)) / counts, counts, axis=0)
+    return rows, Tensor(average)
 
 
 def similarity_loss(expert_predictions: list, kind: str = "kld") -> Tensor:
     """Batch-mean sum of divergences over ordered expert pairs.
 
-    Zero when all experts agree (every kind is a true divergence) and for a
-    single expert (empty pair sum).  kind "none" switches the term off.
+    All pairs come from one broadcast of the (J, 1, N, C) rows against the
+    (1, J, N, C) rows, with the j == w diagonal masked out.  Zero when all
+    experts agree (every kind is a true divergence) and for a single
+    expert (empty pair sum).  kind "none" switches the term off.
     """
     if kind not in SIM_KINDS:
         raise TrainerError(f"unknown similarity kind {kind!r}; expected {SIM_KINDS}")
@@ -124,23 +131,25 @@ def similarity_loss(expert_predictions: list, kind: str = "kld") -> Tensor:
     num_experts = len(expert_predictions[0])
     if num_experts < 2:
         return Tensor(0.0)
-    terms = []
-    for preds in expert_predictions:
-        for j in range(num_experts):
-            for w in range(num_experts):
-                if w != j:
-                    terms.append(_pair_divergence(preds[j], preds[w], kind))
-    total = terms[0]
-    for t in terms[1:]:
-        total = ad.add(total, t)
+    rows, average = _stacked_rows(expert_predictions)
+    _, num_rows, num_classes = rows.shape
+    p = ad.reshape(rows, (num_experts, 1, num_rows, num_classes))
+    q = ad.reshape(rows, (1, num_experts, num_rows, num_classes))
+    if kind == "kld":
+        per_row = layers.kl_divergence(p, q)                    # (J, J, N)
+    elif kind == "mse":
+        diff = ad.sub(p, q)
+        per_row = ad.tmean(ad.mul(diff, diff), axis=-1)
+    else:
+        norms = ad.mul(ad.sqrt(ad.tsum(ad.mul(p, p), axis=-1)),
+                       ad.sqrt(ad.tsum(ad.mul(q, q), axis=-1)))
+        cos = ad.div(ad.tsum(ad.mul(p, q), axis=-1),
+                     ad.clamp_min(norms, layers.PROB_FLOOR))
+        per_row = ad.sub(Tensor(1.0), cos)
+    per_mesh = ad.matmul(per_row, average)                      # (J, J, B)
+    off_diagonal = Tensor((1.0 - np.eye(num_experts))[:, :, None])
+    total = ad.tsum(ad.mul(per_mesh, off_diagonal))
     return ad.div(total, Tensor(float(len(expert_predictions))))
-
-
-def _prediction_ce(pred: Tensor, target) -> Tensor:
-    # 1-D against a class index, 2-D against per-edge labels
-    if pred.ndim == 1:
-        return layers.cross_entropy(pred, int(target))
-    return layers.cross_entropy_rows(pred, target)
 
 
 def diversity_loss(gate_weight_rows: list, expert_predictions: list,
@@ -148,21 +157,27 @@ def diversity_loss(gate_weight_rows: list, expert_predictions: list,
     """Batch-mean of gate-weighted expert cross-entropies.
 
     `gate_weight_rows[i]` is the (J,) gate output for mesh i (kept in the
-    graph so the gate learns which expert is cheap to trust).
+    graph so the gate learns which expert is cheap to trust).  One
+    cross-entropy covers every expert's rows; each expert's per-mesh mean
+    is weighted by the gate, summed over experts within each mesh first,
+    then over meshes, and divided by B last, so one-hot gate rows give
+    exactly the batch mean of the chosen expert's cross-entropy.
     """
     if not (len(gate_weight_rows) == len(expert_predictions) == len(targets)):
         raise TrainerError("batch pieces disagree in length")
-    terms = []
     for weights, preds, target in zip(gate_weight_rows, expert_predictions, targets):
         if weights.shape != (len(preds),):
             raise TrainerError(
                 f"gate row shape {weights.shape} vs {len(preds)} experts")
-        for j, pred in enumerate(preds):
-            s_j = ad.slice_index(weights, 0, j)
-            terms.append(ad.mul(s_j, _prediction_ce(pred, target)))
-    total = terms[0]
-    for t in terms[1:]:
-        total = ad.add(total, t)
+        if np.shape(target) != preds[0].shape[:-1]:
+            raise TrainerError(f"target shape {np.shape(target)} vs "
+                               f"prediction rows {preds[0].shape[:-1]}")
+    rows, average = _stacked_rows(expert_predictions)
+    target_rows = np.concatenate([np.reshape(t, -1) for t in targets])
+    ce = layers.cross_entropy(rows, np.broadcast_to(target_rows, rows.shape[:-1]))
+    per_mesh = ad.matmul(ce, average)                           # (J, B)
+    weighted = ad.mul(ad.stack(gate_weight_rows, axis=1), per_mesh)
+    total = ad.tsum(ad.tsum(weighted, axis=0))
     return ad.div(total, Tensor(float(len(targets))))
 
 
@@ -378,18 +393,12 @@ def evaluate_segmentation(system: MoESystem, meshes: list, seed: int = 0) -> dic
     return {"edge_accuracy": float(np.mean(scores)), "per_mesh": scores}
 
 
-def retrieval_descriptor(system: MoESystem, mesh, seed: int = 0) -> np.ndarray:
-    """The routed expert's probability vector, used as the shape descriptor."""
-    pred, _ = inference(system, mesh, seed)
-    return pred
-
-
 def evaluate_retrieval(system: MoESystem, meshes: list, seed: int = 0,
                        cutoff: int | None = None) -> dict:
     if len(meshes) < 2:
         raise TrainerError("retrieval needs at least two meshes")
-    descriptors = {m.mesh_id: retrieval_descriptor(system, m, seed)
-                   for m in meshes}
+    # the routed expert's probability vector is the shape descriptor
+    descriptors = {m.mesh_id: inference(system, m, seed)[0] for m in meshes}
     labels = {m.mesh_id: m.class_label for m in meshes}
     results = retrieval_results(descriptors, labels)
     if cutoff is None:
@@ -401,11 +410,7 @@ def evaluate_retrieval(system: MoESystem, meshes: list, seed: int = 0,
 def system_parameters(system: MoESystem) -> dict:
     """Flat named view of every trainable tensor for checkpointing."""
     out = {f"gate.{k}": v for k, v in system.gate_params.items()}
-    for expert in system.experts:
-        if expert.params is None:
-            continue
-        for k, v in expert.params.items():
-            out[f"expert.{expert.name}.{k}"] = v
+    out.update(expert_parameters(system.experts))
     return out
 
 
@@ -415,16 +420,4 @@ def save_system(system: MoESystem, path) -> None:
 
 def load_system(system: MoESystem, path) -> None:
     """Load a checkpoint into an architecturally identical system, in place."""
-    stored = load_checkpoint(path)
-    live = system_parameters(system)
-    missing = sorted(set(live) - set(stored))
-    extra = sorted(set(stored) - set(live))
-    if missing or extra:
-        raise TrainerError(
-            f"checkpoint mismatch: missing {missing[:3]}, extra {extra[:3]}")
-    for name, tensor in live.items():
-        if stored[name].data.shape != tensor.data.shape:
-            raise TrainerError(
-                f"{name}: shape {stored[name].data.shape} vs "
-                f"{tensor.data.shape}")
-        tensor.data = stored[name].data.copy()
+    copy_into(system_parameters(system), load_checkpoint(path))

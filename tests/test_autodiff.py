@@ -209,6 +209,18 @@ def test_cross_entropy_validates():
         layers.cross_entropy(Tensor(np.array([0.9, 0.3])), 0)
 
 
+def test_cross_entropy_validates_every_row():
+    rows = np.array([[0.5, 0.5], [0.9, 0.3], [0.25, 0.75]])
+    with pytest.raises(ValueError, match="sum to 1"):
+        layers.cross_entropy(Tensor(rows), np.array([0, 1, 0]))
+    rows[1] = [0.7, 0.3]
+    with pytest.raises(ValueError, match="does not match"):
+        layers.cross_entropy(Tensor(rows), np.array([0, 1]))
+    with pytest.raises(ValueError, match="does not match"):
+        layers.cross_entropy(Tensor(rows), 1)
+    assert layers.cross_entropy(Tensor(rows), np.array([0, 1, 0])).shape == (3,)
+
+
 def test_kl_one_hot_vs_uniform_is_ln2():
     p = Tensor(np.array([1.0, 0.0]))
     q = Tensor(np.array([0.5, 0.5]))
@@ -263,14 +275,14 @@ def test_rowwise_losses_match_scalar_forms():
     pred = rng.uniform_fill((6, 4)) + 0.05
     pred /= pred.sum(axis=1, keepdims=True)
     targets = np.array([0, 3, 1, 2, 2, 0])
-    batched = layers.cross_entropy_rows(Tensor(pred), targets).item()
+    batched = ad.tmean(layers.cross_entropy(Tensor(pred), targets)).item()
     single = np.mean([layers.cross_entropy(Tensor(pred[i]), int(t)).item()
                       for i, t in enumerate(targets)])
     assert batched == pytest.approx(single, abs=1e-12)
 
     q = rng.uniform_fill((6, 4)) + 0.05
     q /= q.sum(axis=1, keepdims=True)
-    batched_kl = layers.kl_divergence_rows(Tensor(pred), Tensor(q)).item()
+    batched_kl = ad.tmean(layers.kl_divergence(Tensor(pred), Tensor(q))).item()
     single_kl = np.mean([layers.kl_divergence(Tensor(pred[i]), Tensor(q[i])).item()
                          for i in range(6)])
     assert batched_kl == pytest.approx(single_kl, abs=1e-12)

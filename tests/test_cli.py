@@ -86,8 +86,7 @@ def test_agent_train_and_lambda_trace(tmp_path, tiny_config):
     out = str(tmp_path / "run")
     assert run("gen-data", "--config", tiny_config, "--out-dir", out) == 0
     assert run("train", "--config", tiny_config, "--out-dir", out) == 0
-    assert run("plot-lambda", "--out-dir", out) == 0
-    with open(os.path.join(out, "lambda_trace.csv"), newline="") as fh:
+    with open(os.path.join(out, "train_log.csv"), newline="") as fh:
         rows = list(csv.DictReader(fh))
     # 2 epochs x 2 batches of 4 from 6 train meshes
     assert len(rows) == 4
@@ -144,11 +143,6 @@ def test_dump_walks_deterministic(tmp_path, tiny_config, capsys):
     first = capsys.readouterr().out
     assert run("dump-walks", "--mesh-file", off, "--seed", "7") == 0
     assert capsys.readouterr().out == first
-
-
-def test_plot_lambda_missing_log_fails(tmp_path, capsys):
-    assert run("plot-lambda", "--out-dir", str(tmp_path)) == 1
-    assert "no training log" in capsys.readouterr().err
 
 
 def test_bad_lambda_range_fails(tmp_path, tiny_config, capsys):

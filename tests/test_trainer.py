@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from meshmoe import autodiff as ad
 from meshmoe.autodiff import Tensor
+from meshmoe.checkpoint import CheckpointError
 from meshmoe.experts import build_experts
 from meshmoe.gate import GateConfig, gate_forward_batch, gate_forward_mesh
 from meshmoe.gradcheck import check_gradients
@@ -179,6 +180,129 @@ def test_diversity_identical_experts_ignore_weights(seed):
                         for i in range(batch)])
     got = float(diversity_loss(weights, preds, targets).data)
     assert abs(got - expected) < 1e-12
+
+
+def prob_rows(rng: Rng, shape) -> np.ndarray:
+    # rows kept off the clamp floor so every entry carries a gradient
+    raw = rng.uniform_fill(shape) + 0.05
+    return raw / raw.sum(axis=-1, keepdims=True)
+
+
+def loss_batch(task: str, num_experts: int = 3, seed: int = 21):
+    """Leaf predictions, gate rows and targets of one small batch; the
+    segmentation meshes have 5, 8 and 3 edges."""
+    rng = Rng(seed)
+    shapes = [(5, 3), (8, 3), (3, 3)] if task == "segmentation" else [(4,)] * 3
+    preds = [[Tensor(prob_rows(rng, shape), requires_grad=True)
+              for _ in range(num_experts)] for shape in shapes]
+    weights = [Tensor(prob_rows(rng, (num_experts,)), requires_grad=True)
+               for _ in shapes]
+    targets = [np.array([rng.randbelow(shape[-1]) for _ in range(shape[0])])
+               if len(shape) == 2 else rng.randbelow(shape[-1])
+               for shape in shapes]
+    return preds, weights, targets
+
+
+def reference_similarity(preds, kind):
+    # one subgraph per (mesh, j, w): row-mean divergence of that pair
+    total = Tensor(0.0)
+    for mesh_preds in preds:
+        rows = [ad.reshape(p, (-1, p.shape[-1])) for p in mesh_preds]
+        for j, p in enumerate(rows):
+            for w, q in enumerate(rows):
+                if w == j:
+                    continue
+                if kind == "kld":
+                    pc, qc = ad.clamp_min(p, PROB_FLOOR), ad.clamp_min(q, PROB_FLOOR)
+                    per_row = ad.tsum(ad.mul(pc, ad.sub(ad.log(pc), ad.log(qc))), axis=-1)
+                elif kind == "mse":
+                    diff = ad.sub(p, q)
+                    per_row = ad.tmean(ad.mul(diff, diff), axis=-1)
+                else:
+                    dot = ad.tsum(ad.mul(p, q), axis=-1)
+                    norms = ad.mul(ad.sqrt(ad.tsum(ad.mul(p, p), axis=-1)),
+                                   ad.sqrt(ad.tsum(ad.mul(q, q), axis=-1)))
+                    per_row = ad.sub(Tensor(1.0), ad.div(dot, norms))
+                total = ad.add(total, ad.tmean(per_row))
+    return ad.div(total, Tensor(float(len(preds))))
+
+
+def reference_diversity(weights, preds, targets):
+    # one subgraph per (mesh, j): gate weight times the row-mean CE
+    total = Tensor(0.0)
+    for row, mesh_preds, target in zip(weights, preds, targets):
+        for j, p in enumerate(mesh_preds):
+            rows = ad.reshape(p, (-1, p.shape[-1]))
+            picked = ad.gather_rows(ad.clamp_min(rows, PROB_FLOOR),
+                                    np.reshape(target, -1))
+            ce = ad.mul(ad.tmean(ad.log(picked)), Tensor(-1.0))
+            total = ad.add(total, ad.mul(ad.slice_index(row, 0, j), ce))
+    return ad.div(total, Tensor(float(len(preds))))
+
+
+def value_and_grads(loss_fn, leaves):
+    for leaf in leaves:
+        leaf.grad = None
+    loss = loss_fn()
+    loss.backward()
+    return float(loss.data), [leaf.grad.copy() for leaf in leaves]
+
+
+@pytest.mark.parametrize("task", ["classification", "segmentation"])
+@pytest.mark.parametrize("kind", ["kld", "mse", "cosine"])
+def test_batched_similarity_matches_per_pair_reference(task, kind):
+    preds, _, _ = loss_batch(task)
+    leaves = [p for mesh_preds in preds for p in mesh_preds]
+    got, got_grads = value_and_grads(lambda: similarity_loss(preds, kind), leaves)
+    want, want_grads = value_and_grads(lambda: reference_similarity(preds, kind),
+                                       leaves)
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
+    for g, w in zip(got_grads, want_grads):
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("task", ["classification", "segmentation"])
+def test_batched_diversity_matches_per_mesh_reference(task):
+    preds, weights, targets = loss_batch(task)
+    leaves = weights + [p for mesh_preds in preds for p in mesh_preds]
+    got, got_grads = value_and_grads(
+        lambda: diversity_loss(weights, preds, targets), leaves)
+    want, want_grads = value_and_grads(
+        lambda: reference_diversity(weights, preds, targets), leaves)
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
+    for g, w in zip(got_grads, want_grads):
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=0)
+
+
+def test_diversity_rejects_target_rows_mismatch():
+    preds, weights, targets = loss_batch("segmentation")
+    targets[0] = targets[0][:-1]
+    with pytest.raises(TrainerError, match="target shape"):
+        diversity_loss(weights, preds, targets)
+
+
+def test_losses_build_no_per_pair_subgraphs():
+    # B=16, J=4: the per-pair losses added 1,537 and 641 nodes
+    rng = Rng(5)
+    batch, num_experts = 16, 4
+    preds = [[Tensor(prob_rows(rng, (5,)), requires_grad=True)
+              for _ in range(num_experts)] for _ in range(batch)]
+    weights = [Tensor(prob_rows(rng, (num_experts,)), requires_grad=True)
+               for _ in range(batch)]
+    targets = [rng.randbelow(5) for _ in range(batch)]
+    leaves = {id(t) for t in weights} | {id(p) for row in preds for p in row}
+
+    def added_nodes(root):
+        seen, stack = {id(root)}, [root]
+        while stack:
+            for parent in stack.pop()._parents:
+                if id(parent) not in seen:
+                    seen.add(id(parent))
+                    stack.append(parent)
+        return len(seen - leaves)
+
+    assert added_nodes(similarity_loss(preds, "kld")) <= 2 * batch * num_experts
+    assert added_nodes(diversity_loss(weights, preds, targets)) <= 2 * batch * num_experts
 
 
 @given(ls=st.floats(-100, 100), ld=st.floats(-100, 100))
@@ -434,7 +558,7 @@ def test_checkpoint_mismatch_rejected(tmp_path):
     other = oracle_system(gate_config=GateConfig(
         num_experts=3, encoder_layers=1, decoder_layers=1, d_model=8,
         heads=2, ff_width=16), num_classes=3)
-    with pytest.raises(TrainerError, match="mismatch|shape"):
+    with pytest.raises(CheckpointError, match="mismatch|shape"):
         load_system(other, path)
 
 
