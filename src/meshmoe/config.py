@@ -107,7 +107,11 @@ def _coerce(section: str, key: str, raw: str, default):
 def load_config(path) -> RunConfig:
     """Parse a key=value config file; unknown sections or keys are errors."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as err:
+        # the message already names the file and the line
+        raise ConfigError(str(err)) from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     config = RunConfig()

@@ -8,6 +8,8 @@ matrix.  Oracles are frozen and per-mesh seeded: the same mesh always
 draws the same prediction regardless of training step.
 """
 
+from itertools import compress
+
 import numpy as np
 
 from . import autodiff as ad
@@ -119,10 +121,13 @@ class EdgeSegmenterExpert:
         features = np.zeros((mesh.edge_count, 3))
         midpoints = mesh.vertices[mesh.edges].mean(axis=1)
         features[:, 0] = mesh.edge_lengths
-        for e, incident in enumerate(mesh.edge_faces):
-            if len(incident) == 2:
-                # 1 - cos(dihedral); boundary edges stay at the flat value 0
-                features[e, 1] = 1.0 - float(normals[incident[0]] @ normals[incident[1]])
+        # 1 - cos(dihedral) on edges with two faces, as one stacked product
+        # (bit-identical to a per-edge 1-D `@`, unlike einsum or a row sum);
+        # boundary and non-manifold edges stay at the flat value 0
+        interior = np.fromiter(map(len, mesh.edge_faces), np.int64, mesh.edge_count) == 2
+        pairs = np.array(list(compress(mesh.edge_faces, interior)), np.int64).reshape(-1, 2)
+        a, b = normals[pairs[:, 0]], normals[pairs[:, 1]]
+        features[interior, 1] = 1.0 - (a[:, None, :] @ b[:, :, None])[:, 0, 0]
         features[:, 2] = midpoints[:, 2]
         return features
 

@@ -1,14 +1,15 @@
 """Triangle mesh container, OFF I/O, and dataset packaging.
 
-Meshes are vertex/face index arrays plus derived connectivity (sorted
-adjacency lists, canonical edge list, per-edge lengths and incident
-faces).  Coordinates are normalized to centroid zero and unit max radius
-before anything downstream sees them; labels ride along unchanged.
+Meshes are vertex/face index arrays plus connectivity derived once
+(sorted adjacency lists, canonical edge list, per-edge lengths and
+incident faces).  Coordinates are normalized to centroid zero and unit
+max radius before anything downstream sees them; normalizing replaces the
+vertices and edge lengths only, so connectivity and labels ride along.
 """
 
 import csv
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -48,6 +49,28 @@ class Mesh:
         return self.vertex_count - self.edge_count + self.face_count
 
 
+def _neighbor_lists(edges: np.ndarray, vertex_count: int) -> list:
+    """Sorted neighbour lists from canonical (lo, hi) edge rows.
+
+    The rows are duplicate-free and in lexicographic order, so each vertex
+    meets its lower neighbours and then its higher ones in increasing order.
+    """
+    neighbors = [[] for _ in range(vertex_count)]
+    for u, v in edges.tolist():
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    return neighbors
+
+
+def edge_lengths(vertices: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """(E,) Euclidean lengths of the (E, 2) edge rows; all must be > 0."""
+    deltas = vertices[edges[:, 0]] - vertices[edges[:, 1]]
+    lengths = np.sqrt((deltas * deltas).sum(axis=1))
+    if np.any(lengths <= 0.0):
+        raise MeshError("degenerate zero-length edge")
+    return lengths
+
+
 def build_adjacency(faces: np.ndarray, vertex_count: int):
     """Derive sorted adjacency lists and the canonical edge list.
 
@@ -58,28 +81,21 @@ def build_adjacency(faces: np.ndarray, vertex_count: int):
     faces = np.asarray(faces, dtype=np.int64)
     if faces.ndim != 2 or (faces.size and faces.shape[1] != 3):
         raise MeshError("faces must be an (F, 3) index array")
-    if faces.size:
-        if faces.min() < 0 or faces.max() >= vertex_count:
-            raise MeshError("face references a vertex index out of range")
-        for row in faces:
-            if len({int(row[0]), int(row[1]), int(row[2])}) != 3:
-                raise MeshError(f"degenerate face with repeated vertex: {row.tolist()}")
+    if faces.size and (faces.min() < 0 or faces.max() >= vertex_count):
+        raise MeshError("face references a vertex index out of range")
 
-    neighbor_sets = [set() for _ in range(vertex_count)]
     edge_face_map: dict[tuple, list] = {}
-    for fi, (a, b, c) in enumerate(faces):
-        a, b, c = int(a), int(b), int(c)
+    for fi, row in enumerate(faces.tolist()):
+        a, b, c = row
+        if a == b or b == c or a == c:
+            raise MeshError(f"degenerate face with repeated vertex: {row}")
         for u, v in ((a, b), (b, c), (a, c)):
-            neighbor_sets[u].add(v)
-            neighbor_sets[v].add(u)
-            key = (u, v) if u < v else (v, u)
-            edge_face_map.setdefault(key, []).append(fi)
+            edge_face_map.setdefault((u, v) if u < v else (v, u), []).append(fi)
 
-    adjacency = [sorted(s) for s in neighbor_sets]
     edge_keys = sorted(edge_face_map)
     edges = np.array(edge_keys, dtype=np.int64).reshape(len(edge_keys), 2)
     edge_faces = [edge_face_map[k] for k in edge_keys]
-    return adjacency, edges, edge_faces
+    return _neighbor_lists(edges, vertex_count), edges, edge_faces
 
 
 def build_mesh(vertices, faces, mesh_id: str = "mesh", class_label=None,
@@ -91,13 +107,7 @@ def build_mesh(vertices, faces, mesh_id: str = "mesh", class_label=None,
         raise MeshError("vertices contain non-finite coordinates")
     faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
     adjacency, edges, edge_faces = build_adjacency(faces, len(vertices))
-    if len(edges):
-        deltas = vertices[edges[:, 0]] - vertices[edges[:, 1]]
-        lengths = np.sqrt((deltas * deltas).sum(axis=1))
-        if np.any(lengths <= 0.0):
-            raise MeshError("degenerate zero-length edge")
-    else:
-        lengths = np.zeros(0, dtype=np.float64)
+    lengths = edge_lengths(vertices, edges)
     if face_labels is not None:
         face_labels = np.asarray(face_labels, dtype=np.int64)
         if face_labels.shape != (len(faces),):
@@ -119,35 +129,33 @@ def mesh_from_edges(vertices, edge_list, mesh_id: str = "graph") -> Mesh:
     walk behavior on graphs (paths, cycles) that no triangle mesh has.
     """
     vertices = np.asarray(vertices, dtype=np.float64).reshape(-1, 3)
-    neighbor_sets = [set() for _ in range(len(vertices))]
     keys = set()
     for u, v in edge_list:
         u, v = int(u), int(v)
         if u == v or not (0 <= u < len(vertices)) or not (0 <= v < len(vertices)):
             raise MeshError(f"bad edge ({u}, {v})")
-        neighbor_sets[u].add(v)
-        neighbor_sets[v].add(u)
         keys.add((min(u, v), max(u, v)))
     edges = np.array(sorted(keys), dtype=np.int64).reshape(len(keys), 2)
-    deltas = vertices[edges[:, 0]] - vertices[edges[:, 1]]
-    lengths = np.sqrt((deltas * deltas).sum(axis=1)) if len(edges) else np.zeros(0)
     return Mesh(mesh_id=mesh_id, vertices=vertices,
                 faces=np.zeros((0, 3), dtype=np.int64),
-                adjacency=[sorted(s) for s in neighbor_sets],
-                edges=edges, edge_lengths=lengths,
+                adjacency=_neighbor_lists(edges, len(vertices)),
+                edges=edges, edge_lengths=edge_lengths(vertices, edges),
                 edge_faces=[[] for _ in range(len(edges))])
 
 
 def normalize_coordinates(mesh: Mesh) -> Mesh:
-    """Translate centroid to the origin, scale max vertex norm to 1."""
+    """Translate centroid to the origin, scale max vertex norm to 1.
+
+    Connectivity and labels are shared with `mesh`, not rebuilt.
+    """
     centroid = mesh.vertices.mean(axis=0)
     shifted = mesh.vertices - centroid
     radius = float(np.sqrt((shifted * shifted).sum(axis=1)).max(initial=0.0))
     if radius < 1e-12:
         raise MeshError(f"mesh {mesh.mesh_id} has zero spatial extent")
-    return build_mesh(shifted / radius, mesh.faces, mesh_id=mesh.mesh_id,
-                      class_label=mesh.class_label, face_labels=mesh.face_labels,
-                      edge_labels=mesh.edge_labels)
+    vertices = shifted / radius
+    return replace(mesh, vertices=vertices,
+                   edge_lengths=edge_lengths(vertices, mesh.edges))
 
 
 # --- OFF files and label sidecars ---------------------------------------
@@ -277,9 +285,9 @@ class Dataset:
             if missing:
                 raise MeshError(f"mesh ids in no split: {sorted(missing)}")
         for m in self.meshes:
-            for lab in (m.class_label,):
-                if lab is not None and not (0 <= lab < self.num_classes):
-                    raise MeshError(f"{m.mesh_id}: class label {lab} out of range")
+            lab = m.class_label
+            if lab is not None and not (0 <= lab < self.num_classes):
+                raise MeshError(f"{m.mesh_id}: class label {lab} out of range")
             for arr in (m.face_labels, m.edge_labels):
                 if arr is not None and arr.size and (arr.min() < 0 or arr.max() >= self.num_classes):
                     raise MeshError(f"{m.mesh_id}: segment label out of range")
@@ -352,12 +360,20 @@ def load_dataset(data_dir) -> Dataset:
     meshes, train_ids, test_ids = [], [], []
     max_label = -1
     with open(manifest, "r", newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        for row in reader:
+            where = f"{manifest}:{reader.line_num}"
+            split = row.get("split", "train")
+            if split not in ("train", "test"):
+                raise MeshError(f"{where}: split must be 'train' or 'test', got {split!r}")
             path = os.path.join(data_dir, row["file"])
             mesh = load_off(path)
             mesh.mesh_id = row["mesh_id"]
             if row.get("class"):
-                mesh.class_label = int(row["class"])
+                try:
+                    mesh.class_label = int(row["class"])
+                except ValueError:
+                    raise MeshError(f"{where}: non-integer class {row['class']!r}") from None
                 max_label = max(max_label, mesh.class_label)
             stem = os.path.splitext(path)[0]
             if os.path.exists(stem + ".eseg"):
@@ -373,7 +389,7 @@ def load_dataset(data_dir) -> Dataset:
                 mesh.face_labels = labels
                 max_label = max(max_label, int(labels.max(initial=-1)))
             meshes.append(normalize_coordinates(mesh))
-            (train_ids if row.get("split", "train") == "train" else test_ids).append(mesh.mesh_id)
+            (train_ids if split == "train" else test_ids).append(mesh.mesh_id)
     num_classes = meta["num_classes"] or (max_label + 1)
     return Dataset(meshes=meshes, num_classes=num_classes, task=meta["task"],
                    train_ids=train_ids, test_ids=test_ids)

@@ -27,7 +27,6 @@ _LOG_2PI = math.log(2.0 * math.pi)
 @dataclass
 class Transition:
     state: np.ndarray
-    action_pre: float      # pre-squash Gaussian draw
     action: float          # squashed lambda
     reward: float
     next_state: np.ndarray
@@ -47,7 +46,6 @@ class SACConfig:
     hidden: int = 64
     target_entropy: float = -1.0
     init_alpha: float = 0.1
-    updates_per_step: int = 1
 
     def __post_init__(self):
         if self.lambda_min >= self.lambda_max:
@@ -170,10 +168,6 @@ def soft_update(target: dict, online: dict, tau: float) -> None:
         target[key].data += tau * online[key].data
 
 
-def store_transition(sac: SACState, transition: Transition) -> None:
-    sac.buffer.append(transition)
-
-
 def sac_update(sac: SACState) -> dict | None:
     """One gradient step on critics, actor, and temperature; soft-update targets.
 
@@ -248,13 +242,11 @@ def agent_step(sac: SACState, s_t: np.ndarray, r_t: float,
     (lambda, pre_squash) pair.
     """
     if s_prev is not None and lambda_prev is not None:
-        store_transition(sac, Transition(
-            state=np.asarray(s_prev, dtype=np.float64),
-            action_pre=lambda_prev[1], action=lambda_prev[0],
+        sac.buffer.append(Transition(
+            state=np.asarray(s_prev, dtype=np.float64), action=lambda_prev[0],
             reward=float(r_t), next_state=np.asarray(s_t, dtype=np.float64),
             terminal=bool(terminal)))
-        for _ in range(sac.config.updates_per_step):
-            sac_update(sac)
+        sac_update(sac)
     return sample_action(sac, s_t, stochastic=True)
 
 

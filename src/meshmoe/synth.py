@@ -245,21 +245,12 @@ def segment_labels(verts: np.ndarray, faces: np.ndarray, edges: np.ndarray,
     of its midpoint/centroid, and anything exactly on a boundary takes
     the lower band.
     """
-    boundaries = np.linspace(-1.0, 1.0, num_segments + 1)[1:-1]
-
-    def band(z: float) -> int:
-        # strict comparison puts exact boundary hits in the lower band
-        label = 0
-        for boundary in boundaries:
-            if z > boundary + 1e-12:
-                label += 1
-        return label
-
+    # a label counts the cuts below z; the 1e-12 keeps exact hits low
+    cuts = np.linspace(-1.0, 1.0, num_segments + 1)[1:-1] + 1e-12
     edge_z = verts[edges].mean(axis=1)[:, 2]
     face_z = verts[faces].mean(axis=1)[:, 2]
-    edge_labels = np.array([band(z) for z in edge_z], dtype=np.int64)
-    face_labels = np.array([band(z) for z in face_z], dtype=np.int64)
-    return edge_labels, face_labels
+    return ((edge_z[:, None] > cuts).sum(axis=1, dtype=np.int64),
+            (face_z[:, None] > cuts).sum(axis=1, dtype=np.int64))
 
 
 def generate_segmentation_set(per_class: int, seed: int) -> Dataset:

@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line pipeline in temp directories."""
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -80,6 +81,42 @@ def test_full_pipeline_report_rows(tmp_path, tiny_config):
     for row in rows[1:]:
         assert row[0] == "test" and row[2] == "accuracy"
         assert 0.0 <= float(row[3]) <= 1.0
+
+
+def test_pretrain_pipeline_feeds_train(tmp_path):
+    ini = tmp_path / "face.ini"
+    ini.write_text(TINY_INI.replace("specs = oracle:0,oracle:1",
+                                    "specs = face_mlp,face_mlp"))
+    config = str(ini)
+    out = str(tmp_path / "run")
+    assert run("gen-data", "--config", config, "--out-dir", out) == 0
+    assert run("pretrain-experts", "--config", config, "--out-dir", out) == 0
+    experts_ckpt = os.path.join(out, "experts.ckpt")
+    assert os.path.exists(experts_ckpt)
+    assert os.path.exists(os.path.join(out, "pretrain_losses.csv"))
+    assert run("pretrain-gate", "--config", config, "--out-dir", out) == 0
+    gate_ckpt = os.path.join(out, "gate_init.ckpt")
+    assert os.path.exists(gate_ckpt)
+    assert run("train", "--config", config, "--out-dir", out,
+               "--static-lambda", "0") == 0
+    with open(os.path.join(out, "manifest_train.json")) as fh:
+        inputs = json.load(fh)["inputs"]
+    for path in (experts_ckpt, gate_ckpt):
+        with open(path, "rb") as fh:
+            assert inputs[path] == hashlib.sha256(fh.read()).hexdigest()
+    assert run("eval", "--config", config, "--out-dir", out) == 0
+    with open(os.path.join(out, "report.csv"), newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 2 and rows[1][:3] == ["test", "moe", "accuracy"]
+
+
+def test_bad_config_syntax_reports_error(tmp_path, capsys):
+    bad = tmp_path / "bad.ini"
+    bad.write_text("seed = 3\n")
+    assert run("gen-data", "--config", str(bad), "--out-dir",
+               str(tmp_path / "run")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bad.ini" in err
 
 
 def test_agent_train_and_lambda_trace(tmp_path, tiny_config):

@@ -63,6 +63,17 @@ def test_missing_file_rejected(tmp_path):
         load_config(str(tmp_path / "absent.ini"))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("seed = 3\n", "no section headers"),
+    ("[trainer]\nepochs = 3\nepochs = 4\n", "already exists"),
+], ids=["missing_header", "duplicate_key"])
+def test_syntax_errors_become_config_errors(tmp_path, text, message):
+    path = write(tmp_path, text)
+    with pytest.raises(ConfigError, match=message) as exc:
+        load_config(path)
+    assert "run.ini" in str(exc.value) and "line" in str(exc.value)
+
+
 def test_expert_specs_split():
     cfg = RunConfig()
     cfg.experts.specs = " oracle:0, face_mlp ,walk_rnn"

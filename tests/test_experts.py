@@ -5,11 +5,12 @@ import pytest
 
 from meshmoe.experts import (EdgeSegmenterExpert, ExpertError, FaceMlpExpert,
                              OracleExpert, WalkRnnExpert, build_experts,
-                             dump_predictions, expert_loss, make_expert,
-                             train_expert_supervised)
+                             dump_predictions, expert_loss, face_normals,
+                             make_expert, train_expert_supervised)
 from meshmoe.mesh import build_mesh
 from meshmoe.rng import derive
-from meshmoe.synth import cylinder, generate_classification_set, segment_labels
+from meshmoe.synth import (cylinder, generate_classification_set,
+                           generate_segmentation_set, segment_labels)
 
 
 def test_walk_rnn_output_contract(tetrahedron):
@@ -59,6 +60,32 @@ def test_edge_segmenter_rows_normalized(tetrahedron):
 def test_edge_features_boundary_dihedral_zero(triangle):
     feats = EdgeSegmenterExpert.edge_features(triangle)
     np.testing.assert_array_equal(feats[:, 1], 0.0)
+
+
+def _edge_features_reference(mesh):
+    """Per-edge loop: (length, 1 - cos(dihedral) on two-face edges, midpoint z)."""
+    normals, _ = face_normals(mesh)
+    features = np.zeros((mesh.edge_count, 3))
+    for e, (lo, hi) in enumerate(mesh.edges):
+        features[e, 0] = mesh.edge_lengths[e]
+        incident = mesh.edge_faces[e]
+        if len(incident) == 2:
+            features[e, 1] = 1.0 - float(normals[incident[0]] @ normals[incident[1]])
+        features[e, 2] = mesh.vertices[[lo, hi]].mean(axis=0)[2]
+    return features
+
+
+def test_edge_features_match_per_edge_reference(triangle):
+    # three faces on edge (0, 1): a non-manifold edge keeps the flat value
+    fan = build_mesh([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, -1, 0.5], [0.5, 0.2, 1]],
+                     [[0, 1, 2], [0, 1, 3], [0, 1, 4]], mesh_id="fan")
+    meshes = (generate_classification_set(3, 4, seed=4).meshes
+              + generate_segmentation_set(per_class=4, seed=4).meshes
+              + [triangle, fan])
+    for mesh in meshes:
+        got = EdgeSegmenterExpert.edge_features(mesh)
+        assert got.tobytes() == _edge_features_reference(mesh).tobytes(), mesh.mesh_id
+    assert EdgeSegmenterExpert.edge_features(fan)[0, 1] == 0.0
 
 
 def test_oracle_specialty_and_determinism():

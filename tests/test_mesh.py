@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from meshmoe import mesh as mesh_module
 from meshmoe.mesh import (Dataset, MeshError, build_adjacency, build_mesh,
                           load_dataset, load_label_sidecar, load_off,
                           mesh_from_edges, normalize_coordinates, save_dataset,
                           save_label_sidecar, save_off, split_dataset)
+from meshmoe.synth import generate_classification_set, generate_segmentation_set
 
 
 def test_tetrahedron_connectivity(tetrahedron):
@@ -51,6 +53,8 @@ def test_zero_length_edge_rejected():
     verts = [[0, 0, 0], [0, 0, 0], [1, 0, 0]]
     with pytest.raises(MeshError, match="zero-length"):
         build_mesh(verts, [[0, 1, 2]])
+    with pytest.raises(MeshError, match="zero-length"):
+        mesh_from_edges(verts, [(0, 1)])
 
 
 def test_normalize_centroid_and_radius(tetrahedron):
@@ -151,6 +155,47 @@ def test_mesh_from_edges_path_graph():
     assert mesh.edge_count == 2
 
 
+def test_normalize_keeps_faceless_graph_edges():
+    mesh = mesh_from_edges([[0, 0, 0], [1, 0, 0], [2, 0, 0]], [(0, 1), (1, 2)])
+    normed = normalize_coordinates(mesh)
+    assert normed.adjacency == [[1], [0, 2], [1]]
+    np.testing.assert_array_equal(normed.edges, [[0, 1], [1, 2]])
+    np.testing.assert_array_equal(normed.edge_lengths, [1.0, 1.0])
+    assert normed.edge_faces == [[], []]
+
+
+@pytest.mark.parametrize("dataset", [
+    generate_classification_set(3, 4, seed=2),
+    generate_segmentation_set(per_class=4, seed=2),
+], ids=["classification", "segmentation"])
+def test_normalized_mesh_equals_fresh_build(dataset):
+    """Normalizing rescales only: connectivity matches a full rebuild."""
+    for mesh in dataset.meshes:
+        fresh = build_mesh(mesh.vertices, mesh.faces, mesh_id=mesh.mesh_id,
+                           class_label=mesh.class_label,
+                           face_labels=mesh.face_labels,
+                           edge_labels=mesh.edge_labels)
+        assert mesh.adjacency == fresh.adjacency
+        assert mesh.edge_faces == fresh.edge_faces
+        for name in ("edges", "edge_lengths", "face_labels", "edge_labels"):
+            np.testing.assert_array_equal(getattr(mesh, name), getattr(fresh, name))
+        assert mesh.edge_lengths.tobytes() == fresh.edge_lengths.tobytes()
+        assert all(adj == sorted(set(adj)) for adj in mesh.adjacency)
+
+
+def test_generation_builds_connectivity_once_per_mesh(monkeypatch):
+    calls = []
+    real = mesh_module.build_adjacency
+
+    def counting(faces, vertex_count):
+        calls.append(vertex_count)
+        return real(faces, vertex_count)
+
+    monkeypatch.setattr(mesh_module, "build_adjacency", counting)
+    dataset = generate_classification_set(3, 4, seed=0)
+    assert len(calls) == len(dataset.meshes) == 12
+
+
 def test_dataset_split_validation(tetrahedron, triangle):
     t2 = build_mesh(triangle.vertices, triangle.faces, mesh_id="triangle2")
     with pytest.raises(MeshError, match="both splits"):
@@ -207,3 +252,30 @@ def test_dataset_save_load_round_trip(tmp_path, tetrahedron, triangle):
 def test_load_dataset_missing_manifest(tmp_path):
     with pytest.raises(MeshError, match="manifest"):
         load_dataset(tmp_path)
+
+
+def _saved_dataset(tmp_path, tetrahedron, triangle):
+    a = build_mesh(tetrahedron.vertices, tetrahedron.faces, mesh_id="a", class_label=0)
+    b = build_mesh(triangle.vertices, triangle.faces, mesh_id="b", class_label=1)
+    save_dataset(Dataset(meshes=[a, b], num_classes=2, train_ids=["a"],
+                         test_ids=["b"]), tmp_path / "data")
+    manifest = tmp_path / "data" / "manifest.csv"
+    return manifest, manifest.read_text().splitlines()
+
+
+def test_load_dataset_rejects_unknown_split(tmp_path, tetrahedron, triangle):
+    manifest, lines = _saved_dataset(tmp_path, tetrahedron, triangle)
+    assert lines[2] == "b,b.off,1,test"
+    lines[2] = "b,b.off,1,trian"
+    manifest.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MeshError, match=r"manifest\.csv:3: split .*'trian'"):
+        load_dataset(tmp_path / "data")
+
+
+def test_load_dataset_rejects_non_integer_class(tmp_path, tetrahedron, triangle):
+    manifest, lines = _saved_dataset(tmp_path, tetrahedron, triangle)
+    assert lines[1] == "a,a.off,0,train"
+    lines[1] = "a,a.off,zero,train"
+    manifest.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MeshError, match=r"manifest\.csv:2: non-integer class 'zero'"):
+        load_dataset(tmp_path / "data")

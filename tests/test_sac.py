@@ -8,7 +8,7 @@ from meshmoe.rng import Rng
 from meshmoe.sac import (SACConfig, SACState, SacLambdaAgent,
                          StaticLambdaAgent, Transition, _squash, agent_step,
                          critic_forward, sac_update, sample_action,
-                         soft_update, store_transition)
+                         soft_update)
 from meshmoe.autodiff import Tensor
 
 
@@ -25,8 +25,8 @@ def fill_buffer(sac, count, seed=0, terminal=True, reward=None):
         s2 = rng.normal_fill((sac.config.state_dim,))
         u = rng.normal()
         r = rng.uniform(-1.0, 1.0) if reward is None else reward
-        store_transition(sac, Transition(
-            state=s, action_pre=u, action=float(_squash(np.array(u), sac.config)),
+        sac.buffer.append(Transition(
+            state=s, action=float(_squash(np.array(u), sac.config)),
             reward=r, next_state=s2, terminal=terminal))
 
 
@@ -82,8 +82,8 @@ def test_deterministic_action_repeatable():
 def test_buffer_fifo_eviction():
     sac = SACState(small_config(buffer_capacity=2), seed=0)
     for r in (1.0, 2.0, 3.0):
-        store_transition(sac, Transition(
-            state=np.zeros(2), action_pre=0.0, action=0.0, reward=r,
+        sac.buffer.append(Transition(
+            state=np.zeros(2), action=0.0, reward=r,
             next_state=np.zeros(2), terminal=False))
     assert len(sac.buffer) == 2
     assert [t.reward for t in sac.buffer] == [2.0, 3.0]
@@ -169,7 +169,7 @@ def test_agent_step_protocol():
     assert len(sac.buffer) == 1
     t = sac.buffer[0]
     assert t.reward == -0.4 and t.terminal
-    assert t.action == first[0] and t.action_pre == first[1]
+    assert t.action == first[0]
     np.testing.assert_array_equal(t.state, state)
     np.testing.assert_array_equal(t.next_state, state)
     agent_step(sac, state, 0.1, state, nxt, False)
