@@ -198,16 +198,6 @@ def tanh(a: Tensor) -> Tensor:
     return _node(out_data, (a,), backward)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    out_data = 1.0 / (1.0 + np.exp(-a.data))
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g * out_data * (1.0 - out_data))
-
-    return _node(out_data, (a,), backward)
-
-
 def exp(a: Tensor) -> Tensor:
     out_data = np.exp(a.data)
 

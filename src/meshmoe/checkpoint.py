@@ -3,9 +3,11 @@
 Format: header line `MME-CKPT v1`, then one line per parameter sorted by
 path: `<path> <d0>x<d1>x... <base64>`, where the payload is the raw
 little-endian float64 bytes.  Scalars use the shape token `scalar`.
+A checkpoint is written to a temp file and renamed into place.
 """
 
 import base64
+import os
 
 import numpy as np
 
@@ -32,14 +34,25 @@ def _parse_shape(token: str):
 
 
 def save_checkpoint(params: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(HEADER + "\n")
-        for name in sorted(params):
-            value = params[name]
-            data = value.data if isinstance(value, Tensor) else np.asarray(value)
-            data = np.asarray(data, dtype="<f8")
-            payload = base64.b64encode(data.tobytes(order="C")).decode("ascii")
-            fh.write(f"{name} {_shape_token(data.shape)} {payload}\n")
+    """Write to a temp file beside `path`, then rename it over `path`.
+
+    A crash part-way through leaves any old checkpoint at `path` whole.
+    """
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(HEADER + "\n")
+            for name in sorted(params):
+                value = params[name]
+                data = value.data if isinstance(value, Tensor) else np.asarray(value)
+                data = np.asarray(data, dtype="<f8")
+                payload = base64.b64encode(data.tobytes(order="C")).decode("ascii")
+                fh.write(f"{name} {_shape_token(data.shape)} {payload}\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path) -> dict:

@@ -36,7 +36,11 @@ def face_normals(mesh: Mesh):
 
 
 class WalkRnnExpert:
-    """GRU over 8 walks; per-walk class logits are averaged, then softmaxed."""
+    """GRU over 8 walks; per-walk class logits are averaged, then softmaxed.
+
+    All walks of a mesh run through one fused `layers.gru_forward` node,
+    so a prediction's graph has the same few nodes at any walk length.
+    """
 
     kind = "walk_rnn"
     trainable = True

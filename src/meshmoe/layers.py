@@ -1,9 +1,11 @@
 """Differentiable layers: linear, layer norm, attention, GRU, losses.
 
 Shapes use trailing (sequence, feature) axes so batch axes broadcast.
-`linear`, `layer_norm` and `multi_head_attention` are fused: each is one
-autodiff node with a hand-written backward, so an attention block adds
-12 graph nodes and keeps one (heads, Lq, Lk) probability buffer alive.
+`linear`, `layer_norm`, `multi_head_attention` and `gru_forward` are
+fused: each is one autodiff node with a hand-written backward, so an
+attention block adds 12 graph nodes and keeps one (heads, Lq, Lk)
+probability buffer alive, and a GRU over L steps is one node that keeps
+h_prev, z, r, r * h_prev and n for each step.
 A 2-D weight under a batched input gets its gradient from one GEMM over
 the flattened leading axes.  Attention blocks are pre-norm residual:
 x + attn(norm(x)), then x + ff(norm(x)); the key projection has no bias.
@@ -201,24 +203,70 @@ def init_gru(params: dict, prefix: str, d_in: int, d_hidden: int, seed: int) -> 
         params[f"{prefix}.b{gate}"] = zeros((d_hidden,))
 
 
-def gru_cell(x: Tensor, h: Tensor, params: dict, prefix: str) -> Tensor:
-    """One gated recurrent step; x (..., d_in), h (..., d_hidden)."""
-    p = lambda name: params[f"{prefix}.{name}"]
-    z = ad.sigmoid(ad.add(ad.add(ad.matmul(x, p("wz")), ad.matmul(h, p("uz"))), p("bz")))
-    r = ad.sigmoid(ad.add(ad.add(ad.matmul(x, p("wr")), ad.matmul(h, p("ur"))), p("br")))
-    n = ad.tanh(ad.add(ad.add(ad.matmul(x, p("wn")), ad.matmul(ad.mul(r, h), p("un"))), p("bn")))
-    one_minus_z = ad.sub(Tensor(1.0), z)
-    return ad.add(ad.mul(one_minus_z, n), ad.mul(z, h))
-
-
 def gru_forward(xs: Tensor, params: dict, prefix: str, d_hidden: int) -> Tensor:
-    """Run the cell over axis -2; returns the final hidden state."""
-    *batch, length, _ = xs.shape
-    h = Tensor(np.zeros((*batch, d_hidden)))
+    """Run the GRU over axis -2 from h = 0; returns the final hidden state.
+
+    One node.  The input projections of all L steps are one GEMM on
+    [wz|wr|wn]; each step then adds h @ [uz|ur] (and (r * h) @ un) and
+    the bias in the order of the per-step cell, so the hidden state does
+    not depend on the hoisting.  Per step the node keeps h_prev, z, r,
+    r * h_prev and n; the backward runs through time once to fill an
+    (L, ..., 3H) pre-activation gradient, then takes every weight
+    gradient and dxs from one GEMM each.
+    """
+    names = [f"{prefix}.{k}{gate}" for k in "wub" for gate in "zrn"]
+    wz, wr, wn, uz, ur, un, bz, br, bn = (params[name] for name in names)
+    *batch, length, d_in = xs.shape
+    hh = d_hidden
+    w_all = np.concatenate([wz.data, wr.data, wn.data], axis=1)      # (d_in, 3H)
+    u_zr = np.concatenate([uz.data, ur.data], axis=1)                # (H, 2H)
+    b_zr = np.concatenate([bz.data, br.data])
+    xproj = (xs.data.reshape(-1, d_in) @ w_all).reshape(*batch, length, 3 * hh)
+    h_prev, rh, n = (np.empty((length, *batch, hh)) for _ in range(3))
+    zr = np.empty((length, *batch, 2 * hh))                          # [z|r]
+    h = np.zeros((*batch, hh))
     for t in range(length):
-        x_t = ad.slice_index(xs, xs.ndim - 2, t)
-        h = gru_cell(x_t, h, params, prefix)
-    return h
+        h_prev[t] = h
+        pre = xproj[..., t, :2 * hh] + h @ u_zr
+        pre += b_zr
+        zr[t] = 1.0 / (1.0 + np.exp(-pre))
+        z = zr[t, ..., :hh]
+        np.multiply(zr[t, ..., hh:], h, out=rh[t])
+        pre = xproj[..., t, 2 * hh:] + rh[t] @ un.data
+        pre += bn.data
+        np.tanh(pre, out=n[t])
+        h = (1.0 - z) * n[t] + z * h
+
+    def backward(g):
+        z, r = zr[..., :hh], zr[..., hh:]
+        # every step's local factors at once; the loop keeps the chain only
+        dn_factor = (1.0 - z) * (1.0 - n * n)
+        dz_factor = (h_prev - n) * z * (1.0 - z)
+        dr_factor = h_prev * r * (1.0 - r)
+        d_pre = np.empty((length, *batch, 3 * hh))                   # [dz|dr|dn]
+        dh = g
+        for t in reversed(range(length)):
+            np.multiply(dh, dn_factor[t], out=d_pre[t, ..., 2 * hh:])
+            d_rh = d_pre[t, ..., 2 * hh:] @ un.data.T
+            np.multiply(dh, dz_factor[t], out=d_pre[t, ..., :hh])
+            np.multiply(d_rh, dr_factor[t], out=d_pre[t, ..., hh:2 * hh])
+            dh = dh * z[t] + d_rh * r[t] + d_pre[t, ..., :2 * hh] @ u_zr.T
+        rows = d_pre.reshape(-1, 3 * hh)
+        if xs.requires_grad:
+            ad._accumulate(xs, np.moveaxis((rows @ w_all.T).reshape(
+                length, *batch, d_in), 0, -2))
+        d_w = np.moveaxis(xs.data, -2, 0).reshape(-1, d_in).T @ rows
+        d_uzr = h_prev.reshape(-1, hh).T @ rows[:, :2 * hh]
+        d_b = rows.sum(axis=0)
+        grads = {wz: d_w[:, :hh], wr: d_w[:, hh:2 * hh], wn: d_w[:, 2 * hh:],
+                 uz: d_uzr[:, :hh], ur: d_uzr[:, hh:],
+                 un: rh.reshape(-1, hh).T @ rows[:, 2 * hh:],
+                 bz: d_b[:hh], br: d_b[hh:2 * hh], bn: d_b[2 * hh:]}
+        for tensor, grad in grads.items():
+            if tensor.requires_grad:
+                ad._accumulate(tensor, grad)
+
+    return ad._node(h, (xs, wz, wr, wn, uz, ur, un, bz, br, bn), backward)
 
 
 # --- losses ------------------------------------------------------------------

@@ -7,8 +7,10 @@ max radius before anything downstream sees them; normalizing replaces the
 vertices and edge lengths only, so connectivity and labels ride along.
 """
 
+import configparser
 import csv
 import os
+import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -343,6 +345,29 @@ def save_dataset(dataset: Dataset, out_dir) -> None:
         fh.write(f"num_classes = {dataset.num_classes}\n")
 
 
+def _read_dataset_ini(ini) -> dict:
+    """{"task", "num_classes"} from dataset.ini; bad input names file and line."""
+    where = lambda line: f"{ini}:{line}" if line else ini
+    parser = configparser.ConfigParser()
+    try:
+        parser.read(ini, encoding="utf-8")
+    except configparser.Error as err:
+        raise MeshError(f"{where(getattr(err, 'lineno', None))}: "
+                        f"{err.message.splitlines()[0]}") from None
+    raw = parser.get("dataset", "num_classes", fallback="0")
+    try:
+        num_classes = int(raw)
+    except ValueError:
+        with open(ini, encoding="utf-8") as fh:
+            line = next((i for i, text in enumerate(fh, start=1)
+                         if re.split("[=:]", text)[0].strip().lower() == "num_classes"),
+                        None)
+        raise MeshError(f"{where(line)}: num_classes must be an integer, "
+                        f"got {raw!r}") from None
+    return {"task": parser.get("dataset", "task", fallback="classification"),
+            "num_classes": num_classes}
+
+
 def load_dataset(data_dir) -> Dataset:
     """Load a directory written by save_dataset; meshes come back normalized."""
     manifest = os.path.join(data_dir, "manifest.csv")
@@ -351,11 +376,7 @@ def load_dataset(data_dir) -> Dataset:
     meta = {"task": "classification", "num_classes": 0}
     ini = os.path.join(data_dir, "dataset.ini")
     if os.path.exists(ini):
-        import configparser
-        parser = configparser.ConfigParser()
-        parser.read(ini)
-        meta["task"] = parser.get("dataset", "task", fallback="classification")
-        meta["num_classes"] = parser.getint("dataset", "num_classes", fallback=0)
+        meta = _read_dataset_ini(ini)
 
     meshes, train_ids, test_ids = [], [], []
     max_label = -1

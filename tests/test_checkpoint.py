@@ -68,3 +68,25 @@ def test_scalar_shape_token(tmp_path):
     save_checkpoint(params, path)
     assert " scalar " in path.read_text()
     assert load_checkpoint(path)["s"].data.shape == ()
+
+
+def test_crash_part_way_through_write_keeps_old_checkpoint(tmp_path, monkeypatch):
+    from meshmoe import checkpoint
+
+    path = tmp_path / "m.ckpt"
+    save_checkpoint({"a.w": Tensor(np.ones(3)), "b.w": Tensor(np.zeros(2))}, path)
+    before = path.read_bytes()
+    real_token, calls = checkpoint._shape_token, []
+
+    def dies_on_second_record(shape):
+        calls.append(shape)
+        if len(calls) == 2:
+            raise KeyboardInterrupt("killed mid-write")
+        return real_token(shape)
+
+    monkeypatch.setattr(checkpoint, "_shape_token", dies_on_second_record)
+    with pytest.raises(KeyboardInterrupt):
+        save_checkpoint({"a.w": Tensor(np.full(3, 7.0)), "b.w": Tensor(np.ones(2))}, path)
+    assert len(calls) == 2
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]

@@ -147,6 +147,22 @@ def test_eval_without_checkpoint_fails(tmp_path, tiny_config, capsys):
     assert "no checkpoint" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("ini, message", [
+    ("[dataset]\nnum_classes = two\n", "dataset.ini:2: num_classes"),
+    ("num_classes = 2\n", "dataset.ini:1: "),
+], ids=["non-integer", "no-section"])
+def test_bad_dataset_ini_reports_error(tmp_path, tiny_config, capsys, command, ini, message):
+    out = str(tmp_path / "run")
+    assert run("gen-data", "--config", tiny_config, "--out-dir", out) == 0
+    with open(os.path.join(out, "data", "dataset.ini"), "w") as fh:
+        fh.write(ini)
+    capsys.readouterr()
+    assert run(command, "--config", tiny_config, "--out-dir", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_dump_walks_format(tmp_path, tiny_config, capsys):
     out = str(tmp_path / "run")
     assert run("gen-data", "--config", tiny_config, "--out-dir", out) == 0

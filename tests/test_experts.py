@@ -10,7 +10,8 @@ from meshmoe.experts import (EdgeSegmenterExpert, ExpertError, FaceMlpExpert,
 from meshmoe.mesh import build_mesh
 from meshmoe.rng import derive
 from meshmoe.synth import (cylinder, generate_classification_set,
-                           generate_segmentation_set, segment_labels)
+                           generate_segmentation_set, icosahedron,
+                           segment_labels, torus)
 
 
 def test_walk_rnn_output_contract(tetrahedron):
@@ -22,6 +23,22 @@ def test_walk_rnn_output_contract(tetrahedron):
     np.testing.assert_array_equal(pred.data, again.data)
     different = expert.predict(tetrahedron, seed=4)
     assert not np.array_equal(pred.data, different.data)
+
+
+def test_walk_rnn_graph_does_not_grow_with_walk_length():
+    """The GRU is one node, whatever the walk length: a per-step cell
+    shows up here as nodes that grow with L."""
+    from meshmoe import autodiff as ad
+    from meshmoe.walks import walk_length
+
+    expert = WalkRnnExpert("w", num_classes=3, seed=5)
+    counts = {}
+    for mesh in (build_mesh(*icosahedron()), build_mesh(*torus(10, 10))):
+        pred = expert.predict(mesh, seed=6)
+        counts[walk_length(mesh.vertex_count)] = len(
+            [n for n in ad._topological_order(pred) if n._parents])
+    assert set(counts) == {5, 40}
+    assert counts[5] == counts[40] <= 10
 
 
 def test_face_mlp_output_contract(tetrahedron):

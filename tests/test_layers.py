@@ -44,6 +44,24 @@ def reference_attention(q, k, v, heads):
     return ad.reshape(merged, (*batch, length, q.shape[-1]))
 
 
+def reference_sigmoid(a):
+    return ad.div(Tensor(1.0), ad.add(Tensor(1.0), ad.exp(ad.mul(a, Tensor(-1.0)))))
+
+
+def reference_gru_forward(xs, params, prefix, d_hidden):
+    """The per-step cell, one autodiff op per matmul, add and gate."""
+    p = lambda name: params[f"{prefix}.{name}"]
+    h = Tensor(np.zeros((*xs.shape[:-2], d_hidden)))
+    for t in range(xs.shape[-2]):
+        x = ad.slice_index(xs, xs.ndim - 2, t)
+        z = reference_sigmoid(ad.add(ad.add(ad.matmul(x, p("wz")), ad.matmul(h, p("uz"))), p("bz")))
+        r = reference_sigmoid(ad.add(ad.add(ad.matmul(x, p("wr")), ad.matmul(h, p("ur"))), p("br")))
+        n = ad.tanh(ad.add(ad.add(ad.matmul(x, p("wn")),
+                                  ad.matmul(ad.mul(r, h), p("un"))), p("bn")))
+        h = ad.add(ad.mul(ad.sub(Tensor(1.0), z), n), ad.mul(z, h))
+    return h
+
+
 def assert_fused_matches(fused, reference, inputs, out_shape, seed):
     """Same output and the same gradient for every input, to rtol 1e-12."""
     mix = Tensor(Rng(seed).normal_fill(out_shape))
@@ -198,6 +216,34 @@ def test_mha_block_batched_matches_loop():
     for w in range(3):
         single = layers.mha_block(Tensor(xs[w]), params, "blk", heads).data
         np.testing.assert_allclose(batched[w], single, atol=1e-12)
+
+
+@pytest.mark.parametrize("xs_shape", [(3, 2, 4), (3, 17, 4), (2, 3, 17, 4)],
+                         ids=["W-L2", "W-L17", "B-W-L17"])
+def test_fused_gru_matches_per_step_cell(xs_shape):
+    """Bit-equal hidden state; every gradient within 1e-12 of its largest entry."""
+    d_h = 32
+    params = {}
+    layers.init_gru(params, "gru", 4, d_h, seed=201)
+    for k, gate in enumerate("zrn"):
+        params[f"gru.b{gate}"].data = Rng(202 + k).normal_fill((d_h,)) * 0.1
+    xs = rand(xs_shape, 205)
+    mix = Tensor(Rng(206).normal_fill(xs_shape[:-2] + (d_h,)))
+    inputs = {**params, "xs": xs}
+    results = []
+    for fn in (layers.gru_forward, reference_gru_forward):
+        for t in inputs.values():
+            t.grad = None
+        h = fn(xs, params, "gru", d_h)
+        ad.tsum(ad.mul(h, mix)).backward()
+        results.append((h.data, {name: t.grad for name, t in inputs.items()}))
+    (fused_h, fused_grads), (ref_h, ref_grads) = results
+    np.testing.assert_array_equal(fused_h, ref_h)
+    # the fused backward sums over steps and rows in another order, so a
+    # cancelling entry may differ in its low bits: bound the error by the
+    # largest entry of the same gradient
+    for name, want in ref_grads.items():
+        assert np.abs(fused_grads[name] - want).max() <= 1e-12 * np.abs(want).max(), name
 
 
 def test_gru_cell_gradients():

@@ -279,3 +279,18 @@ def test_load_dataset_rejects_non_integer_class(tmp_path, tetrahedron, triangle)
     manifest.write_text("\n".join(lines) + "\n")
     with pytest.raises(MeshError, match=r"manifest\.csv:2: non-integer class 'zero'"):
         load_dataset(tmp_path / "data")
+
+
+def test_load_dataset_rejects_non_integer_num_classes(tmp_path, tetrahedron, triangle):
+    _saved_dataset(tmp_path, tetrahedron, triangle)
+    ini = tmp_path / "data" / "dataset.ini"
+    ini.write_text("[dataset]\ntask = classification\nnum_classes = two\n")
+    with pytest.raises(MeshError, match=r"dataset\.ini:3: num_classes .*'two'"):
+        load_dataset(tmp_path / "data")
+
+
+def test_load_dataset_rejects_ini_without_section(tmp_path, tetrahedron, triangle):
+    _saved_dataset(tmp_path, tetrahedron, triangle)
+    (tmp_path / "data" / "dataset.ini").write_text("num_classes = 2\n")
+    with pytest.raises(MeshError, match=r"dataset\.ini:1: .*no section headers"):
+        load_dataset(tmp_path / "data")
