@@ -13,7 +13,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict
 
 from .autodiff import Tensor
 from .checkpoint import (CheckpointError, copy_into, load_checkpoint,
@@ -29,9 +29,8 @@ from .optim import OptimError
 from .rng import derive
 from .sac import SACConfig, SacLambdaAgent, StaticLambdaAgent
 from .synth import generate_classification_set, generate_segmentation_set
-from .trainer import (TrainerError, build_system, evaluate_classification,
-                      evaluate_ensemble, evaluate_retrieval,
-                      evaluate_segmentation, load_system, save_system,
+from .trainer import (TrainerError, build_system, evaluate_ensemble,
+                      inference, load_system, save_system, task_scores,
                       train_run)
 from .walks import WalkError, extract_walks
 
@@ -110,17 +109,6 @@ def _dataset_inputs(data_dir: str) -> list:
             os.path.join(data_dir, "dataset.ini")]
 
 
-def _gate_config(cfg: RunConfig, num_experts: int, num_classes: int) -> GateConfig:
-    # both heads are materialized so imitation-pretrained checkpoints and
-    # randomly initialized ones stay interchangeable
-    return GateConfig(num_experts=num_experts,
-                      encoder_layers=cfg.gate.encoder_layers,
-                      decoder_layers=cfg.gate.decoder_layers,
-                      d_model=cfg.gate.d_model, heads=cfg.gate.heads,
-                      ff_width=cfg.gate.ff_width,
-                      num_classes=num_classes)
-
-
 def _build_pool(cfg: RunConfig, num_classes: int) -> list:
     return build_experts(cfg.expert_specs(), num_classes=num_classes,
                          seed=derive(cfg.seed, "experts"),
@@ -129,7 +117,10 @@ def _build_pool(cfg: RunConfig, num_classes: int) -> list:
 
 def _build_full_system(cfg: RunConfig, dataset):
     experts = _build_pool(cfg, dataset.num_classes)
-    gate_config = _gate_config(cfg, len(experts), dataset.num_classes)
+    # num_classes materializes the imitation head too, so imitation-pretrained
+    # checkpoints and randomly initialized ones stay interchangeable
+    gate_config = GateConfig(num_experts=len(experts),
+                             num_classes=dataset.num_classes, **asdict(cfg.gate))
     system = build_system(experts, task=dataset.task, gate_config=gate_config,
                           seed=derive(cfg.seed, "gate"))
     system.walks_train = cfg.trainer.walks_train
@@ -207,8 +198,9 @@ def _cmd_pretrain_gate(args) -> int:
     if os.path.exists(experts_ckpt):
         load_expert_checkpoint(experts, experts_ckpt)
         inputs.append(experts_ckpt)
-    gate_config = _gate_config(cfg, len(experts), dataset.num_classes)
-    imitation_config = replace(gate_config, head_mode="class_imitation")
+    imitation_config = GateConfig(num_experts=len(experts),
+                                  num_classes=dataset.num_classes,
+                                  head_mode="class_imitation", **asdict(cfg.gate))
     # one shared init per run: averaging weights only makes sense when the
     # per-expert trainings start from the same point
     shared = init_gate_params(imitation_config, derive(cfg.seed, "gate-imit"))
@@ -258,12 +250,9 @@ def _cmd_train(args) -> int:
         agent = StaticLambdaAgent(static)
         print(f"static lambda = {static}")
     else:
-        sac_config = SACConfig(
-            state_dim=len(system.experts), discount=cfg.agent.discount,
-            tau=cfg.agent.tau, lr=cfg.agent.lr,
-            buffer_capacity=cfg.agent.buffer_capacity,
-            batch_size=cfg.agent.batch_size, lambda_min=cfg.agent.lambda_min,
-            lambda_max=cfg.agent.lambda_max, hidden=cfg.agent.hidden)
+        agent_fields = asdict(cfg.agent)
+        del agent_fields["static_lambda"]
+        sac_config = SACConfig(state_dim=len(system.experts), **agent_fields)
         agent = SacLambdaAgent(sac_config, seed=derive(cfg.seed, "agent"))
 
     log_csv = os.path.join(out, "train_log.csv")
@@ -303,17 +292,10 @@ def _cmd_eval(args) -> int:
         if dataset.task == "segmentation":
             raise TrainerError("hard voting is a classification baseline; "
                                "segmentation has no ensemble mode")
-        result = evaluate_ensemble(system, meshes, seed=seed)
-        metrics = [("accuracy", result["accuracy"])]
-    elif dataset.task == "segmentation":
-        result = evaluate_segmentation(system, meshes, seed=seed)
-        metrics = [("edge_accuracy", result["edge_accuracy"])]
-    elif dataset.task == "retrieval":
-        result = evaluate_retrieval(system, meshes, seed=seed)
-        metrics = [("map", result["map"]), ("ndcg", result["ndcg"])]
+        scores = {"accuracy": evaluate_ensemble(system, meshes, seed=seed)["accuracy"]}
     else:
-        result = evaluate_classification(system, meshes, seed=seed)
-        metrics = [("accuracy", result["accuracy"])]
+        predictions = [inference(system, mesh, seed)[0] for mesh in meshes]
+        scores = task_scores(dataset.task, meshes, predictions)
 
     report = os.path.join(out, "report.csv")
     new_file = not os.path.exists(report)
@@ -321,9 +303,9 @@ def _cmd_eval(args) -> int:
         writer = csv.writer(fh)
         if new_file:
             writer.writerow(["split", "method", "metric", "value"])
-        for metric, value in metrics:
+        for metric, value in scores.items():
             writer.writerow([args.split, method, metric, f"{value:.10g}"])
-    for metric, value in metrics:
+    for metric, value in scores.items():
         print(f"{args.split} {method} {metric} = {value:.4f}")
     _write_manifest(out, "eval", cfg, inputs, [report])
     return 0

@@ -91,12 +91,6 @@ _SECTIONS = ("gate", "experts", "trainer", "agent", "data")
 def _coerce(section: str, key: str, raw: str, default):
     kind = type(default)
     try:
-        if kind is bool:
-            if raw.lower() in ("1", "true", "yes"):
-                return True
-            if raw.lower() in ("0", "false", "no"):
-                return False
-            raise ValueError(raw)
         return kind(raw)
     except ValueError:
         raise ConfigError(
@@ -132,16 +126,6 @@ def load_config(path) -> RunConfig:
             setattr(target, key, _coerce(section, key, raw,
                                          getattr(target, key)))
     return config
-
-
-def save_config(config: RunConfig, path) -> None:
-    parser = configparser.ConfigParser()
-    parser["run"] = {"seed": str(config.seed)}
-    for section in _SECTIONS:
-        parser[section] = {k: str(v)
-                           for k, v in asdict(getattr(config, section)).items()}
-    with open(path, "w") as fh:
-        parser.write(fh)
 
 
 def config_snapshot(config: RunConfig) -> dict:

@@ -17,7 +17,7 @@ from . import layers
 from .autodiff import Tensor
 from .checkpoint import copy_into, load_checkpoint, save_checkpoint
 from .mesh import Mesh
-from .optim import Adam
+from .optim import fit
 from .rng import Rng, derive
 from .walks import extract_walks, walk_feature_batch
 
@@ -232,25 +232,13 @@ def train_expert_supervised(expert, meshes: list, epochs: int = 10,
     """Plain supervised pre-training; returns per-epoch mean losses."""
     if not expert.trainable:
         raise ExpertError(f"{expert.name} is not trainable")
-    optimizer = Adam(expert.params, lr=lr)
-    history = []
-    for epoch in range(epochs):
-        order = list(range(len(meshes)))
-        Rng(derive(seed, "order", epoch)).shuffle(order)
-        losses = []
-        for start in range(0, len(order), batch_size):
-            optimizer.zero_grad()
-            terms = []
-            for i in order[start:start + batch_size]:
-                mesh = meshes[i]
-                terms.append(expert_loss(expert, mesh,
-                                         derive(seed, "walks", epoch, mesh.mesh_id)))
-            loss = ad.tmean(ad.stack(terms))
-            loss.backward()
-            optimizer.step()
-            losses.append(loss.item())
-        history.append(float(np.mean(losses)))
-    return history
+
+    def batch_loss(batch, epoch):
+        return ad.tmean(ad.stack([
+            expert_loss(expert, mesh, derive(seed, "walks", epoch, mesh.mesh_id))
+            for mesh in batch]))
+
+    return fit(expert.params, meshes, batch_loss, epochs, batch_size, lr, seed)
 
 
 def expert_parameters(experts: list) -> dict:
@@ -268,18 +256,3 @@ def load_expert_checkpoint(experts: list, path) -> None:
     """Copy a checkpoint's parameters into matching experts, in place."""
     copy_into(expert_parameters(experts), load_checkpoint(path))
 
-
-def dump_predictions(experts: list, meshes: list, path, seed: int = 0) -> None:
-    """CSV rows: mesh_id, expert, predicted class, then the probabilities."""
-    import csv
-    num_classes = experts[0].num_classes if experts else 0
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mesh_id", "expert", "class"]
-                        + [f"prob{i}" for i in range(num_classes)])
-        for mesh in meshes:
-            for expert in experts:
-                pred = expert.predict(mesh, derive(seed, expert.name, mesh.mesh_id))
-                probs = pred.data if pred.ndim == 1 else pred.data.mean(axis=0)
-                writer.writerow([mesh.mesh_id, expert.name, int(np.argmax(probs))]
-                                + [f"{p:.10g}" for p in probs])

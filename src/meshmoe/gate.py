@@ -21,8 +21,8 @@ import numpy as np
 from . import autodiff as ad
 from . import layers
 from .autodiff import Tensor
-from .optim import Adam
-from .rng import Rng, derive
+from .optim import fit
+from .rng import derive
 from .walks import extract_walks, walk_feature_batch
 
 WALK_CHANNELS = 4  # xyz + jump flag
@@ -99,12 +99,6 @@ def gate_forward_features(features: np.ndarray, params: dict,
     return layers.linear(token, params["head.imitate.w"], params["head.imitate.b"])
 
 
-def gate_forward_walk(walk, params: dict, config: GateConfig) -> Tensor:
-    """Logits for a single walk, shape (J,) or (num_classes,)."""
-    logits = gate_forward_features(walk.features()[None, :, :], params, config)
-    return ad.reshape(logits, (logits.shape[1],))
-
-
 def gate_forward_batch(meshes: list, walk_count: int, params: dict,
                        config: GateConfig, seeds: list) -> list:
     """GateWeights of each mesh, shape (J,) each, in input order.
@@ -156,29 +150,18 @@ def pretrain_imitation(gate_params: dict, config: GateConfig, expert, meshes: li
         raise GateError("pretraining requires class_imitation mode")
     targets = {}
     for mesh in meshes:
-        pred = expert.predict(mesh, derive(seed, "target", mesh.mesh_id))
-        values = pred.data if isinstance(pred, Tensor) else np.asarray(pred)
+        values = expert.predict(mesh, derive(seed, "target", mesh.mesh_id)).data
         if values.shape != (config.num_classes,):
             raise GateError(f"expert prediction shape {values.shape} does not "
                             f"match num_classes {config.num_classes}")
         targets[mesh.mesh_id] = values
-    optimizer = Adam(gate_params, lr=lr)
-    history = []
-    for epoch in range(epochs):
-        order = list(range(len(meshes)))
-        Rng(derive(seed, "order", epoch)).shuffle(order)
-        losses = []
-        for start in range(0, len(order), batch_size):
-            batch = [meshes[i] for i in order[start:start + batch_size]]
-            batch_targets = [targets[m.mesh_id] for m in batch]
-            optimizer.zero_grad()
-            loss = imitation_loss(gate_params, config, batch, batch_targets,
-                                  walk_count, derive(seed, "walks", epoch))
-            loss.backward()
-            optimizer.step()
-            losses.append(loss.item())
-        history.append(float(np.mean(losses)))
-    return history
+
+    def batch_loss(batch, epoch):
+        return imitation_loss(gate_params, config, batch,
+                              [targets[m.mesh_id] for m in batch],
+                              walk_count, derive(seed, "walks", epoch))
+
+    return fit(gate_params, meshes, batch_loss, epochs, batch_size, lr, seed)
 
 
 def average_pretrained_gates(params_list: list, config: GateConfig,

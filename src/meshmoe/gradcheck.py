@@ -101,15 +101,20 @@ def standard_battery(seed: int = 0, tolerance: float = 1e-4,
     from .synth import generate_classification_set
     from .trainer import build_system, diversity_loss, joint_loss, similarity_loss
 
-    rng = Rng(derive(seed, "battery"))
+    def stream(name: str) -> Rng:
+        # one stream per entry, so adding an entry moves no other's points
+        return Rng(derive(seed, "battery", name))
+
     entries = []
 
+    rng = stream("attention")
     attn = {name: Tensor(rng.normal_fill((2, 3, 4)) * 0.5, requires_grad=True)
             for name in ("q", "k", "v")}
     attn_mix = rng.normal_fill((2, 3, 4))
     entries.append(("attention", lambda: ad.tsum(ad.mul(layers.multi_head_attention(
         attn["q"], attn["k"], attn["v"], heads=2), Tensor(attn_mix))), attn))
 
+    rng = stream("mha_block")
     mha = {"x": Tensor(rng.normal_fill((2, 3, 8)) * 0.5, requires_grad=True)}
     layers.init_mha_block(mha, "blk", 8, 16, derive(seed, "mha"))
     mha_mix = rng.normal_fill((2, 3, 8))
@@ -117,16 +122,19 @@ def standard_battery(seed: int = 0, tolerance: float = 1e-4,
         layers.mha_block(mha["x"], mha, "blk", heads=2), Tensor(mha_mix))),
         mha))
 
+    rng = stream("recurrent_cell")
     gru = {"x": Tensor(rng.normal_fill((2, 3, 4)) * 0.5, requires_grad=True)}
     layers.init_gru(gru, "gru", 4, 6, derive(seed, "gru"))
     gru_mix = rng.normal_fill((2, 6))
     entries.append(("recurrent_cell", lambda: ad.tsum(ad.mul(
         layers.gru_forward(gru["x"], gru, "gru", 6), Tensor(gru_mix))), gru))
 
+    rng = stream("cross_entropy")
     ce = {"logits": Tensor(rng.normal_fill((5,)), requires_grad=True)}
     entries.append(("cross_entropy", lambda: layers.cross_entropy(
         ad.softmax(ce["logits"], axis=-1), 2), ce))
 
+    rng = stream("kl_divergence")
     kld = {"a": Tensor(rng.normal_fill((4,)), requires_grad=True),
            "b": Tensor(rng.normal_fill((4,)), requires_grad=True)}
     entries.append(("kl_divergence", lambda: layers.kl_divergence(
@@ -135,6 +143,7 @@ def standard_battery(seed: int = 0, tolerance: float = 1e-4,
     tiny = GateConfig(num_experts=2, encoder_layers=1, decoder_layers=1,
                       d_model=8, heads=2, ff_width=16)
     gate_params = init_gate_params(tiny, derive(seed, "gate"))
+    rng = stream("gate_end_to_end")
     feats = rng.normal_fill((3, 5, 4)) * 0.5
     gate_mix = rng.normal_fill((2,))
 
@@ -145,8 +154,7 @@ def standard_battery(seed: int = 0, tolerance: float = 1e-4,
 
     entries.append(("gate_end_to_end", gate_fn, gate_params))
 
-    # the fused ops on their own; drawn after the blocks above so that
-    # those keep their seed-s data
+    rng = stream("cross_attention")
     cross = {"q": Tensor(rng.normal_fill((2, 1, 4)) * 0.5, requires_grad=True),
              "k": Tensor(rng.normal_fill((2, 5, 4)) * 0.5, requires_grad=True),
              "v": Tensor(rng.normal_fill((2, 5, 4)) * 0.5, requires_grad=True)}
@@ -154,6 +162,7 @@ def standard_battery(seed: int = 0, tolerance: float = 1e-4,
     entries.append(("cross_attention", lambda: ad.tsum(ad.mul(layers.multi_head_attention(
         cross["q"], cross["k"], cross["v"], heads=2), Tensor(cross_mix))), cross))
 
+    rng = stream("linear")
     lin = {"x": Tensor(rng.normal_fill((2, 3, 4)) * 0.5, requires_grad=True),
            "w": layers.glorot((4, 5), derive(seed, "linear")),
            "b": Tensor(rng.normal_fill((5,)) * 0.1, requires_grad=True)}
@@ -161,6 +170,7 @@ def standard_battery(seed: int = 0, tolerance: float = 1e-4,
     entries.append(("linear", lambda: ad.tsum(ad.mul(
         layers.linear(lin["x"], lin["w"], lin["b"]), Tensor(lin_mix))), lin))
 
+    rng = stream("layer_norm")
     norm = {"x": Tensor(rng.normal_fill((2, 3, 6)), requires_grad=True),
             "g": Tensor(1.0 + rng.normal_fill((6,)) * 0.1, requires_grad=True),
             "b": Tensor(rng.normal_fill((6,)) * 0.1, requires_grad=True)}

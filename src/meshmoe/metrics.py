@@ -88,16 +88,6 @@ def ndcg(results: list, cutoff: int) -> float:
     return float(np.mean([ndcg_single(r.relevance, cutoff) for r in results]))
 
 
-def face_accuracy(predicted, truth) -> float:
-    predicted = np.asarray(predicted)
-    truth = np.asarray(truth)
-    if predicted.shape != truth.shape:
-        raise ValueError("label arrays must have equal length")
-    if predicted.size == 0:
-        raise ValueError("empty input")
-    return float(np.mean(predicted == truth))
-
-
 def edge_accuracy(predicted, truth, lengths) -> float:
     """Length-weighted fraction of correctly labeled edges."""
     predicted = np.asarray(predicted)

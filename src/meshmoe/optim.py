@@ -1,6 +1,9 @@
-"""Adam over a named parameter dict."""
+"""Adam over a named parameter dict, and the epoch loop of the two
+pre-training stages built on it."""
 
 import numpy as np
+
+from .rng import Rng, derive
 
 
 class OptimError(RuntimeError):
@@ -47,3 +50,31 @@ class Adam:
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.grad = None
+
+
+def epoch_batches(count: int, batch_size: int, seed: int, epoch: int) -> list:
+    """Index batches of one epoch: a seeded shuffle of range(count), cut
+    into consecutive runs of `batch_size` (the last may be shorter)."""
+    order = list(range(count))
+    Rng(derive(seed, "order", epoch)).shuffle(order)
+    return [order[i:i + batch_size] for i in range(0, count, batch_size)]
+
+
+def fit(params: dict, items: list, batch_loss, epochs: int, batch_size: int,
+        lr: float, seed: int) -> list:
+    """One Adam step per batch of `items`; returns per-epoch mean losses.
+
+    `batch_loss(batch, epoch)` builds the scalar loss of a list of items.
+    """
+    optimizer = Adam(params, lr=lr)
+    history = []
+    for epoch in range(epochs):
+        losses = []
+        for batch in epoch_batches(len(items), batch_size, seed, epoch):
+            optimizer.zero_grad()
+            loss = batch_loss([items[i] for i in batch], epoch)
+            loss.backward()
+            optimizer.step()
+            losses.append(loss.item())
+        history.append(float(np.mean(losses)))
+    return history

@@ -261,9 +261,6 @@ class SacLambdaAgent:
         self._last = agent_step(self.sac, s_t, r_t, s_prev, self._last, terminal)
         return self._last[0]
 
-    def deterministic_lambda(self, state) -> float:
-        return sample_action(self.sac, state, stochastic=False)[0]
-
 
 class StaticLambdaAgent:
     """Constant-coefficient stand-in with the same step interface."""
@@ -272,7 +269,4 @@ class StaticLambdaAgent:
         self.value = float(value)
 
     def step(self, s_t, r_t, s_prev, terminal) -> float:
-        return self.value
-
-    def deterministic_lambda(self, state) -> float:
         return self.value

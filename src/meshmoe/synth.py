@@ -4,7 +4,8 @@ Five parametric families (subdivided sphere, box, cylinder, torus, cone)
 plus z-stretched variants give up to ten classes.  Per-instance jitter:
 random rotation, anisotropic scale in [0.7, 1.3], vertex noise sigma 0.01,
 then centroid/unit-radius normalization.  Everything is a pure function
-of (parameters, seed) with per-mesh derived seeds.
+of (parameters, seed) with per-mesh derived seeds.  Connectivity is
+built once per family and shared, unmodified, by all of its instances.
 
 Segmentation fixtures are cylinders cut into 2-4 axial bands.  Labels are
 assigned on the canonical geometry before jitter so they survive it, and
@@ -13,6 +14,7 @@ band structure must stay identifiable from per-edge geometry.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -226,12 +228,12 @@ def generate_classification_set(classes: int, per_class: int, seed: int,
     for cls in range(classes):
         family, builder, z_stretch = _FAMILIES[cls]
         base_verts, faces = builder()
-        base_verts = base_verts * np.array([1.0, 1.0, z_stretch])
+        base = build_mesh(base_verts * np.array([1.0, 1.0, z_stretch]), faces,
+                          mesh_id=family, class_label=cls)
         for inst in range(per_class):
-            verts = jitter_vertices(base_verts, derive(seed, "mesh", cls, inst))
-            mesh = build_mesh(verts, faces, mesh_id=f"{family}_{cls:02d}_{inst:03d}",
-                              class_label=cls)
-            meshes.append(normalize_coordinates(mesh))
+            verts = jitter_vertices(base.vertices, derive(seed, "mesh", cls, inst))
+            meshes.append(normalize_coordinates(replace(
+                base, mesh_id=f"{family}_{cls:02d}_{inst:03d}", vertices=verts)))
     train_ids, test_ids = split_dataset(meshes, 0.8, seed=derive(seed, "split"))
     return Dataset(meshes=meshes, num_classes=classes, task=task,
                    train_ids=train_ids, test_ids=test_ids)
@@ -258,19 +260,17 @@ def generate_segmentation_set(per_class: int, seed: int) -> Dataset:
     if per_class < 4:
         raise MeshError("need at least 4 meshes per segment count")
     meshes = []
+    probe = build_mesh(*cylinder(12, 7), mesh_id="probe")
     for idx, num_segments in enumerate((2, 3, 4)):
-        base_verts, faces = cylinder(12, 7)
-        probe = build_mesh(base_verts, faces, mesh_id="probe")
-        edge_labels, face_labels = segment_labels(base_verts, faces, probe.edges,
-                                                  num_segments)
+        edge_labels, face_labels = segment_labels(probe.vertices, probe.faces,
+                                                  probe.edges, num_segments)
         for inst in range(per_class):
-            verts = jitter_vertices(base_verts, derive(seed, "seg", idx, inst),
+            verts = jitter_vertices(probe.vertices, derive(seed, "seg", idx, inst),
                                     axial_only=True)
-            mesh = build_mesh(verts, faces,
-                              mesh_id=f"cyl{num_segments}seg_{idx:02d}_{inst:03d}",
-                              class_label=idx, face_labels=face_labels,
-                              edge_labels=edge_labels)
-            meshes.append(normalize_coordinates(mesh))
+            meshes.append(normalize_coordinates(replace(
+                probe, mesh_id=f"cyl{num_segments}seg_{idx:02d}_{inst:03d}",
+                vertices=verts, class_label=idx, face_labels=face_labels,
+                edge_labels=edge_labels)))
     train_ids, test_ids = split_dataset(meshes, 0.8, seed=derive(seed, "split"))
     return Dataset(meshes=meshes, num_classes=4, task="segmentation",
                    train_ids=train_ids, test_ids=test_ids)

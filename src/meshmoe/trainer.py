@@ -12,9 +12,11 @@ gate-weighted cross-entropy of every expert.  Both losses work on one
 row, an edge matrix one row per edge): L_sim is one broadcast divergence
 over all ordered expert pairs, L_div one cross-entropy, and a constant
 (N, B) matrix averages each mesh's rows.  The batch-mean gate weights
-form the agent's state s_t and the batch accuracy its reward r_t; the agent
-answers with the next coefficient lambda.  Inference routes with 32 walks
-and returns the chosen expert's prediction alone; no coefficient involved.
+form the agent's state s_t and the batch's task metric its reward r_t; the
+agent answers with the next coefficient lambda.  Inference routes with 32
+walks and returns the chosen expert's prediction alone; no coefficient
+involved.  `task_scores` is the one scorer of routed predictions, for the
+reward and for evaluation alike.
 """
 
 import csv
@@ -32,8 +34,8 @@ from .gate import (GateConfig, gate_forward_batch, gate_forward_mesh,
                    init_gate_params)
 from .metrics import (edge_accuracy, mean_average_precision,
                       mean_instance_accuracy, ndcg, retrieval_results)
-from .optim import Adam
-from .rng import Rng, derive
+from .optim import Adam, epoch_batches
+from .rng import derive
 
 SIM_KINDS = ("kld", "cosine", "mse", "none")
 
@@ -67,7 +69,7 @@ class BatchOutcome:
     """What one training iteration hands to the coefficient agent."""
 
     state: np.ndarray                  # (J,) batch-mean gate weights
-    reward: float                      # batch accuracy in [0, 1]
+    reward: float                      # batch reward metric in [0, 1]
     chosen: list                       # per-mesh argmax expert index
     per_mesh_weights: np.ndarray       # (B, J), rows on the simplex
     loss_values: tuple                 # (L_sim, L_div, L_joint) floats
@@ -195,26 +197,37 @@ def _target(task: str, mesh):
     return mesh.class_label
 
 
-def batch_reward(task: str, meshes: list, chosen_predictions: list) -> float:
-    """Batch accuracy of the routed predictions, by task metric."""
+def task_scores(task: str, meshes: list, predictions: list) -> dict:
+    """Task metrics of per-mesh prediction arrays, the reward metric first.
+
+    classification: accuracy of the argmax class; segmentation: mean of
+    the per-mesh length-weighted edge accuracy; retrieval: mAP and NDCG
+    at cutoff B - 1 with the prediction as the shape descriptor (both 0.0
+    under two meshes, where no query has a corpus).
+    """
     if task == "segmentation":
-        scores = []
-        for mesh, pred in zip(meshes, chosen_predictions):
-            labels = np.argmax(pred.data, axis=-1)
-            scores.append(edge_accuracy(labels, mesh.edge_labels,
-                                        mesh.edge_lengths))
-        return float(np.mean(scores))
+        scores = [edge_accuracy(np.argmax(pred, axis=-1), mesh.edge_labels,
+                                mesh.edge_lengths)
+                  for mesh, pred in zip(meshes, predictions)]
+        return {"edge_accuracy": float(np.mean(scores))}
     if task == "retrieval":
         if len(meshes) < 2:
-            return 0.0
-        descriptors = {m.mesh_id: np.asarray(p.data)
-                       for m, p in zip(meshes, chosen_predictions)}
-        labels = {m.mesh_id: m.class_label for m in meshes}
-        results = retrieval_results(descriptors, labels)
-        return mean_average_precision(results, cutoff=len(meshes) - 1)
-    predicted = [int(np.argmax(p.data)) for p in chosen_predictions]
-    truth = [m.class_label for m in meshes]
-    return mean_instance_accuracy(predicted, truth)
+            return {"map": 0.0, "ndcg": 0.0}
+        descriptors = {m.mesh_id: p for m, p in zip(meshes, predictions)}
+        results = retrieval_results(descriptors,
+                                    {m.mesh_id: m.class_label for m in meshes})
+        cutoff = len(meshes) - 1
+        return {"map": mean_average_precision(results, cutoff),
+                "ndcg": ndcg(results, cutoff)}
+    predicted = [int(np.argmax(pred)) for pred in predictions]
+    return {"accuracy": mean_instance_accuracy(
+        predicted, [m.class_label for m in meshes])}
+
+
+def batch_reward(task: str, meshes: list, chosen_predictions: list) -> float:
+    """The routed predictions' reward metric: the first of `task_scores`."""
+    scores = task_scores(task, meshes, [p.data for p in chosen_predictions])
+    return next(iter(scores.values()))
 
 
 def train_iteration(system: MoESystem, batch: list, lambda_t: float,
@@ -287,10 +300,7 @@ def train_run(system: MoESystem, dataset, agent, epochs: int,
     lam = agent.step(prev_state, 0.0, None, False)
     iteration = 0
     for epoch in range(epochs):
-        order = list(range(len(train_meshes)))
-        Rng(derive(seed, "order", epoch)).shuffle(order)
-        batches = [order[i:i + batch_size]
-                   for i in range(0, len(order), batch_size)]
+        batches = epoch_batches(len(train_meshes), batch_size, seed, epoch)
         epoch_rewards = []
         epoch_lambdas = []
         counts = np.zeros(num_experts)
@@ -361,14 +371,12 @@ def hard_voting_ensemble(expert_predictions: np.ndarray) -> np.ndarray:
 
 
 def evaluate_classification(system: MoESystem, meshes: list, seed: int = 0) -> dict:
-    predicted, chosen = [], []
-    for mesh in meshes:
-        pred, j = inference(system, mesh, seed)
-        predicted.append(int(np.argmax(pred)))
-        chosen.append(j)
-    truth = [m.class_label for m in meshes]
-    return {"accuracy": mean_instance_accuracy(predicted, truth),
-            "predicted": predicted, "chosen": chosen, "truth": truth}
+    routed = [inference(system, mesh, seed) for mesh in meshes]
+    predictions = [pred for pred, _ in routed]
+    return {"accuracy": task_scores("classification", meshes, predictions)["accuracy"],
+            "predicted": [int(np.argmax(pred)) for pred in predictions],
+            "chosen": [j for _, j in routed],
+            "truth": [m.class_label for m in meshes]}
 
 
 def evaluate_ensemble(system: MoESystem, meshes: list, seed: int = 0) -> dict:
@@ -382,29 +390,6 @@ def evaluate_ensemble(system: MoESystem, meshes: list, seed: int = 0) -> dict:
     truth = [m.class_label for m in meshes]
     return {"accuracy": mean_instance_accuracy(predicted.tolist(), truth),
             "predicted": predicted.tolist()}
-
-
-def evaluate_segmentation(system: MoESystem, meshes: list, seed: int = 0) -> dict:
-    scores = []
-    for mesh in meshes:
-        pred, _ = inference(system, mesh, seed)
-        labels = np.argmax(pred, axis=-1)
-        scores.append(edge_accuracy(labels, mesh.edge_labels, mesh.edge_lengths))
-    return {"edge_accuracy": float(np.mean(scores)), "per_mesh": scores}
-
-
-def evaluate_retrieval(system: MoESystem, meshes: list, seed: int = 0,
-                       cutoff: int | None = None) -> dict:
-    if len(meshes) < 2:
-        raise TrainerError("retrieval needs at least two meshes")
-    # the routed expert's probability vector is the shape descriptor
-    descriptors = {m.mesh_id: inference(system, m, seed)[0] for m in meshes}
-    labels = {m.mesh_id: m.class_label for m in meshes}
-    results = retrieval_results(descriptors, labels)
-    if cutoff is None:
-        cutoff = len(meshes) - 1
-    return {"map": mean_average_precision(results, cutoff),
-            "ndcg": ndcg(results, cutoff)}
 
 
 def system_parameters(system: MoESystem) -> dict:

@@ -212,6 +212,22 @@ def test_unknown_flag_exits_two(tmp_path):
     assert exc.value.code == 2
 
 
+def test_retrieval_eval_reports_map_and_ndcg(tmp_path):
+    ini = tmp_path / "retrieval.ini"
+    ini.write_text(TINY_INI.replace("classes = 2",
+                                    "task = retrieval\nclasses = 2"))
+    out = str(tmp_path / "run")
+    assert run("gen-data", "--config", str(ini), "--out-dir", out) == 0
+    assert run("train", "--config", str(ini), "--out-dir", out,
+               "--static-lambda", "0") == 0
+    assert run("eval", "--config", str(ini), "--out-dir", out) == 0
+    with open(os.path.join(out, "report.csv"), newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [row[2] for row in rows[1:]] == ["map", "ndcg"]
+    for row in rows[1:]:
+        assert 0.0 <= float(row[3]) <= 1.0
+
+
 def test_segmentation_pipeline(tmp_path):
     ini = tmp_path / "seg.ini"
     ini.write_text(TINY_INI.replace("classes = 2",

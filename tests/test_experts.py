@@ -5,7 +5,7 @@ import pytest
 
 from meshmoe.experts import (EdgeSegmenterExpert, ExpertError, FaceMlpExpert,
                              OracleExpert, WalkRnnExpert, build_experts,
-                             dump_predictions, expert_loss, face_normals,
+                             expert_loss, face_normals,
                              make_expert, train_expert_supervised)
 from meshmoe.mesh import build_mesh
 from meshmoe.rng import derive
@@ -235,11 +235,13 @@ def test_oracle_not_trainable():
         train_expert_supervised(oracle, [], epochs=1)
 
 
-def test_dump_predictions_csv(tmp_path, tetrahedron):
-    tetrahedron.class_label = 0
-    pool = build_experts(["face_mlp", "oracle:0"], 3, seed=4)
-    path = tmp_path / "preds.csv"
-    dump_predictions(pool, [tetrahedron], path, seed=1)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "mesh_id,expert,class,prob0,prob1,prob2"
-    assert len(lines) == 3
+@pytest.mark.parametrize("spec, expected", [
+    ("face_mlp", [0.7451623203114187, 0.6969072000339542]),
+    ("walk_rnn", [0.647929830868516, 0.669601607806084]),
+], ids=["face_mlp", "walk_rnn"])
+def test_supervised_loss_history_is_pinned(spec, expected):
+    """Two epochs of two batches (4 + 2 meshes), equal to the last bit."""
+    meshes = generate_classification_set(2, 4, seed=3).train_meshes
+    expert = build_experts([spec], num_classes=2, seed=4, hidden=8)[0]
+    assert train_expert_supervised(expert, meshes, epochs=2, batch_size=4,
+                                   lr=1e-2, seed=5) == expected

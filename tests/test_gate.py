@@ -7,8 +7,8 @@ from meshmoe import autodiff as ad
 from meshmoe.autodiff import Tensor
 from meshmoe.gate import (GateConfig, GateError, average_pretrained_gates,
                           gate_forward_batch, gate_forward_features,
-                          gate_forward_mesh, gate_forward_walk,
-                          init_gate_params, pretrain_imitation)
+                          gate_forward_mesh, init_gate_params,
+                          pretrain_imitation)
 from meshmoe.gradcheck import check_gradients
 from meshmoe.rng import Rng
 from meshmoe.synth import generate_classification_set
@@ -16,6 +16,12 @@ from meshmoe.walks import extract_walk, walk_length
 
 TINY = GateConfig(num_experts=3, encoder_layers=2, decoder_layers=2,
                   d_model=8, heads=2, ff_width=16)
+
+
+def gate_forward_walk(walk, params, config):
+    """Per-walk reference: the logits of one walk, shape (out_dim,)."""
+    logits = gate_forward_features(walk.features()[None, :, :], params, config)
+    return ad.reshape(logits, (logits.shape[1],))
 
 
 def test_config_validation():
@@ -209,6 +215,20 @@ def test_pretrain_imitation_reduces_loss():
                            lr=3e-3, seed=seed)
         after = imitation_loss(params, cfg, meshes, targets, 2, seed=77).item()
         assert after < before
+
+
+def test_pretrain_imitation_loss_history_is_pinned():
+    """Two epochs of two batches (4 + 2 meshes), equal to the last bit."""
+    from meshmoe.experts import build_experts
+    meshes = generate_classification_set(2, 4, seed=3).train_meshes
+    cfg = GateConfig(num_experts=1, encoder_layers=1, decoder_layers=1,
+                     d_model=8, heads=2, ff_width=16,
+                     head_mode="class_imitation", num_classes=2)
+    expert = build_experts(["face_mlp"], num_classes=2, seed=4, hidden=8)[0]
+    history = pretrain_imitation(init_gate_params(cfg, seed=6), cfg, expert,
+                                 meshes, epochs=2, walk_count=2, batch_size=4,
+                                 lr=1e-2, seed=7)
+    assert history == [0.09071023411304757, 0.0417274648038884]
 
 
 def test_pretrain_requires_imitation_mode():

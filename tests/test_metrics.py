@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from meshmoe.metrics import (RetrievalResult, average_precision, dcg,
-                             edge_accuracy, face_accuracy,
+                             edge_accuracy,
                              mean_average_precision, mean_instance_accuracy,
                              ndcg, ndcg_single, rank_by_distance,
                              retrieval_results)
@@ -98,13 +98,6 @@ def test_edge_accuracy_uniform_reduces_to_unweighted():
 def test_edge_accuracy_rejects_nonpositive_length():
     with pytest.raises(ValueError, match="positive"):
         edge_accuracy([0], [0], [0.0])
-
-
-def test_face_accuracy():
-    assert face_accuracy([1, 2], [1, 2]) == 1.0
-    assert face_accuracy([1, 2], [1, 3]) == 0.5
-    with pytest.raises(ValueError):
-        face_accuracy([1], [1, 2])
 
 
 # --- brute-force agreement on random corpora --------------------------------

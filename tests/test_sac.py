@@ -191,7 +191,6 @@ def test_static_agent_is_constant():
     state = np.zeros(2)
     assert agent.step(state, 0.0, None, False) == 0.1
     assert agent.step(state, -5.0, state, True) == 0.1
-    assert agent.deterministic_lambda(state) == 0.1
 
 
 def test_parameters_view_complete():
@@ -214,5 +213,5 @@ def test_surrogate_reward_convergence(seed):
     for _ in range(2000):
         reward = -(lam - 0.3) ** 2
         lam = agent.step(state, reward, state, True)
-    final = agent.deterministic_lambda(state)
+    final = sample_action(agent.sac, state, stochastic=False)[0]
     assert abs(final - 0.3) <= 0.1

@@ -17,13 +17,13 @@ from meshmoe.metrics import mean_instance_accuracy
 from meshmoe.optim import Adam
 from meshmoe.rng import Rng, derive
 from meshmoe.sac import StaticLambdaAgent
-from meshmoe.synth import generate_classification_set
+from meshmoe.synth import generate_classification_set, generate_segmentation_set
 from meshmoe.trainer import (BatchOutcome, MoESystem, TrainerError,
                              batch_reward, build_system, diversity_loss,
                              evaluate_classification, evaluate_ensemble,
                              expert_chooser, hard_voting_ensemble, inference,
                              joint_loss, load_system, save_system,
-                             similarity_loss, system_parameters,
+                             similarity_loss, system_parameters, task_scores,
                              train_iteration, train_run)
 from meshmoe.walks import walk_length
 
@@ -372,6 +372,27 @@ def test_all_correct_batch_scores_one():
     weights = np.tile(np.array([[1.0, 0.0]]), (len(class0), 1))
     _, picked = expert_chooser(weights, preds)
     assert batch_reward("classification", class0, picked) == 1.0
+
+
+@pytest.mark.parametrize("task, spec, metrics", [
+    ("classification", "face_mlp", ["accuracy"]),
+    ("retrieval", "face_mlp", ["map", "ndcg"]),
+    ("segmentation", "edge_seg", ["edge_accuracy"]),
+], ids=["classification", "retrieval", "segmentation"])
+def test_batch_reward_is_first_task_score(task, spec, metrics):
+    """The reward and the reported evaluation score come from one scorer."""
+    data = (generate_segmentation_set(per_class=4, seed=5)
+            if task == "segmentation" else tiny_dataset())
+    batch = data.train_meshes[:6]
+    experts = build_experts([spec, spec], num_classes=data.num_classes, seed=2,
+                            hidden=8)
+    preds = [[e.predict(m, derive(1, e.name, m.mesh_id)) for e in experts]
+             for m in batch]
+    weights = np.array([[0.7, 0.3], [0.2, 0.8]] * 3)
+    _, picked = expert_chooser(weights, preds)
+    scores = task_scores(task, batch, [p.data for p in picked])
+    assert list(scores) == metrics
+    assert batch_reward(task, batch, picked) == scores[metrics[0]]
 
 
 def test_non_finite_loss_aborts():
