@@ -3,11 +3,13 @@
 Format: header line `MME-CKPT v1`, then one line per parameter sorted by
 path: `<path> <d0>x<d1>x... <base64>`, where the payload is the raw
 little-endian float64 bytes.  Scalars use the shape token `scalar`.
-A checkpoint is written to a temp file and renamed into place.
+Checkpoints, and the CLI's manifests, logs and reports, are written by
+`atomic_write`: to a temp file that is renamed into place.
 """
 
 import base64
 import os
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -33,26 +35,34 @@ def _parse_shape(token: str):
         raise CheckpointError(f"bad shape token: {token!r}") from None
 
 
-def save_checkpoint(params: dict, path) -> None:
-    """Write to a temp file beside `path`, then rename it over `path`.
+@contextmanager
+def atomic_write(path):
+    """Text handle on `<path>.tmp`, renamed over `path` on success.
 
-    A crash part-way through leaves any old checkpoint at `path` whole.
+    Any exception deletes the temp file, so a crash part-way through a
+    write leaves an old file at `path` whole.  No newline translation.
     """
     tmp = f"{os.fspath(path)}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(HEADER + "\n")
-            for name in sorted(params):
-                value = params[name]
-                data = value.data if isinstance(value, Tensor) else np.asarray(value)
-                data = np.asarray(data, dtype="<f8")
-                payload = base64.b64encode(data.tobytes(order="C")).decode("ascii")
-                fh.write(f"{name} {_shape_token(data.shape)} {payload}\n")
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def save_checkpoint(params: dict, path) -> None:
+    """Write `params` in the format above, through `atomic_write`."""
+    with atomic_write(path) as fh:
+        fh.write(HEADER + "\n")
+        for name in sorted(params):
+            value = params[name]
+            data = value.data if isinstance(value, Tensor) else np.asarray(value)
+            data = np.asarray(data, dtype="<f8")
+            payload = base64.b64encode(data.tobytes(order="C")).decode("ascii")
+            fh.write(f"{name} {_shape_token(data.shape)} {payload}\n")
 
 
 def load_checkpoint(path) -> dict:

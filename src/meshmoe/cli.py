@@ -16,8 +16,8 @@ import sys
 from dataclasses import asdict
 
 from .autodiff import Tensor
-from .checkpoint import (CheckpointError, copy_into, load_checkpoint,
-                         save_checkpoint)
+from .checkpoint import (CheckpointError, atomic_write, copy_into,
+                         load_checkpoint, save_checkpoint)
 from .config import ConfigError, RunConfig, config_snapshot, load_config
 from .experts import (ExpertError, build_experts, load_expert_checkpoint,
                       save_expert_checkpoint, train_expert_supervised)
@@ -56,7 +56,7 @@ def _write_manifest(out_dir, command: str, cfg: RunConfig, inputs: list,
         "outputs": [str(p) for p in outputs],
     }
     path = os.path.join(out_dir, f"manifest_{command}.json")
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
@@ -68,18 +68,15 @@ def _resolve_config(args) -> tuple:
         inputs.append(args.config)
     else:
         cfg = RunConfig()
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if getattr(args, "epochs", None) is not None:
-        cfg.trainer.epochs = args.epochs
-    if getattr(args, "batch_size", None) is not None:
-        cfg.trainer.batch_size = args.batch_size
-    if getattr(args, "experts", None) is not None:
-        cfg.experts.specs = args.experts
-    if getattr(args, "walks_train", None) is not None:
-        cfg.trainer.walks_train = args.walks_train
-    if getattr(args, "walks_infer", None) is not None:
-        cfg.trainer.walks_infer = args.walks_infer
+    for flag, section, field in (
+            ("seed", cfg, "seed"), ("epochs", cfg.trainer, "epochs"),
+            ("batch_size", cfg.trainer, "batch_size"), ("experts", cfg.experts, "specs"),
+            ("walks_train", cfg.trainer, "walks_train"),
+            ("walks_infer", cfg.trainer, "walks_infer"),
+            ("static_lambda", cfg.agent, "static_lambda"),
+            ("loss_sim", cfg.trainer, "sim_loss")):
+        if getattr(args, flag, None) is not None:
+            setattr(section, field, getattr(args, flag))
     if getattr(args, "lambda_range", None) is not None:
         try:
             lo, hi = (float(v) for v in args.lambda_range.split(","))
@@ -88,10 +85,6 @@ def _resolve_config(args) -> tuple:
                 f"--lambda-range wants 'lo,hi', got {args.lambda_range!r}"
             ) from None
         cfg.agent.lambda_min, cfg.agent.lambda_max = lo, hi
-    if getattr(args, "static_lambda", None) is not None:
-        cfg.agent.static_lambda = args.static_lambda
-    if getattr(args, "loss_sim", None) is not None:
-        cfg.trainer.sim_loss = args.loss_sim
     return cfg, inputs
 
 
@@ -104,9 +97,15 @@ def _data_dir(args) -> str:
     return args.data_dir or os.path.join(args.out_dir, "data")
 
 
-def _dataset_inputs(data_dir: str) -> list:
-    return [os.path.join(data_dir, "manifest.csv"),
-            os.path.join(data_dir, "dataset.ini")]
+def _dataset_run(args) -> tuple:
+    """(cfg, inputs, out_dir, dataset) of a subcommand that reads a dataset."""
+    cfg, inputs = _resolve_config(args)
+    out = _out_dir(args)
+    data_dir = _data_dir(args)
+    dataset = load_dataset(data_dir)
+    inputs += [os.path.join(data_dir, "manifest.csv"),
+               os.path.join(data_dir, "dataset.ini")]
+    return cfg, inputs, out, dataset
 
 
 def _build_pool(cfg: RunConfig, num_classes: int) -> list:
@@ -157,11 +156,7 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_pretrain_experts(args) -> int:
-    cfg, inputs = _resolve_config(args)
-    out = _out_dir(args)
-    data_dir = _data_dir(args)
-    dataset = load_dataset(data_dir)
-    inputs += _dataset_inputs(data_dir)
+    cfg, inputs, out, dataset = _dataset_run(args)
     experts = _build_pool(cfg, dataset.num_classes)
     ckpt = os.path.join(out, "experts.ckpt")
     losses_csv = os.path.join(out, "pretrain_losses.csv")
@@ -178,7 +173,7 @@ def _cmd_pretrain_experts(args) -> int:
         print(f"{expert.name}: loss {history[0]:.4f} -> {history[-1]:.4f} "
               f"over {len(history)} epochs")
     save_expert_checkpoint(experts, ckpt)
-    with open(losses_csv, "w", newline="") as fh:
+    with atomic_write(losses_csv) as fh:
         writer = csv.writer(fh)
         writer.writerow(["expert", "epoch", "loss"])
         writer.writerows(rows)
@@ -188,11 +183,7 @@ def _cmd_pretrain_experts(args) -> int:
 
 
 def _cmd_pretrain_gate(args) -> int:
-    cfg, inputs = _resolve_config(args)
-    out = _out_dir(args)
-    data_dir = _data_dir(args)
-    dataset = load_dataset(data_dir)
-    inputs += _dataset_inputs(data_dir)
+    cfg, inputs, out, dataset = _dataset_run(args)
     experts = _build_pool(cfg, dataset.num_classes)
     experts_ckpt = args.experts_ckpt or os.path.join(out, "experts.ckpt")
     if os.path.exists(experts_ckpt):
@@ -226,11 +217,7 @@ def _cmd_pretrain_gate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cfg, inputs = _resolve_config(args)
-    out = _out_dir(args)
-    data_dir = _data_dir(args)
-    dataset = load_dataset(data_dir)
-    inputs += _dataset_inputs(data_dir)
+    cfg, inputs, out, dataset = _dataset_run(args)
     system = _build_full_system(cfg, dataset)
 
     experts_ckpt = args.experts_ckpt or os.path.join(out, "experts.ckpt")
@@ -273,11 +260,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    cfg, inputs = _resolve_config(args)
-    out = _out_dir(args)
-    data_dir = _data_dir(args)
-    dataset = load_dataset(data_dir)
-    inputs += _dataset_inputs(data_dir)
+    cfg, inputs, out, dataset = _dataset_run(args)
     ckpt = args.ckpt or os.path.join(out, "model.ckpt")
     if not os.path.exists(ckpt):
         raise TrainerError(f"no checkpoint at {ckpt}; run train first")
@@ -298,10 +281,14 @@ def _cmd_eval(args) -> int:
         scores = task_scores(dataset.task, meshes, predictions)
 
     report = os.path.join(out, "report.csv")
-    new_file = not os.path.exists(report)
-    with open(report, "a", newline="") as fh:
+    old = ""
+    if os.path.exists(report):
+        with open(report, newline="", encoding="utf-8") as fh:
+            old = fh.read()
+    with atomic_write(report) as fh:
+        fh.write(old)
         writer = csv.writer(fh)
-        if new_file:
+        if not old:
             writer.writerow(["split", "method", "metric", "value"])
         for metric, value in scores.items():
             writer.writerow([args.split, method, metric, f"{value:.10g}"])

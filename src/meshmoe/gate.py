@@ -9,6 +9,13 @@ walk-averaged logits.  A batch of meshes is run as one gate call per walk
 length: the walks of every mesh with the same L are stacked into one
 (n * W, L, 4) array, so no padding or mask is needed.
 
+Without trainable parameters (inference) the body runs over chunks of
+max(1, CHUNK_TOKENS // L) walks and the head over all walks at once, so
+attention memory is O(chunk * heads * L^2), not O(W * heads * L^2).  The
+bits do not change: `linear` does one GEMM per leading index, layer norm
+reduces per row and attention one GEMM per (walk, head), so no walk's
+numbers depend on the others.  With a graph all walks are one chunk.
+
 Pre-training runs one gate per expert against that expert's prediction
 vectors with KL(expert || gate); the pre-trained bodies are averaged to
 initialize the real gate, whose expert head starts fresh.
@@ -26,6 +33,7 @@ from .rng import derive
 from .walks import extract_walks, walk_feature_batch
 
 WALK_CHANNELS = 4  # xyz + jump flag
+CHUNK_TOKENS = 512  # walk positions per grad-free body chunk
 
 
 class GateError(ValueError):
@@ -80,23 +88,38 @@ def init_gate_params(config: GateConfig, seed: int) -> dict:
 
 def gate_forward_features(features: np.ndarray, params: dict,
                           config: GateConfig) -> Tensor:
-    """Logits for a (W, L, 4) walk-feature batch; returns (W, out_dim)."""
-    if features.ndim != 3 or features.shape[-1] != WALK_CHANNELS:
+    """Logits for a (W, L, 4) walk-feature batch; returns (W, out_dim).
+
+    With no trainable parameter the body runs over chunks of
+    max(1, CHUNK_TOKENS // L) walks; otherwise all W walks are one chunk.
+    """
+    if features.ndim != 3 or features.shape[-1] != WALK_CHANNELS or len(features) == 0:
         raise GateError(f"expected (W, L, {WALK_CHANNELS}) features, got {features.shape}")
     w_count, length, _ = features.shape
+    chunk = w_count
+    if not any(p.requires_grad for p in params.values()):
+        chunk = max(1, CHUNK_TOKENS // length)
+    tokens = [_walk_tokens(features[i:i + chunk], params, config)
+              for i in range(0, w_count, chunk)]
+    token = tokens[0] if len(tokens) == 1 else Tensor(np.concatenate([t.data for t in tokens]))
+    if config.head_mode == "expert_weights":
+        return layers.linear(token, params["head.expert.w"], params["head.expert.b"])
+    return layers.linear(token, params["head.imitate.w"], params["head.imitate.b"])
+
+
+def _walk_tokens(features: np.ndarray, params: dict, config: GateConfig) -> Tensor:
+    """The gate body: (n, L, 4) walk features to (n, d) final-norm tokens."""
+    n, length, _ = features.shape
     x = layers.linear(Tensor(features), params["embed.w"], params["embed.b"])
     x = ad.add(x, Tensor(layers.positional_encoding(length, config.d_model)))
     for i in range(config.encoder_layers):
         x = layers.mha_block(x, params, f"enc.{i}", config.heads)
 
-    token = ad.add(Tensor(np.zeros((w_count, 1, config.d_model))), params["query"])
+    token = ad.add(Tensor(np.zeros((n, 1, config.d_model))), params["query"])
     for i in range(config.decoder_layers):
         token = layers.mha_block(token, params, f"dec.{i}", config.heads, memory=x)
     token = layers.layer_norm(token, params["final_norm.g"], params["final_norm.b"])
-    token = ad.reshape(token, (w_count, config.d_model))
-    if config.head_mode == "expert_weights":
-        return layers.linear(token, params["head.expert.w"], params["head.expert.b"])
-    return layers.linear(token, params["head.imitate.w"], params["head.imitate.b"])
+    return ad.reshape(token, (n, config.d_model))
 
 
 def gate_forward_batch(meshes: list, walk_count: int, params: dict,

@@ -47,9 +47,6 @@ class Mesh:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def euler_characteristic(self) -> int:
-        return self.vertex_count - self.edge_count + self.face_count
-
 
 def _neighbor_lists(edges: np.ndarray, vertex_count: int) -> list:
     """Sorted neighbour lists from canonical (lo, hi) edge rows.
@@ -294,9 +291,6 @@ class Dataset:
                 if arr is not None and arr.size and (arr.min() < 0 or arr.max() >= self.num_classes):
                     raise MeshError(f"{m.mesh_id}: segment label out of range")
         self._index = {m.mesh_id: m for m in self.meshes}
-
-    def by_id(self, mesh_id: str) -> Mesh:
-        return self._index[mesh_id]
 
     @property
     def train_meshes(self) -> list:

@@ -66,6 +66,8 @@ def fit(params: dict, items: list, batch_loss, epochs: int, batch_size: int,
 
     `batch_loss(batch, epoch)` builds the scalar loss of a list of items.
     """
+    if not items:
+        raise OptimError("no items to fit")
     optimizer = Adam(params, lr=lr)
     history = []
     for epoch in range(epochs):

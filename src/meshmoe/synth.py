@@ -18,7 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .mesh import Dataset, Mesh, MeshError, build_mesh, normalize_coordinates, split_dataset
+from .mesh import Dataset, MeshError, build_mesh, normalize_coordinates, split_dataset
 from .rng import Rng, derive
 
 
@@ -275,19 +275,3 @@ def generate_segmentation_set(per_class: int, seed: int) -> Dataset:
     return Dataset(meshes=meshes, num_classes=4, task="segmentation",
                    train_ids=train_ids, test_ids=test_ids)
 
-
-def is_connected(mesh: Mesh) -> bool:
-    """Breadth-first sweep over adjacency."""
-    if mesh.vertex_count == 0:
-        return False
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for n in mesh.adjacency[v]:
-                if n not in seen:
-                    seen.add(n)
-                    nxt.append(n)
-        frontier = nxt
-    return len(seen) == mesh.vertex_count

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from . import autodiff as ad
 from . import layers
 from .autodiff import Tensor
-from .checkpoint import copy_into, load_checkpoint, save_checkpoint
+from .checkpoint import atomic_write, copy_into, load_checkpoint, save_checkpoint
 from .experts import expert_parameters
 from .gate import (GateConfig, gate_forward_batch, gate_forward_mesh,
                    init_gate_params)
@@ -336,7 +336,7 @@ def train_run(system: MoESystem, dataset, agent, epochs: int,
     if log_path is not None:
         header = ["epoch", "iteration", "lambda", "l_sim", "l_div", "l_joint",
                   "reward"] + [f"sel_{e.name}" for e in system.experts]
-        with open(log_path, "w", newline="") as fh:
+        with atomic_write(log_path) as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             writer.writerows(rows)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from meshmoe.autodiff import Tensor
-from meshmoe.checkpoint import (CheckpointError, load_checkpoint,
+from meshmoe.checkpoint import (CheckpointError, atomic_write, load_checkpoint,
                                 save_checkpoint)
 from meshmoe.rng import Rng
 
@@ -90,3 +90,18 @@ def test_crash_part_way_through_write_keeps_old_checkpoint(tmp_path, monkeypatch
     assert len(calls) == 2
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+
+def test_atomic_write_raising_half_way_keeps_old_file(tmp_path):
+    path = tmp_path / "log.csv"
+    path.write_bytes(b"old,row\r\n")
+    with pytest.raises(RuntimeError):
+        with atomic_write(path) as fh:
+            fh.write("new,row\r\n")
+            raise RuntimeError("killed mid-write")
+    assert path.read_bytes() == b"old,row\r\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["log.csv"]
+    with atomic_write(path) as fh:
+        fh.write("new,row\r\n")
+    assert path.read_bytes() == b"new,row\r\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["log.csv"]

@@ -140,6 +140,38 @@ def test_flag_overrides_config(tmp_path, tiny_config):
     assert manifest["seed"] == 99
 
 
+def test_crash_while_appending_to_report_keeps_old_report(tmp_path, tiny_config,
+                                                          monkeypatch):
+    import types
+    from meshmoe import cli
+
+    out = str(tmp_path / "run")
+    assert run("gen-data", "--config", tiny_config, "--out-dir", out) == 0
+    assert run("train", "--config", tiny_config, "--out-dir", out,
+               "--static-lambda", "0") == 0
+    assert run("eval", "--config", tiny_config, "--out-dir", out) == 0
+    report = os.path.join(out, "report.csv")
+    with open(report, "rb") as fh:
+        before = fh.read()
+
+    def dying_writer(fh):
+        real = csv.writer(fh)
+
+        def writerow(row):
+            real.writerow(row)
+            if row[0] != "split":
+                raise RuntimeError("killed mid-write")
+
+        return types.SimpleNamespace(writerow=writerow)
+
+    monkeypatch.setattr(cli, "csv", types.SimpleNamespace(writer=dying_writer))
+    with pytest.raises(RuntimeError, match="killed mid-write"):
+        run("eval", "--config", tiny_config, "--out-dir", out, "--ensemble")
+    with open(report, "rb") as fh:
+        assert fh.read() == before
+    assert not [name for name in os.listdir(out) if name.endswith(".tmp")]
+
+
 def test_eval_without_checkpoint_fails(tmp_path, tiny_config, capsys):
     out = str(tmp_path / "run")
     assert run("gen-data", "--config", tiny_config, "--out-dir", out) == 0

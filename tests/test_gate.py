@@ -1,16 +1,21 @@
-"""Gate: shape contracts, determinism, aggregation, averaging, permutation."""
+"""Gate: shape contracts, determinism, aggregation, averaging, permutation,
+grad-free chunking."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from meshmoe import autodiff as ad
+from meshmoe import layers
 from meshmoe.autodiff import Tensor
-from meshmoe.gate import (GateConfig, GateError, average_pretrained_gates,
-                          gate_forward_batch, gate_forward_features,
-                          gate_forward_mesh, init_gate_params,
-                          pretrain_imitation)
+from meshmoe.experts import build_experts
+from meshmoe.gate import (CHUNK_TOKENS, GateConfig, GateError,
+                          average_pretrained_gates, gate_forward_batch,
+                          gate_forward_features, gate_forward_mesh,
+                          init_gate_params, pretrain_imitation)
 from meshmoe.gradcheck import check_gradients
-from meshmoe.rng import Rng
+from meshmoe.rng import Rng, derive
 from meshmoe.synth import generate_classification_set
 from meshmoe.walks import extract_walk, walk_length
 
@@ -156,6 +161,81 @@ def test_batched_rows_equal_per_mesh_rows_in_input_order():
         assert row.shape == (3,)
         np.testing.assert_array_equal(
             row.data, gate_forward_mesh(mesh, 3, params, TINY, seed).data)
+
+
+def frozen(params):
+    """Grad-free views of `params`, as `trainer.inference` makes them."""
+    return {name: Tensor(tensor.data) for name, tensor in params.items()}
+
+
+@pytest.mark.parametrize("head_mode", ["expert_weights", "class_imitation"])
+def test_grad_free_chunks_equal_one_graph_chunk(head_mode):
+    """Chunks of 5 walks (the last of 2) give the bits of one 32-walk call."""
+    config = GateConfig(num_experts=3, encoder_layers=2, decoder_layers=2,
+                        d_model=8, heads=2, ff_width=16, head_mode=head_mode,
+                        num_classes=5)
+    walks, length = 32, 100
+    assert CHUNK_TOKENS // length == 5 and walks % 5 != 0
+    features = Rng(9).normal_fill((walks, length, 4))
+    params = init_gate_params(config, seed=6)
+    trained = gate_forward_features(features, params, config)
+    chunked = gate_forward_features(features, frozen(params), config)
+    assert trained._parents and chunked._parents == ()
+    assert chunked.shape == trained.shape
+    assert np.array_equal(chunked.data, trained.data)
+
+
+def test_inference_rows_equal_trainable_batch_rows(monkeypatch):
+    """Each mesh's chunked inference row is its graph-built batch row, bit
+    for bit, and inference enters `gate_forward_features` once per mesh."""
+    import meshmoe.gate as gate
+    import meshmoe.trainer as trainer
+    ds = generate_classification_set(3, 4, seed=11)
+    experts = build_experts([f"oracle:{c}" for c in range(3)], num_classes=3, seed=1)
+    system = trainer.build_system(experts, gate_config=TINY, seed=2)
+    assert any(system.walks_infer * walk_length(m.vertex_count) > CHUNK_TOKENS
+               for m in ds.meshes)
+    seeds = [derive(4, "gate", mesh.mesh_id) for mesh in ds.meshes]
+    reference = gate_forward_batch(ds.meshes, system.walks_infer,
+                                   system.gate_params, TINY, seeds)
+
+    rows, calls = [], []
+    real_mesh, real_features = trainer.gate_forward_mesh, gate.gate_forward_features
+
+    def recording_mesh(*args, **kwargs):
+        rows.append(real_mesh(*args, **kwargs))
+        return rows[-1]
+
+    def counting_features(features, *args, **kwargs):
+        calls.append(features.shape)
+        return real_features(features, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "gate_forward_mesh", recording_mesh)
+    monkeypatch.setattr(gate, "gate_forward_features", counting_features)
+    for k, mesh in enumerate(ds.meshes):
+        _, j = trainer.inference(system, mesh, seed=4)
+        assert np.array_equal(rows[k].data, reference[k].data)
+        assert j == int(np.argmax(reference[k].data))
+        assert calls[k] == (system.walks_infer, walk_length(mesh.vertex_count), 4)
+    assert len(calls) == len(ds.meshes)
+
+
+def test_grad_free_forward_memory_stays_below_half_the_score_buffer():
+    """Chunking bounds the attention scores by the chunk, not by all walks."""
+    config = GateConfig(num_experts=3, encoder_layers=1, decoder_layers=1,
+                        d_model=16, heads=4, ff_width=32)
+    walks, length = 32, 80
+    features = Rng(3).normal_fill((walks, length, 4))
+    params = frozen(init_gate_params(config, seed=4))
+    layers.positional_encoding(length, config.d_model)  # cached, not per call
+    tracemalloc.start()
+    try:
+        gate_forward_features(features, params, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    score_buffer = walks * config.heads * length * length * 8
+    assert peak < score_buffer / 2
 
 
 def test_batched_rows_reject_seed_count_mismatch(tetrahedron):

@@ -15,7 +15,7 @@ def test_tetrahedron_connectivity(tetrahedron):
     assert tetrahedron.vertex_count == 4
     assert tetrahedron.face_count == 4
     assert tetrahedron.edge_count == 6
-    assert tetrahedron.euler_characteristic() == 2
+    assert tetrahedron.vertex_count - tetrahedron.edge_count + tetrahedron.face_count == 2
     # complete graph on 4 vertices
     assert tetrahedron.adjacency == [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
 
@@ -243,11 +243,12 @@ def test_dataset_save_load_round_trip(tmp_path, tetrahedron, triangle):
     back = load_dataset(tmp_path / "data")
     assert back.num_classes == 2
     assert back.train_ids == ["a"] and back.test_ids == ["b"]
-    assert back.by_id("a").class_label == 0
-    np.testing.assert_array_equal(back.by_id("b").edge_labels, [0, 1, 1])
-    np.testing.assert_array_equal(back.by_id("b").face_labels, [1])
+    by_id = {m.mesh_id: m for m in back.meshes}
+    assert by_id["a"].class_label == 0
+    np.testing.assert_array_equal(by_id["b"].edge_labels, [0, 1, 1])
+    np.testing.assert_array_equal(by_id["b"].face_labels, [1])
     # meshes come back normalized
-    np.testing.assert_allclose(back.by_id("a").vertices.mean(axis=0), 0, atol=1e-15)
+    np.testing.assert_allclose(by_id["a"].vertices.mean(axis=0), 0, atol=1e-15)
 
 
 def test_load_dataset_missing_manifest(tmp_path):
