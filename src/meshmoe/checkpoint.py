@@ -3,8 +3,9 @@
 Format: header line `MME-CKPT v1`, then one line per parameter sorted by
 path: `<path> <d0>x<d1>x... <base64>`, where the payload is the raw
 little-endian float64 bytes.  Scalars use the shape token `scalar`.
-Checkpoints, and the CLI's manifests, logs and reports, are written by
-`atomic_write`: to a temp file that is renamed into place.
+Checkpoints, dataset indexes and the CLI's manifests, logs, reports and
+walk listings are written by `atomic_write`: to a temp file that is
+renamed into place.
 """
 
 import base64

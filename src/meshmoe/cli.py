@@ -307,7 +307,7 @@ def _cmd_dump_walks(args) -> int:
              for walk in walks]
     text = "\n".join(lines)
     if args.out:
-        with open(args.out, "w") as fh:
+        with atomic_write(args.out) as fh:
             fh.write(text + "\n")
     else:
         print(text)

@@ -6,8 +6,13 @@ experts for controlled routing tests.  Classification experts return a
 (C,) probability vector; the edge segmenter returns an (E, S) row-softmax
 matrix.  Oracles are frozen and per-mesh seeded: the same mesh always
 draws the same prediction regardless of training step.
+
+A mesh's geometry is fixed once it is built, so the face and edge
+experts' input arrays are built once per `Mesh` object, on first use, and
+shared read-only by every expert and every later step.
 """
 
+import weakref
 from itertools import compress
 
 import numpy as np
@@ -24,6 +29,19 @@ from .walks import extract_walks, walk_feature_batch
 
 class ExpertError(ValueError):
     pass
+
+
+# Mesh -> {expert kind: read-only input array}; entries die with their mesh
+_mesh_inputs = weakref.WeakKeyDictionary()
+
+
+def _mesh_input(mesh: Mesh, kind: str, build) -> np.ndarray:
+    """`build(mesh)`, made once per mesh object and shared read-only."""
+    arrays = _mesh_inputs.setdefault(mesh, {})
+    if kind not in arrays:
+        arrays[kind] = build(mesh)
+        arrays[kind].flags.writeable = False
+    return arrays[kind]
 
 
 def face_normals(mesh: Mesh):
@@ -92,7 +110,7 @@ class FaceMlpExpert:
     def predict(self, mesh: Mesh, seed: int | None = None) -> Tensor:
         if mesh.face_count == 0:
             raise ExpertError(f"{mesh.mesh_id}: face expert needs faces")
-        x = Tensor(self.face_features(mesh))
+        x = Tensor(_mesh_input(mesh, self.kind, self.face_features))
         h = ad.relu(layers.linear(x, self.params["mlp.w1"], self.params["mlp.b1"]))
         h = ad.relu(layers.linear(h, self.params["mlp.w2"], self.params["mlp.b2"]))
         pooled = ad.tmean(h, axis=0)
@@ -138,7 +156,7 @@ class EdgeSegmenterExpert:
     def predict(self, mesh: Mesh, seed: int | None = None) -> Tensor:
         if mesh.edge_count == 0:
             raise ExpertError(f"{mesh.mesh_id}: edge expert needs edges")
-        x = Tensor(self.edge_features(mesh))
+        x = Tensor(_mesh_input(mesh, self.kind, self.edge_features))
         h = ad.relu(layers.linear(x, self.params["mlp.w1"], self.params["mlp.b1"]))
         h = ad.relu(layers.linear(h, self.params["mlp.w2"], self.params["mlp.b2"]))
         logits = layers.linear(h, self.params["head.w"], self.params["head.b"])

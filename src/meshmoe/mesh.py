@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .checkpoint import atomic_write
 from .rng import Rng, derive
 
 
@@ -317,26 +318,25 @@ def split_dataset(meshes: list, fraction_train: float, seed: int):
 
 
 def save_dataset(dataset: Dataset, out_dir) -> None:
-    """Write OFF files, label sidecars, manifest.csv, and dataset.ini."""
+    """OFF files and label sidecars, then manifest.csv and dataset.ini, each
+    through `atomic_write`: a crash part-way leaves the old index files whole."""
     os.makedirs(out_dir, exist_ok=True)
     split_of = {i: "train" for i in dataset.train_ids}
     split_of.update({i: "test" for i in dataset.test_ids})
-    with open(os.path.join(out_dir, "manifest.csv"), "w", newline="", encoding="utf-8") as fh:
+    for mesh in dataset.meshes:
+        save_off(mesh, os.path.join(out_dir, f"{mesh.mesh_id}.off"))
+        if mesh.edge_labels is not None:
+            save_label_sidecar(mesh.edge_labels, os.path.join(out_dir, f"{mesh.mesh_id}.eseg"))
+        if mesh.face_labels is not None:
+            save_label_sidecar(mesh.face_labels, os.path.join(out_dir, f"{mesh.mesh_id}.fseg"))
+    with atomic_write(os.path.join(out_dir, "manifest.csv")) as fh:
         writer = csv.writer(fh)
         writer.writerow(["mesh_id", "file", "class", "split"])
-        for mesh in dataset.meshes:
-            fname = f"{mesh.mesh_id}.off"
-            save_off(mesh, os.path.join(out_dir, fname))
-            if mesh.edge_labels is not None:
-                save_label_sidecar(mesh.edge_labels, os.path.join(out_dir, f"{mesh.mesh_id}.eseg"))
-            if mesh.face_labels is not None:
-                save_label_sidecar(mesh.face_labels, os.path.join(out_dir, f"{mesh.mesh_id}.fseg"))
-            label = "" if mesh.class_label is None else str(mesh.class_label)
-            writer.writerow([mesh.mesh_id, fname, label, split_of.get(mesh.mesh_id, "train")])
-    with open(os.path.join(out_dir, "dataset.ini"), "w", encoding="utf-8") as fh:
-        fh.write("[dataset]\n")
-        fh.write(f"task = {dataset.task}\n")
-        fh.write(f"num_classes = {dataset.num_classes}\n")
+        writer.writerows([mesh.mesh_id, f"{mesh.mesh_id}.off",
+                          "" if mesh.class_label is None else str(mesh.class_label),
+                          split_of.get(mesh.mesh_id, "train")] for mesh in dataset.meshes)
+    with atomic_write(os.path.join(out_dir, "dataset.ini")) as fh:
+        fh.write(f"[dataset]\ntask = {dataset.task}\nnum_classes = {dataset.num_classes}\n")
 
 
 def _read_dataset_ini(ini) -> dict:

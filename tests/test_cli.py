@@ -228,6 +228,12 @@ def test_dump_walks_deterministic(tmp_path, tiny_config, capsys):
     first = capsys.readouterr().out
     assert run("dump-walks", "--mesh-file", off, "--seed", "7") == 0
     assert capsys.readouterr().out == first
+    # --out writes the same listing, through a temp file that is renamed
+    walks = tmp_path / "walks.txt"
+    assert run("dump-walks", "--mesh-file", off, "--seed", "7",
+               "--out", str(walks)) == 0
+    assert walks.read_bytes() == first.encode("utf-8")
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_bad_lambda_range_fails(tmp_path, tiny_config, capsys):

@@ -1,14 +1,21 @@
 """Experts: normalization, determinism, oracle expectation, trainability."""
 
+import gc
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from meshmoe import experts as experts_module
 from meshmoe.experts import (EdgeSegmenterExpert, ExpertError, FaceMlpExpert,
                              OracleExpert, WalkRnnExpert, build_experts,
                              expert_loss, face_normals,
                              make_expert, train_expert_supervised)
-from meshmoe.mesh import build_mesh
+from meshmoe.gate import GateConfig
+from meshmoe.mesh import build_mesh, mesh_from_edges
 from meshmoe.rng import derive
+from meshmoe.sac import StaticLambdaAgent
 from meshmoe.synth import (cylinder, generate_classification_set,
                            generate_segmentation_set, icosahedron,
                            segment_labels, torus)
@@ -103,6 +110,95 @@ def test_edge_features_match_per_edge_reference(triangle):
         got = EdgeSegmenterExpert.edge_features(mesh)
         assert got.tobytes() == _edge_features_reference(mesh).tobytes(), mesh.mesh_id
     assert EdgeSegmenterExpert.edge_features(fan)[0, 1] == 0.0
+
+
+# ------------------------------------------------ per-mesh input cache
+
+def _uncached_bits(monkeypatch, expert, mesh):
+    """`predict` on an input array fresh from the static builder."""
+    with monkeypatch.context() as patch:
+        patch.setattr(experts_module, "_mesh_input",
+                      lambda mesh, kind, build: build(mesh))
+        return expert.predict(mesh).data.tobytes()
+
+
+@pytest.mark.parametrize("expert_cls", [FaceMlpExpert, EdgeSegmenterExpert],
+                         ids=["face_mlp", "edge_seg"])
+def test_cached_inputs_give_the_same_bits(expert_cls, monkeypatch):
+    """Cold call, warm call and a fresh static-builder array agree to the bit."""
+    mesh = build_mesh(*torus(6, 5), mesh_id="t")
+    expert = expert_cls("x", num_classes=3, seed=4)
+    cold = expert.predict(mesh).data.tobytes()
+    assert mesh in experts_module._mesh_inputs
+    warm = expert.predict(mesh).data.tobytes()
+    assert cold == warm == _uncached_bits(monkeypatch, expert, mesh)
+    other = expert_cls("y", num_classes=3, seed=5)        # shares the entry
+    assert other.predict(mesh).data.tobytes() == _uncached_bits(monkeypatch, other, mesh)
+
+
+@pytest.mark.parametrize("expert_cls", [FaceMlpExpert, EdgeSegmenterExpert],
+                         ids=["face_mlp", "edge_seg"])
+def test_rebuilt_mesh_gets_its_own_inputs(expert_cls, monkeypatch):
+    mesh = build_mesh(*torus(6, 5), mesh_id="t")
+    expert = expert_cls("x", num_classes=3, seed=4)
+    before = expert.predict(mesh).data
+    moved = replace(mesh, vertices=mesh.vertices * 2.0 + 0.5)
+    after = expert.predict(moved).data
+    assert after.tobytes() == _uncached_bits(monkeypatch, expert, moved)
+    assert not np.array_equal(before, after)
+    assert expert.predict(mesh).data.tobytes() == before.tobytes()
+
+
+def test_cached_inputs_are_read_only():
+    mesh = build_mesh(*torus(6, 5), mesh_id="t")
+    for expert in (FaceMlpExpert("f", 3, seed=1), EdgeSegmenterExpert("e", 3, seed=1)):
+        expert.predict(mesh)
+        cached = experts_module._mesh_inputs[mesh][expert.kind]
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0, 0] = 1.0
+
+
+def test_cache_entry_dies_with_its_mesh():
+    mesh = build_mesh(*torus(6, 5), mesh_id="t")
+    FaceMlpExpert("f", 3, seed=1).predict(mesh)
+    EdgeSegmenterExpert("e", 3, seed=1).predict(mesh)
+    ref = weakref.ref(mesh)
+    del mesh
+    gc.collect()
+    assert ref() is None
+
+
+def test_training_builds_edge_features_once_per_mesh(monkeypatch):
+    """Two epochs of three edge experts: one feature build per training mesh."""
+    from meshmoe.trainer import build_system, train_run
+    data = generate_segmentation_set(per_class=4, seed=6)
+    built = []
+    original = EdgeSegmenterExpert.edge_features
+
+    def counting(mesh):
+        built.append(mesh)
+        return original(mesh)
+
+    monkeypatch.setattr(EdgeSegmenterExpert, "edge_features", staticmethod(counting))
+    pool = build_experts(["edge_seg"] * 3, num_classes=data.num_classes, seed=2,
+                         hidden=8)
+    gate = GateConfig(num_experts=3, encoder_layers=1, decoder_layers=1,
+                      d_model=8, heads=2, ff_width=16)
+    system = build_system(pool, task="segmentation", gate_config=gate, seed=3)
+    train_run(system, data, StaticLambdaAgent(0.1), epochs=2, batch_size=4, seed=1)
+    assert len(built) == len(data.train_meshes)
+    assert {id(m) for m in built} == {id(m) for m in data.train_meshes}
+
+
+def test_bad_mesh_raises_and_leaves_no_cache_entry():
+    faceless = mesh_from_edges([[0, 0, 0], [1, 0, 0], [2, 0, 0]], [(0, 1), (1, 2)])
+    edgeless = mesh_from_edges([[0.0, 0.0, 0.0]], [], mesh_id="point")
+    with pytest.raises(ExpertError, match="needs faces"):
+        FaceMlpExpert("f", 3, seed=1).predict(faceless)
+    with pytest.raises(ExpertError, match="needs edges"):
+        EdgeSegmenterExpert("e", 3, seed=1).predict(edgeless)
+    assert faceless not in experts_module._mesh_inputs
+    assert edgeless not in experts_module._mesh_inputs
 
 
 def test_oracle_specialty_and_determinism():

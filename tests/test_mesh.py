@@ -296,3 +296,24 @@ def test_load_dataset_rejects_ini_without_section(tmp_path, tetrahedron, triangl
     (tmp_path / "data" / "dataset.ini").write_text("num_classes = 2\n")
     with pytest.raises(MeshError, match=r"dataset\.ini:1: .*no section headers"):
         load_dataset(tmp_path / "data")
+
+
+def test_crashed_save_leaves_the_old_index_whole(tmp_path, monkeypatch):
+    """A save that dies on the third OFF file keeps the old 8-mesh index."""
+    out = tmp_path / "data"
+    save_dataset(generate_classification_set(2, 4, seed=7), out)
+    before = {name: (out / name).read_bytes() for name in ("manifest.csv", "dataset.ini")}
+    real_save_off, calls = mesh_module.save_off, []
+
+    def failing_save_off(mesh, path):
+        calls.append(path)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        real_save_off(mesh, path)
+
+    monkeypatch.setattr(mesh_module, "save_off", failing_save_off)
+    with pytest.raises(OSError, match="disk full"):
+        save_dataset(generate_classification_set(2, 4, seed=8), out)
+    assert {name: (out / name).read_bytes() for name in before} == before
+    assert not list(out.glob("*.tmp"))
+    assert len(load_dataset(out).meshes) == 8
