@@ -24,7 +24,7 @@ from .checkpoint import copy_into, load_checkpoint, save_checkpoint
 from .mesh import Mesh
 from .optim import fit
 from .rng import Rng, derive
-from .walks import extract_walks, walk_feature_batch
+from .walks import extract_walks, walk_features
 
 
 class ExpertError(ValueError):
@@ -62,13 +62,12 @@ class WalkRnnExpert:
 
     kind = "walk_rnn"
     trainable = True
+    walk_count = 8
 
-    def __init__(self, name: str, num_classes: int, seed: int, hidden: int = 32,
-                 walk_count: int = 8):
+    def __init__(self, name: str, num_classes: int, seed: int, hidden: int = 32):
         self.name = name
         self.num_classes = num_classes
         self.hidden = hidden
-        self.walk_count = walk_count
         self.params = {}
         layers.init_gru(self.params, "gru", 4, hidden, derive(seed, name, "gru"))
         self.params["head.w"] = layers.glorot((hidden, num_classes),
@@ -77,29 +76,41 @@ class WalkRnnExpert:
 
     def predict(self, mesh: Mesh, seed: int) -> Tensor:
         walks = extract_walks(mesh, self.walk_count, seed)
-        feats = walk_feature_batch(walks)                     # (W, L, 4)
+        feats = walk_features(mesh, walks)                    # (W, L, 4)
         h = layers.gru_forward(Tensor(feats), self.params, "gru", self.hidden)
         logits = layers.linear(h, self.params["head.w"], self.params["head.b"])
         return ad.softmax(ad.tmean(logits, axis=0), axis=-1)
 
 
-class FaceMlpExpert:
-    """Mean-pooled 2-layer perceptron over per-face (centroid, normal, area)."""
+class _Perceptron:
+    """Two relu layers over a mesh's (N, `width`) input rows, then a head."""
 
-    kind = "face_mlp"
     trainable = True
 
     def __init__(self, name: str, num_classes: int, seed: int, hidden: int = 32):
         self.name = name
         self.num_classes = num_classes
         self.params = {
-            "mlp.w1": layers.glorot((7, hidden), derive(seed, name, "w1")),
+            "mlp.w1": layers.glorot((self.width, hidden), derive(seed, name, "w1")),
             "mlp.b1": layers.zeros((hidden,)),
             "mlp.w2": layers.glorot((hidden, hidden), derive(seed, name, "w2")),
             "mlp.b2": layers.zeros((hidden,)),
             "head.w": layers.glorot((hidden, num_classes), derive(seed, name, "head")),
             "head.b": layers.zeros((num_classes,)),
         }
+
+    def _hidden(self, mesh: Mesh, build) -> Tensor:
+        """(N, hidden) activations of the rows `build(mesh)` makes."""
+        x = Tensor(_mesh_input(mesh, self.kind, build))
+        h = ad.relu(layers.linear(x, self.params["mlp.w1"], self.params["mlp.b1"]))
+        return ad.relu(layers.linear(h, self.params["mlp.w2"], self.params["mlp.b2"]))
+
+
+class FaceMlpExpert(_Perceptron):
+    """Mean-pooled 2-layer perceptron over per-face (centroid, normal, area)."""
+
+    kind = "face_mlp"
+    width = 7
 
     @staticmethod
     def face_features(mesh: Mesh) -> np.ndarray:
@@ -110,32 +121,17 @@ class FaceMlpExpert:
     def predict(self, mesh: Mesh, seed: int | None = None) -> Tensor:
         if mesh.face_count == 0:
             raise ExpertError(f"{mesh.mesh_id}: face expert needs faces")
-        x = Tensor(_mesh_input(mesh, self.kind, self.face_features))
-        h = ad.relu(layers.linear(x, self.params["mlp.w1"], self.params["mlp.b1"]))
-        h = ad.relu(layers.linear(h, self.params["mlp.w2"], self.params["mlp.b2"]))
-        pooled = ad.tmean(h, axis=0)
+        pooled = ad.tmean(self._hidden(mesh, self.face_features), axis=0)
         logits = layers.linear(ad.reshape(pooled, (1, -1)),
                                self.params["head.w"], self.params["head.b"])
         return ad.softmax(ad.reshape(logits, (self.num_classes,)), axis=-1)
 
 
-class EdgeSegmenterExpert:
+class EdgeSegmenterExpert(_Perceptron):
     """Per-edge perceptron over (length, dihedral proxy, midpoint height)."""
 
     kind = "edge_seg"
-    trainable = True
-
-    def __init__(self, name: str, num_classes: int, seed: int, hidden: int = 32):
-        self.name = name
-        self.num_classes = num_classes
-        self.params = {
-            "mlp.w1": layers.glorot((3, hidden), derive(seed, name, "w1")),
-            "mlp.b1": layers.zeros((hidden,)),
-            "mlp.w2": layers.glorot((hidden, hidden), derive(seed, name, "w2")),
-            "mlp.b2": layers.zeros((hidden,)),
-            "head.w": layers.glorot((hidden, num_classes), derive(seed, name, "head")),
-            "head.b": layers.zeros((num_classes,)),
-        }
+    width = 3
 
     @staticmethod
     def edge_features(mesh: Mesh) -> np.ndarray:
@@ -156,9 +152,7 @@ class EdgeSegmenterExpert:
     def predict(self, mesh: Mesh, seed: int | None = None) -> Tensor:
         if mesh.edge_count == 0:
             raise ExpertError(f"{mesh.mesh_id}: edge expert needs edges")
-        x = Tensor(_mesh_input(mesh, self.kind, self.edge_features))
-        h = ad.relu(layers.linear(x, self.params["mlp.w1"], self.params["mlp.b1"]))
-        h = ad.relu(layers.linear(h, self.params["mlp.w2"], self.params["mlp.b2"]))
+        h = self._hidden(mesh, self.edge_features)
         logits = layers.linear(h, self.params["head.w"], self.params["head.b"])
         return ad.softmax(logits, axis=-1)               # (E, S) rows
 

@@ -30,7 +30,7 @@ from . import layers
 from .autodiff import Tensor
 from .optim import fit
 from .rng import derive
-from .walks import extract_walks, walk_feature_batch
+from .walks import extract_walks, walk_features
 
 WALK_CHANNELS = 4  # xyz + jump flag
 CHUNK_TOKENS = 512  # walk positions per grad-free body chunk
@@ -134,7 +134,7 @@ def gate_forward_batch(meshes: list, walk_count: int, params: dict,
         raise GateError(f"{len(meshes)} meshes but {len(seeds)} seeds")
     groups = {}
     for index, (mesh, seed) in enumerate(zip(meshes, seeds)):
-        features = walk_feature_batch(extract_walks(mesh, walk_count, seed))
+        features = walk_features(mesh, extract_walks(mesh, walk_count, seed))
         groups.setdefault(features.shape[1], []).append((index, features))
     rows = [None] * len(meshes)
     for members in groups.values():

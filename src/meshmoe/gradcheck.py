@@ -84,8 +84,7 @@ def check_gradients(fn, params: dict, step: float = 1e-5, tolerance: float = 1e-
     return report
 
 
-def standard_battery(seed: int = 0, tolerance: float = 1e-4,
-                     max_coords: int = 8) -> list:
+def standard_battery(seed: int = 0) -> list:
     """Finite-difference checks across every differentiable building block.
 
     Returns [(name, GradReport), ...] covering the fused multi-head
@@ -209,7 +208,5 @@ def standard_battery(seed: int = 0, tolerance: float = 1e-4,
 
     entries.append(("loss_composite", composite_fn, composite_params))
 
-    return [(name, check_gradients(fn, params, tolerance=tolerance,
-                                   max_coords=max_coords,
-                                   seed=derive(seed, name)))
+    return [(name, check_gradients(fn, params, max_coords=8, seed=derive(seed, name)))
             for name, fn, params in entries]

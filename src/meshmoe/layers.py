@@ -72,12 +72,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return ad._node(out_data, (x, w) if b is None else (x, w, b), backward)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean, unit variance, then affine."""
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize the last axis to zero mean, unit variance (eps 1e-5), then affine."""
     scale = 1.0 / x.shape[-1]
     centered = x.data - x.data.sum(axis=-1, keepdims=True) * scale
     var = (centered * centered).sum(axis=-1, keepdims=True) * scale
-    inv = (var + eps) ** -0.5
+    inv = (var + 1e-5) ** -0.5
     normed = centered * inv
     out_data = normed * gain.data + bias.data
 

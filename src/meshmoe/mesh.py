@@ -2,9 +2,10 @@
 
 Meshes are vertex/face index arrays plus connectivity derived once
 (sorted adjacency lists, canonical edge list, per-edge lengths and
-incident faces).  Coordinates are normalized to centroid zero and unit
-max radius before anything downstream sees them; normalizing replaces the
-vertices and edge lengths only, so connectivity and labels ride along.
+incident faces), a class label and per-edge segmentation labels (`.eseg`).
+Coordinates are normalized to centroid zero and unit max radius before
+anything downstream sees them; normalizing replaces the vertices and edge
+lengths only, so connectivity and labels ride along.
 """
 
 import configparser
@@ -33,7 +34,6 @@ class Mesh:
     edge_lengths: np.ndarray        # (E,) float64, all > 0
     edge_faces: list                # per edge, indices of incident faces
     class_label: int | None = None
-    face_labels: np.ndarray | None = None
     edge_labels: np.ndarray | None = None
 
     @property
@@ -99,7 +99,7 @@ def build_adjacency(faces: np.ndarray, vertex_count: int):
 
 
 def build_mesh(vertices, faces, mesh_id: str = "mesh", class_label=None,
-               face_labels=None, edge_labels=None) -> Mesh:
+               edge_labels=None) -> Mesh:
     vertices = np.asarray(vertices, dtype=np.float64)
     if vertices.ndim != 2 or vertices.shape[1] != 3:
         raise MeshError("vertices must be a (V, 3) array")
@@ -108,10 +108,6 @@ def build_mesh(vertices, faces, mesh_id: str = "mesh", class_label=None,
     faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
     adjacency, edges, edge_faces = build_adjacency(faces, len(vertices))
     lengths = edge_lengths(vertices, edges)
-    if face_labels is not None:
-        face_labels = np.asarray(face_labels, dtype=np.int64)
-        if face_labels.shape != (len(faces),):
-            raise MeshError("face label count does not match face count")
     if edge_labels is not None:
         edge_labels = np.asarray(edge_labels, dtype=np.int64)
         if edge_labels.shape != (len(edges),):
@@ -119,7 +115,7 @@ def build_mesh(vertices, faces, mesh_id: str = "mesh", class_label=None,
     return Mesh(mesh_id=mesh_id, vertices=vertices, faces=faces,
                 adjacency=adjacency, edges=edges, edge_lengths=lengths,
                 edge_faces=edge_faces, class_label=class_label,
-                face_labels=face_labels, edge_labels=edge_labels)
+                edge_labels=edge_labels)
 
 
 def mesh_from_edges(vertices, edge_list, mesh_id: str = "graph") -> Mesh:
@@ -164,8 +160,9 @@ def load_off(path) -> Mesh:
     """Parse an ASCII OFF file holding a pure triangle mesh.
 
     Accepts '#' comments and blank lines anywhere; rejects non-triangular
-    faces, malformed counts, and truncated files, reporting 1-based line
-    numbers.  The declared edge count is ignored (it is conventionally 0).
+    faces, bad face indices, malformed or negative counts, and truncated
+    files, reporting 1-based line numbers.  The declared edge count is
+    ignored (it is conventionally 0).
     """
     mesh_id = os.path.splitext(os.path.basename(str(path)))[0]
     rows = []
@@ -190,6 +187,8 @@ def load_off(path) -> Mesh:
         int(parts[2])
     except ValueError:
         raise MeshError(f"{path}:{lineno}: non-integer counts") from None
+    if n_vertices < 0 or n_faces < 0:
+        raise MeshError(f"{path}:{lineno}: negative vertex or face count")
 
     body = rows[2:]
     if len(body) < n_vertices + n_faces:
@@ -220,9 +219,13 @@ def load_off(path) -> Mesh:
         if len(parts) != 4:
             raise MeshError(f"{path}:{lineno}: face line needs exactly 3 indices")
         try:
-            faces[i] = [int(p) for p in parts[1:]]
+            row = [int(p) for p in parts[1:]]
         except ValueError:
             raise MeshError(f"{path}:{lineno}: non-integer face index") from None
+        if len(set(row)) != 3 or not all(0 <= v < n_vertices for v in row):
+            raise MeshError(f"{path}:{lineno}: face index out of range [0, {n_vertices}) "
+                            "or repeated")
+        faces[i] = row
 
     try:
         return build_mesh(vertices, faces, mesh_id=mesh_id)
@@ -231,7 +234,7 @@ def load_off(path) -> Mesh:
 
 
 def save_off(mesh: Mesh, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write("OFF\n")
         fh.write(f"{mesh.vertex_count} {mesh.face_count} {mesh.edge_count}\n")
         for x, y, z in mesh.vertices:
@@ -241,7 +244,7 @@ def save_off(mesh: Mesh, path) -> None:
 
 
 def load_label_sidecar(path) -> np.ndarray:
-    """Read one integer label per line (.eseg / .fseg convention)."""
+    """Read one integer label per line (.eseg convention)."""
     labels = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -256,7 +259,7 @@ def load_label_sidecar(path) -> np.ndarray:
 
 
 def save_label_sidecar(labels: np.ndarray, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for value in labels:
             fh.write(f"{int(value)}\n")
 
@@ -288,9 +291,9 @@ class Dataset:
             lab = m.class_label
             if lab is not None and not (0 <= lab < self.num_classes):
                 raise MeshError(f"{m.mesh_id}: class label {lab} out of range")
-            for arr in (m.face_labels, m.edge_labels):
-                if arr is not None and arr.size and (arr.min() < 0 or arr.max() >= self.num_classes):
-                    raise MeshError(f"{m.mesh_id}: segment label out of range")
+            arr = m.edge_labels
+            if arr is not None and arr.size and (arr.min() < 0 or arr.max() >= self.num_classes):
+                raise MeshError(f"{m.mesh_id}: segment label out of range")
         self._index = {m.mesh_id: m for m in self.meshes}
 
     @property
@@ -327,8 +330,6 @@ def save_dataset(dataset: Dataset, out_dir) -> None:
         save_off(mesh, os.path.join(out_dir, f"{mesh.mesh_id}.off"))
         if mesh.edge_labels is not None:
             save_label_sidecar(mesh.edge_labels, os.path.join(out_dir, f"{mesh.mesh_id}.eseg"))
-        if mesh.face_labels is not None:
-            save_label_sidecar(mesh.face_labels, os.path.join(out_dir, f"{mesh.mesh_id}.fseg"))
     with atomic_write(os.path.join(out_dir, "manifest.csv")) as fh:
         writer = csv.writer(fh)
         writer.writerow(["mesh_id", "file", "class", "split"])
@@ -376,6 +377,9 @@ def load_dataset(data_dir) -> Dataset:
     max_label = -1
     with open(manifest, "r", newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
+        for column in ("mesh_id", "file"):
+            if column not in (reader.fieldnames or ()):
+                raise MeshError(f"{manifest}:1: missing column {column!r}")
         for row in reader:
             where = f"{manifest}:{reader.line_num}"
             split = row.get("split", "train")
@@ -396,12 +400,6 @@ def load_dataset(data_dir) -> Dataset:
                 if labels.shape != (mesh.edge_count,):
                     raise MeshError(f"{stem}.eseg: {len(labels)} labels for {mesh.edge_count} edges")
                 mesh.edge_labels = labels
-                max_label = max(max_label, int(labels.max(initial=-1)))
-            if os.path.exists(stem + ".fseg"):
-                labels = load_label_sidecar(stem + ".fseg")
-                if labels.shape != (mesh.face_count,):
-                    raise MeshError(f"{stem}.fseg: {len(labels)} labels for {mesh.face_count} faces")
-                mesh.face_labels = labels
                 max_label = max(max_label, int(labels.max(initial=-1)))
             meshes.append(normalize_coordinates(mesh))
             (train_ids if split == "train" else test_ids).append(mesh.mesh_id)

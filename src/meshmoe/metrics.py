@@ -6,25 +6,7 @@ cutoff); NDCG uses binary gains with a log2(k+1) discount.  Queries with
 no relevant items score 0 in both, keeping every metric in [0, 1].
 """
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass
-class RetrievalResult:
-    query_id: str
-    ranked_ids: list          # excludes the query, no duplicates
-    relevance: np.ndarray     # binary flags per rank
-
-    def __post_init__(self):
-        self.relevance = np.asarray(self.relevance, dtype=np.int64)
-        if len(self.ranked_ids) != len(self.relevance):
-            raise ValueError("relevance flags must match ranked ids")
-        if self.query_id in self.ranked_ids:
-            raise ValueError("ranking may not contain the query itself")
-        if len(set(self.ranked_ids)) != len(self.ranked_ids):
-            raise ValueError("duplicate ids in ranking")
 
 
 def mean_instance_accuracy(predictions, targets) -> float:
@@ -37,13 +19,12 @@ def mean_instance_accuracy(predictions, targets) -> float:
     return float(np.mean(predictions == targets))
 
 
-def average_precision(relevance, cutoff: int, total_relevant: int | None = None) -> float:
+def average_precision(relevance, cutoff: int) -> float:
     """AP = sum of precision@k over relevant k <= cutoff, over the capped count."""
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     relevance = np.asarray(relevance, dtype=np.int64)
-    if total_relevant is None:
-        total_relevant = int(relevance.sum())
+    total_relevant = int(relevance.sum())
     if total_relevant == 0:
         return 0.0
     hits = 0
@@ -55,10 +36,11 @@ def average_precision(relevance, cutoff: int, total_relevant: int | None = None)
     return score / min(total_relevant, cutoff)
 
 
-def mean_average_precision(results: list, cutoff: int) -> float:
-    if not results:
+def mean_average_precision(relevances: list, cutoff: int) -> float:
+    """Mean AP over per-query relevance lists."""
+    if not relevances:
         raise ValueError("no retrieval results")
-    return float(np.mean([average_precision(r.relevance, cutoff) for r in results]))
+    return float(np.mean([average_precision(r, cutoff) for r in relevances]))
 
 
 def dcg(relevance, cutoff: int) -> float:
@@ -69,23 +51,22 @@ def dcg(relevance, cutoff: int) -> float:
     return float((relevance / discounts).sum())
 
 
-def ndcg_single(relevance, cutoff: int, total_relevant: int | None = None) -> float:
+def ndcg_single(relevance, cutoff: int) -> float:
     relevance = np.asarray(relevance, dtype=np.int64)
-    if total_relevant is None:
-        total_relevant = int(relevance.sum())
-    ideal = np.ones(min(total_relevant, cutoff), dtype=np.float64)
+    ideal = np.ones(min(int(relevance.sum()), cutoff), dtype=np.float64)
     idcg = dcg(ideal, cutoff)
     if idcg == 0.0:
         return 0.0
     return dcg(relevance, cutoff) / idcg
 
 
-def ndcg(results: list, cutoff: int) -> float:
+def ndcg(relevances: list, cutoff: int) -> float:
+    """Mean NDCG over per-query relevance lists."""
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    if not results:
+    if not relevances:
         raise ValueError("no retrieval results")
-    return float(np.mean([ndcg_single(r.relevance, cutoff) for r in results]))
+    return float(np.mean([ndcg_single(r, cutoff) for r in relevances]))
 
 
 def edge_accuracy(predicted, truth, lengths) -> float:
@@ -119,14 +100,9 @@ def rank_by_distance(query_id: str, query_descriptor: np.ndarray,
     return [(mesh_id, distance) for distance, mesh_id in entries]
 
 
-def retrieval_results(descriptors: dict, labels: dict) -> list:
-    """All-queries RetrievalResult list from descriptor and label maps."""
-    results = []
-    for query_id in sorted(descriptors):
-        ranking = rank_by_distance(query_id, np.asarray(descriptors[query_id]),
-                                   descriptors)
-        ranked_ids = [mesh_id for mesh_id, _ in ranking]
-        relevance = [int(labels[mesh_id] == labels[query_id]) for mesh_id in ranked_ids]
-        results.append(RetrievalResult(query_id=query_id, ranked_ids=ranked_ids,
-                                       relevance=relevance))
-    return results
+def retrieval_relevance(descriptors: dict, labels: dict) -> list:
+    """Per query, in id order: the same-class flags (1/0) of every other id,
+    in `rank_by_distance` order."""
+    return [[int(labels[mesh_id] == labels[query_id]) for mesh_id, _ in
+             rank_by_distance(query_id, np.asarray(descriptors[query_id]), descriptors)]
+            for query_id in sorted(descriptors)]

@@ -18,12 +18,11 @@ class Adam:
     gradient raises, naming the offending parameter path.
     """
 
-    def __init__(self, params: dict, lr: float = 1e-3,
-                 betas: tuple = (0.9, 0.999), eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict, lr: float = 1e-3):
         self.params = params
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.t = {k: 0 for k in params}

@@ -21,6 +21,8 @@ from .rng import Rng, derive
 
 LOG_STD_MIN = -5.0
 LOG_STD_MAX = 2.0
+TARGET_ENTROPY = -1.0   # -(action dimensions)
+INIT_ALPHA = 0.1
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
@@ -44,14 +46,20 @@ class SACConfig:
     lambda_min: float = -1.0
     lambda_max: float = 1.0
     hidden: int = 64
-    target_entropy: float = -1.0
-    init_alpha: float = 0.1
 
     def __post_init__(self):
         if self.lambda_min >= self.lambda_max:
             raise ValueError("lambda range is empty")
         if self.state_dim < 1:
             raise ValueError("state_dim must be >= 1")
+
+    @property
+    def mid(self) -> float:
+        return (self.lambda_max + self.lambda_min) / 2.0
+
+    @property
+    def half_span(self) -> float:
+        return (self.lambda_max - self.lambda_min) / 2.0
 
 
 def _mlp_init(prefix: str, d_in: int, hidden: int, d_out: int, seed: int) -> dict:
@@ -82,7 +90,7 @@ class SACState:
         self.critic2 = _mlp_init("q2", config.state_dim + 1, h, 1, derive(seed, "q2"))
         self.target1 = {k: v.detach() for k, v in self.critic1.items()}
         self.target2 = {k: v.detach() for k, v in self.critic2.items()}
-        self.log_alpha = Tensor(math.log(config.init_alpha), requires_grad=True)
+        self.log_alpha = Tensor(math.log(INIT_ALPHA), requires_grad=True)
         self.buffer = deque(maxlen=config.buffer_capacity)
         self.rng = Rng(derive(seed, "agent"))
         self.actor_opt = Adam(self.actor, lr=config.lr)
@@ -107,10 +115,9 @@ class SACState:
 
 
 def _squash(u: np.ndarray, config: SACConfig) -> np.ndarray:
-    half_span = (config.lambda_max - config.lambda_min) / 2.0
-    mid = (config.lambda_max + config.lambda_min) / 2.0
     # clip because mid + half*tanh can overshoot by one ulp off-center
-    return np.clip(mid + half_span * np.tanh(u), config.lambda_min, config.lambda_max)
+    return np.clip(config.mid + config.half_span * np.tanh(u),
+                   config.lambda_min, config.lambda_max)
 
 
 def actor_forward(sac: SACState, states: Tensor):
@@ -135,26 +142,19 @@ def sample_action(sac: SACState, state: np.ndarray, stochastic: bool = True):
     return float(_squash(np.array(u), sac.config)), u
 
 
-def _log_prob(mean: Tensor, log_std: Tensor, u: Tensor, config: SACConfig) -> Tensor:
-    """log pi(lambda) with the tanh change-of-variables correction; (B, 1)."""
-    std = ad.exp(log_std)
-    z = ad.div(ad.sub(u, mean), std)
+def _sampled_action_and_logp(sac: SACState, states: Tensor, noise: np.ndarray):
+    """Reparameterized draw at `states`; returns (lambda, log pi(lambda)),
+    each (B, 1), the log-prob with the tanh change-of-variables correction."""
+    cfg = sac.config
+    mean, log_std = actor_forward(sac, states)
+    u = ad.add(mean, ad.mul(ad.exp(log_std), Tensor(noise)))
+    z = ad.div(ad.sub(u, mean), ad.exp(log_std))
     gauss = ad.mul(ad.add(ad.add(ad.mul(ad.mul(z, z), Tensor(0.5)), log_std),
                           Tensor(0.5 * _LOG_2PI)), Tensor(-1.0))
     t = ad.tanh(u)
-    half_span = (config.lambda_max - config.lambda_min) / 2.0
     correction = ad.log(ad.add(ad.sub(Tensor(1.0), ad.mul(t, t)), Tensor(1e-6)))
-    return ad.sub(ad.sub(gauss, correction), Tensor(math.log(half_span)))
-
-
-def _sampled_action_and_logp(sac: SACState, states: Tensor, noise: np.ndarray):
-    """Reparameterized draw at `states`; returns (lambda tensor, log-prob)."""
-    mean, log_std = actor_forward(sac, states)
-    u = ad.add(mean, ad.mul(ad.exp(log_std), Tensor(noise)))
-    logp = _log_prob(mean, log_std, u, sac.config)
-    half_span = (sac.config.lambda_max - sac.config.lambda_min) / 2.0
-    mid = (sac.config.lambda_max + sac.config.lambda_min) / 2.0
-    action = ad.add(ad.mul(ad.tanh(u), Tensor(half_span)), Tensor(mid))
+    logp = ad.sub(ad.sub(gauss, correction), Tensor(math.log(cfg.half_span)))
+    action = ad.add(ad.mul(ad.tanh(u), Tensor(cfg.half_span)), Tensor(cfg.mid))
     return action, logp
 
 
@@ -221,7 +221,7 @@ def sac_update(sac: SACState) -> dict | None:
 
     # temperature: move alpha toward the target entropy
     sac.alpha_opt.zero_grad()
-    entropy_gap = Tensor(logp.data + cfg.target_entropy)    # detached
+    entropy_gap = Tensor(logp.data + TARGET_ENTROPY)    # detached
     alpha_loss = ad.tmean(ad.mul(entropy_gap, ad.mul(sac.log_alpha, Tensor(-1.0))))
     alpha_loss.backward()
     sac.alpha_opt.step()

@@ -8,9 +8,9 @@ of (parameters, seed) with per-mesh derived seeds.  Connectivity is
 built once per family and shared, unmodified, by all of its instances.
 
 Segmentation fixtures are cylinders cut into 2-4 axial bands.  Labels are
-assigned on the canonical geometry before jitter so they survive it, and
-the rotation part of the jitter is restricted to the cylinder axis: the
-band structure must stay identifiable from per-edge geometry.
+per edge, assigned on the canonical geometry before jitter so they survive
+it, and the rotation part of the jitter is restricted to the cylinder axis:
+the band structure must stay identifiable from per-edge geometry.
 """
 
 import math
@@ -239,20 +239,16 @@ def generate_classification_set(classes: int, per_class: int, seed: int,
                    train_ids=train_ids, test_ids=test_ids)
 
 
-def segment_labels(verts: np.ndarray, faces: np.ndarray, edges: np.ndarray,
-                   num_segments: int):
-    """Axial band labels on canonical (pre-jitter) geometry.
+def segment_labels(verts: np.ndarray, edges: np.ndarray, num_segments: int):
+    """(E,) axial band labels of the edges on canonical (pre-jitter) geometry.
 
-    Bands split z in [-1, 1] evenly; an edge or face belongs to the band
-    of its midpoint/centroid, and anything exactly on a boundary takes
-    the lower band.
+    Bands split z in [-1, 1] evenly; an edge belongs to the band of its
+    midpoint, and a midpoint exactly on a boundary takes the lower band.
     """
     # a label counts the cuts below z; the 1e-12 keeps exact hits low
     cuts = np.linspace(-1.0, 1.0, num_segments + 1)[1:-1] + 1e-12
     edge_z = verts[edges].mean(axis=1)[:, 2]
-    face_z = verts[faces].mean(axis=1)[:, 2]
-    return ((edge_z[:, None] > cuts).sum(axis=1, dtype=np.int64),
-            (face_z[:, None] > cuts).sum(axis=1, dtype=np.int64))
+    return (edge_z[:, None] > cuts).sum(axis=1, dtype=np.int64)
 
 
 def generate_segmentation_set(per_class: int, seed: int) -> Dataset:
@@ -262,15 +258,13 @@ def generate_segmentation_set(per_class: int, seed: int) -> Dataset:
     meshes = []
     probe = build_mesh(*cylinder(12, 7), mesh_id="probe")
     for idx, num_segments in enumerate((2, 3, 4)):
-        edge_labels, face_labels = segment_labels(probe.vertices, probe.faces,
-                                                  probe.edges, num_segments)
+        edge_labels = segment_labels(probe.vertices, probe.edges, num_segments)
         for inst in range(per_class):
             verts = jitter_vertices(probe.vertices, derive(seed, "seg", idx, inst),
                                     axial_only=True)
             meshes.append(normalize_coordinates(replace(
                 probe, mesh_id=f"cyl{num_segments}seg_{idx:02d}_{inst:03d}",
-                vertices=verts, class_label=idx, face_labels=face_labels,
-                edge_labels=edge_labels)))
+                vertices=verts, class_label=idx, edge_labels=edge_labels)))
     train_ids, test_ids = split_dataset(meshes, 0.8, seed=derive(seed, "split"))
     return Dataset(meshes=meshes, num_classes=4, task="segmentation",
                    train_ids=train_ids, test_ids=test_ids)

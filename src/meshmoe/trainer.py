@@ -33,7 +33,7 @@ from .experts import expert_parameters
 from .gate import (GateConfig, gate_forward_batch, gate_forward_mesh,
                    init_gate_params)
 from .metrics import (edge_accuracy, mean_average_precision,
-                      mean_instance_accuracy, ndcg, retrieval_results)
+                      mean_instance_accuracy, ndcg, retrieval_relevance)
 from .optim import Adam, epoch_batches
 from .rng import derive
 
@@ -147,7 +147,7 @@ def similarity_loss(expert_predictions: list, kind: str = "kld") -> Tensor:
                        ad.sqrt(ad.tsum(ad.mul(q, q), axis=-1)))
         cos = ad.div(ad.tsum(ad.mul(p, q), axis=-1),
                      ad.clamp_min(norms, layers.PROB_FLOOR))
-        per_row = ad.sub(Tensor(1.0), cos)
+        per_row = ad.clamp_min(ad.sub(Tensor(1.0), cos), 0.0)   # cos may round past 1
     per_mesh = ad.matmul(per_row, average)                      # (J, J, B)
     off_diagonal = Tensor((1.0 - np.eye(num_experts))[:, :, None])
     total = ad.tsum(ad.mul(per_mesh, off_diagonal))
@@ -214,11 +214,11 @@ def task_scores(task: str, meshes: list, predictions: list) -> dict:
         if len(meshes) < 2:
             return {"map": 0.0, "ndcg": 0.0}
         descriptors = {m.mesh_id: p for m, p in zip(meshes, predictions)}
-        results = retrieval_results(descriptors,
-                                    {m.mesh_id: m.class_label for m in meshes})
+        relevance = retrieval_relevance(descriptors,
+                                        {m.mesh_id: m.class_label for m in meshes})
         cutoff = len(meshes) - 1
-        return {"map": mean_average_precision(results, cutoff),
-                "ndcg": ndcg(results, cutoff)}
+        return {"map": mean_average_precision(relevance, cutoff),
+                "ndcg": ndcg(relevance, cutoff)}
     predicted = [int(np.argmax(pred)) for pred in predictions]
     return {"accuracy": mean_instance_accuracy(
         predicted, [m.class_label for m in meshes])}

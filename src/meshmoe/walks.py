@@ -4,8 +4,8 @@ A walk visits L = max(2, ceil(0.4 * V)) distinct vertices.  From the
 current vertex it steps uniformly to an unvisited neighbor; when none
 exists it restarts at a uniformly chosen unvisited vertex anywhere on the
 mesh and that position is flagged as a jump.  Position 0 is the start,
-never flagged.  Walk features are the (L, 3) normalized coordinates plus
-the jump flag as a fourth channel.
+never flagged.  A walk holds vertex indices and jump flags; its features
+are the (L, 3) mesh coordinates plus the jump flag as a fourth channel.
 """
 
 from dataclasses import dataclass
@@ -30,18 +30,11 @@ def walk_length(vertex_count: int) -> int:
 
 @dataclass
 class Walk:
-    source_mesh_id: str
     vertex_indices: list
-    coordinates: np.ndarray     # (L, 3)
     jump_flags: list            # bool per position, [0] always False
 
     def __len__(self) -> int:
         return len(self.vertex_indices)
-
-    def features(self) -> np.ndarray:
-        """(L, 4): xyz plus the jump indicator channel."""
-        flags = np.asarray(self.jump_flags, dtype=np.float64).reshape(-1, 1)
-        return np.concatenate([self.coordinates, flags], axis=1)
 
 
 def extract_walk(mesh: Mesh, seed: int, start: int | None = None,
@@ -77,8 +70,7 @@ def extract_walk(mesh: Mesh, seed: int, start: int | None = None,
         visited.add(current)
         indices.append(current)
 
-    return Walk(source_mesh_id=mesh.mesh_id, vertex_indices=indices,
-                coordinates=mesh.vertices[indices].copy(), jump_flags=flags)
+    return Walk(vertex_indices=indices, jump_flags=flags)
 
 
 def extract_walks(mesh: Mesh, count: int, seed: int) -> list:
@@ -88,9 +80,10 @@ def extract_walks(mesh: Mesh, count: int, seed: int) -> list:
     return [extract_walk(mesh, derive(seed, "walk", k)) for k in range(count)]
 
 
-def walk_feature_batch(walks: list) -> np.ndarray:
-    """Stack same-length walks into a (W, L, 4) array."""
+def walk_features(mesh: Mesh, walks: list) -> np.ndarray:
+    """(W, L, 4) features of same-length walks on `mesh`: xyz plus jump flag."""
     lengths = {len(w) for w in walks}
     if len(lengths) != 1:
         raise WalkError(f"walks have mixed lengths: {sorted(lengths)}")
-    return np.stack([w.features() for w in walks], axis=0)
+    flags = np.array([w.jump_flags for w in walks], dtype=np.float64)
+    return np.dstack([mesh.vertices[np.array([w.vertex_indices for w in walks])], flags])

@@ -195,6 +195,38 @@ def test_bad_dataset_ini_reports_error(tmp_path, tiny_config, capsys, command, i
     assert err.startswith("error: ") and message in err
 
 
+def test_manifest_missing_a_column_reports_error(tmp_path, tiny_config, capsys):
+    out = str(tmp_path / "run")
+    assert run("gen-data", "--config", tiny_config, "--out-dir", out) == 0
+    assert run("train", "--config", tiny_config, "--out-dir", out,
+               "--static-lambda", "0") == 0
+    manifest = os.path.join(out, "data", "manifest.csv")
+    with open(manifest, encoding="utf-8") as fh:
+        header, body = fh.read().split("\n", 1)
+    assert header == "mesh_id,file,class,split"
+    for renamed, column in (("id,file,class,split", "mesh_id"),
+                            ("mesh_id,path,class,split", "file")):
+        with open(manifest, "w", encoding="utf-8") as fh:
+            fh.write(renamed + "\n" + body)
+        capsys.readouterr()
+        assert run("eval", "--config", tiny_config, "--out-dir", out) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {manifest}:1: missing column '{column}'\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("OFF\n-1 0 0\n", "bad.off:2: negative"),
+    ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 3\n", "bad.off:6: face index out of range [0, 3) or repeated"),
+    ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 1\n", "bad.off:6: face index out of range [0, 3) or repeated"),
+], ids=["negative-count", "index-out-of-range", "repeated-vertex"])
+def test_dump_walks_bad_off_reports_file_and_line(tmp_path, capsys, text, message):
+    off = tmp_path / "bad.off"
+    off.write_text(text)
+    assert run("dump-walks", "--mesh-file", str(off), "--count", "2") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
 def test_dump_walks_format(tmp_path, tiny_config, capsys):
     out = str(tmp_path / "run")
     assert run("gen-data", "--config", tiny_config, "--out-dir", out) == 0

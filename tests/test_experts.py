@@ -1,6 +1,7 @@
 """Experts: normalization, determinism, oracle expectation, trainability."""
 
 import gc
+import hashlib
 import weakref
 from dataclasses import replace
 
@@ -19,6 +20,22 @@ from meshmoe.sac import StaticLambdaAgent
 from meshmoe.synth import (cylinder, generate_classification_set,
                            generate_segmentation_set, icosahedron,
                            segment_labels, torus)
+
+
+def test_trainable_expert_predictions_are_pinned():
+    """walk_rnn, face_mlp and edge_seg on five family meshes and three
+    segmentation meshes: the prediction bytes are pinned, so a refactor of
+    the experts or their inputs must keep every bit."""
+    meshes = (generate_classification_set(5, 4, seed=11).meshes[::4]
+              + generate_segmentation_set(4, seed=11).meshes[::4])
+    pool = build_experts(["walk_rnn", "face_mlp", "edge_seg"], 4, seed=5)
+    digest = hashlib.sha256()
+    for mesh in meshes:
+        for expert in pool:
+            pred = expert.predict(mesh, derive(9, expert.name, mesh.mesh_id))
+            digest.update(pred.data.tobytes())
+    assert digest.hexdigest() == (
+        "77a4d64aabd4aa7789be559e91454cb269ec28ec107686438b7b117b3d817427")
 
 
 def test_walk_rnn_output_contract(tetrahedron):
@@ -303,9 +320,8 @@ def test_edge_segmenter_learns_mid_height_split():
     """Cylinder cut at z=0: trained edge accuracy beats 85% (3 seeds)."""
     verts, faces = cylinder(12, 7)
     probe = build_mesh(verts, faces)
-    edge_labels, face_labels = segment_labels(verts, faces, probe.edges, 2)
     mesh = build_mesh(verts, faces, mesh_id="cyl2",
-                      face_labels=face_labels, edge_labels=edge_labels)
+                      edge_labels=segment_labels(verts, probe.edges, 2))
     from meshmoe.metrics import edge_accuracy
     for seed in (0, 1, 2):
         expert = EdgeSegmenterExpert("e", num_classes=2, seed=seed)

@@ -17,15 +17,15 @@ from meshmoe.gate import (CHUNK_TOKENS, GateConfig, GateError,
 from meshmoe.gradcheck import check_gradients
 from meshmoe.rng import Rng, derive
 from meshmoe.synth import generate_classification_set
-from meshmoe.walks import extract_walk, walk_length
+from meshmoe.walks import extract_walk, walk_features, walk_length
 
 TINY = GateConfig(num_experts=3, encoder_layers=2, decoder_layers=2,
                   d_model=8, heads=2, ff_width=16)
 
 
-def gate_forward_walk(walk, params, config):
+def gate_forward_walk(mesh, walk, params, config):
     """Per-walk reference: the logits of one walk, shape (out_dim,)."""
-    logits = gate_forward_features(walk.features()[None, :, :], params, config)
+    logits = gate_forward_features(walk_features(mesh, [walk]), params, config)
     return ad.reshape(logits, (logits.shape[1],))
 
 
@@ -46,21 +46,21 @@ def test_default_config_is_paper_faithful():
 def test_head_shapes(tetrahedron):
     walk = extract_walk(tetrahedron, seed=1)
     params = init_gate_params(TINY, seed=2)
-    logits = gate_forward_walk(walk, params, TINY)
+    logits = gate_forward_walk(tetrahedron, walk, params, TINY)
     assert logits.shape == (3,)
 
     imit = GateConfig(num_experts=3, encoder_layers=2, decoder_layers=2,
                       d_model=8, heads=2, ff_width=16,
                       head_mode="class_imitation", num_classes=30)
     params30 = init_gate_params(imit, seed=2)
-    assert gate_forward_walk(walk, params30, imit).shape == (30,)
+    assert gate_forward_walk(tetrahedron, walk, params30, imit).shape == (30,)
 
 
 def test_identical_walks_identical_logits(tetrahedron):
     params = init_gate_params(TINY, seed=3)
     walk = extract_walk(tetrahedron, seed=7)
-    a = gate_forward_walk(walk, params, TINY)
-    b = gate_forward_walk(walk, params, TINY)
+    a = gate_forward_walk(tetrahedron, walk, params, TINY)
+    b = gate_forward_walk(tetrahedron, walk, params, TINY)
     np.testing.assert_array_equal(a.data, b.data)
 
 
@@ -70,7 +70,7 @@ def test_walk_length_agnostic(tetrahedron, triangle):
     for mesh in (tetrahedron, triangle):
         for length in (2, 3):
             walk = extract_walk(mesh, seed=1, length=length)
-            assert gate_forward_walk(walk, params, TINY).shape == (3,)
+            assert gate_forward_walk(mesh, walk, params, TINY).shape == (3,)
 
 
 def test_gate_weights_sum_to_one_on_random_fixtures():
@@ -88,7 +88,7 @@ def test_single_walk_equals_softmax_of_logits(tetrahedron):
     weights = gate_forward_mesh(tetrahedron, 1, params, TINY, seed=9)
     from meshmoe.walks import extract_walks
     walk = extract_walks(tetrahedron, 1, 9)[0]
-    logits = gate_forward_walk(walk, params, TINY)
+    logits = gate_forward_walk(tetrahedron, walk, params, TINY)
     np.testing.assert_allclose(weights.data, ad.softmax(logits).data, atol=1e-15)
 
 
@@ -97,7 +97,7 @@ def test_mean_logit_aggregation(tetrahedron):
     from meshmoe.walks import extract_walks
     params = init_gate_params(TINY, seed=16)
     walks = extract_walks(tetrahedron, 4, 21)
-    logit_rows = [gate_forward_walk(w, params, TINY).data for w in walks]
+    logit_rows = [gate_forward_walk(tetrahedron, w, params, TINY).data for w in walks]
     expected = np.exp(np.mean(logit_rows, axis=0))
     expected /= expected.sum()
     weights = gate_forward_mesh(tetrahedron, 4, params, TINY, seed=21)
@@ -126,7 +126,7 @@ def test_gate_end_to_end_gradients(tetrahedron):
     target = 1
 
     def fn():
-        logits = gate_forward_walk(walk, params, TINY)
+        logits = gate_forward_walk(tetrahedron, walk, params, TINY)
         from meshmoe.layers import cross_entropy
         return cross_entropy(ad.softmax(logits), target)
 
@@ -135,13 +135,13 @@ def test_gate_end_to_end_gradients(tetrahedron):
 
 
 def test_batched_walks_match_loop(tetrahedron):
-    from meshmoe.walks import extract_walks, walk_feature_batch
+    from meshmoe.walks import extract_walks
     params = init_gate_params(TINY, seed=9)
     walks = extract_walks(tetrahedron, 3, seed=5)
-    batched = gate_forward_features(walk_feature_batch(walks), params, TINY).data
+    batched = gate_forward_features(walk_features(tetrahedron, walks), params, TINY).data
     for i, walk in enumerate(walks):
         np.testing.assert_allclose(
-            batched[i], gate_forward_walk(walk, params, TINY).data, atol=1e-12)
+            batched[i], gate_forward_walk(tetrahedron, walk, params, TINY).data, atol=1e-12)
 
 
 def test_batched_rows_equal_per_mesh_rows_in_input_order():

@@ -1,5 +1,7 @@
 """Mesh construction, OFF round-trips, normalization, dataset packaging."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,71 @@ def test_off_vertex_out_of_range(tmp_path):
         load_off(path)
 
 
+@pytest.mark.parametrize("counts", ["-1 0 0", "3 -1 0"])
+def test_off_negative_count_names_its_line(tmp_path, counts):
+    path = tmp_path / "neg.off"
+    path.write_text(f"OFF\n# counts\n{counts}\n0 0 0\n1 0 0\n0 1 0\n")
+    with pytest.raises(MeshError, match=r"neg\.off:3: negative"):
+        load_off(path)
+
+
+@pytest.mark.parametrize("face", ["3 0 -1 2", "3 0 1 3", "3 0 1 99999999999999999999"],
+                         ids=["negative", "past-the-end", "past-int64"])
+def test_off_face_index_out_of_range_names_its_line(tmp_path, face):
+    path = tmp_path / "oob.off"
+    path.write_text(f"OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n{face}\n")
+    with pytest.raises(MeshError, match=r"oob\.off:7: face index out of range \[0, 3\) or repeated"):
+        load_off(path)
+
+
+def test_off_repeated_face_vertex_names_its_line(tmp_path):
+    path = tmp_path / "rep.off"
+    path.write_text("OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n\n3 2 0 2\n")
+    with pytest.raises(MeshError, match=r"rep\.off:8: face index out of range \[0, 3\) or repeated"):
+        load_off(path)
+
+
+class _DiesAfter:
+    """Text handle that raises on its `budget`+1-th write."""
+
+    def __init__(self, fh, budget):
+        self.fh, self.budget = fh, budget
+
+    def write(self, text):
+        if self.budget == 0:
+            raise OSError("disk full")
+        self.budget -= 1
+        return self.fh.write(text)
+
+
+@pytest.mark.parametrize("writer", ["off", "sidecar"])
+def test_crash_half_way_through_a_mesh_keeps_the_old_file(tmp_path, monkeypatch,
+                                                          tetrahedron, writer):
+    """Per-mesh writers go through `atomic_write`: a write that dies part-way
+    leaves the old file byte-identical and no temp file."""
+    save = {"off": lambda mesh, path: save_off(mesh, path),
+            "sidecar": lambda mesh, path: save_label_sidecar(mesh.edge_lengths * 10, path)}[writer]
+    path = tmp_path / "m.out"
+    save(tetrahedron, path)
+    before = path.read_bytes()
+    moved = build_mesh(tetrahedron.vertices * 2.0, tetrahedron.faces)
+    real_write = mesh_module.atomic_write
+
+    @contextlib.contextmanager
+    def dying_write(target):
+        with real_write(target) as fh:
+            yield _DiesAfter(fh, 3)
+
+    monkeypatch.setattr(mesh_module, "atomic_write", dying_write)
+    with pytest.raises(OSError, match="disk full"):
+        save(moved, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.out"]
+    monkeypatch.undo()
+    save(moved, path)
+    assert path.read_bytes() != before
+
+
 def test_label_sidecar_round_trip(tmp_path):
     labels = np.array([0, 1, 2, 1, 0])
     path = tmp_path / "m.eseg"
@@ -173,11 +240,10 @@ def test_normalized_mesh_equals_fresh_build(dataset):
     for mesh in dataset.meshes:
         fresh = build_mesh(mesh.vertices, mesh.faces, mesh_id=mesh.mesh_id,
                            class_label=mesh.class_label,
-                           face_labels=mesh.face_labels,
                            edge_labels=mesh.edge_labels)
         assert mesh.adjacency == fresh.adjacency
         assert mesh.edge_faces == fresh.edge_faces
-        for name in ("edges", "edge_lengths", "face_labels", "edge_labels"):
+        for name in ("edges", "edge_lengths", "edge_labels"):
             np.testing.assert_array_equal(getattr(mesh, name), getattr(fresh, name))
         assert mesh.edge_lengths.tobytes() == fresh.edge_lengths.tobytes()
         assert all(adj == sorted(set(adj)) for adj in mesh.adjacency)
@@ -236,7 +302,7 @@ def test_split_dataset_is_balanced_and_seeded():
 def test_dataset_save_load_round_trip(tmp_path, tetrahedron, triangle):
     a = build_mesh(tetrahedron.vertices, tetrahedron.faces, mesh_id="a", class_label=0)
     b = build_mesh(triangle.vertices, triangle.faces, mesh_id="b", class_label=1,
-                   edge_labels=np.array([0, 1, 1]), face_labels=np.array([1]))
+                   edge_labels=np.array([0, 1, 1]))
     ds = Dataset(meshes=[a, b], num_classes=2, task="classification",
                  train_ids=["a"], test_ids=["b"])
     save_dataset(ds, tmp_path / "data")
@@ -246,9 +312,23 @@ def test_dataset_save_load_round_trip(tmp_path, tetrahedron, triangle):
     by_id = {m.mesh_id: m for m in back.meshes}
     assert by_id["a"].class_label == 0
     np.testing.assert_array_equal(by_id["b"].edge_labels, [0, 1, 1])
-    np.testing.assert_array_equal(by_id["b"].face_labels, [1])
     # meshes come back normalized
     np.testing.assert_allclose(by_id["a"].vertices.mean(axis=0), 0, atol=1e-15)
+
+
+def test_segmentation_set_saves_edge_labels_only(tmp_path):
+    """Labels are per edge: no `.fseg` is written, and a stray one is ignored."""
+    out = tmp_path / "data"
+    ds = generate_segmentation_set(per_class=4, seed=2)
+    save_dataset(ds, out)
+    assert not list(out.glob("*.fseg"))
+    assert len(list(out.glob("*.eseg"))) == len(ds.meshes)
+    stem = ds.meshes[0].mesh_id
+    (out / f"{stem}.fseg").write_text("7\nnot a label\n")
+    back = {m.mesh_id: m for m in load_dataset(out).meshes}
+    for mesh in ds.meshes:
+        np.testing.assert_array_equal(back[mesh.mesh_id].edge_labels, mesh.edge_labels)
+    assert not hasattr(back[stem], "face_labels")
 
 
 def test_load_dataset_missing_manifest(tmp_path):

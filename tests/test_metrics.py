@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from meshmoe.metrics import (RetrievalResult, average_precision, dcg,
-                             edge_accuracy,
+from meshmoe.metrics import (average_precision, dcg, edge_accuracy,
                              mean_average_precision, mean_instance_accuracy,
                              ndcg, ndcg_single, rank_by_distance,
-                             retrieval_results)
+                             retrieval_relevance)
 from meshmoe.rng import Rng
 
 
@@ -38,11 +37,6 @@ def brute_force_ndcg(relevance, cutoff):
     for k in range(1, min(cutoff, total) + 1):
         ideal += 1.0 / math.log2(k + 1)
     return 0.0 if ideal == 0 else score / ideal
-
-
-def result(relevance, query="q"):
-    ids = [f"m{i}" for i in range(len(relevance))]
-    return RetrievalResult(query_id=query, ranked_ids=ids, relevance=relevance)
 
 
 # --- frozen worked examples --------------------------------------------------
@@ -116,11 +110,11 @@ def test_map_ndcg_match_brute_force_100_corpora():
 
 
 def test_mean_over_queries():
-    results = [result([1, 0, 1]), result([0, 0, 1]), result([1, 1, 0])]
-    expected_map = np.mean([brute_force_ap(r.relevance, 3) for r in results])
-    expected_ndcg = np.mean([brute_force_ndcg(r.relevance, 3) for r in results])
-    assert mean_average_precision(results, 3) == pytest.approx(expected_map, abs=1e-12)
-    assert ndcg(results, 3) == pytest.approx(expected_ndcg, abs=1e-12)
+    relevances = [[1, 0, 1], [0, 0, 1], [1, 1, 0]]
+    expected_map = np.mean([brute_force_ap(r, 3) for r in relevances])
+    expected_ndcg = np.mean([brute_force_ndcg(r, 3) for r in relevances])
+    assert mean_average_precision(relevances, 3) == pytest.approx(expected_map, abs=1e-12)
+    assert ndcg(relevances, 3) == pytest.approx(expected_ndcg, abs=1e-12)
 
 
 @settings(max_examples=50)
@@ -152,22 +146,27 @@ def test_rank_by_distance_excludes_query_and_breaks_ties_by_id():
 def test_retrieval_results_self_excluded_and_relevant():
     descriptors = {f"m{i}": np.array([float(i % 2), 0.0]) for i in range(6)}
     labels = {f"m{i}": i % 2 for i in range(6)}
-    results = retrieval_results(descriptors, labels)
-    assert len(results) == 6
-    for r in results:
-        assert r.query_id not in r.ranked_ids
-        assert len(r.ranked_ids) == 5
+    relevance = retrieval_relevance(descriptors, labels)
+    assert len(relevance) == 6
+    for flags in relevance:
+        assert len(flags) == 5          # every id but the query
         # identical descriptors share a class here, so top-2 are relevant
-        assert list(r.relevance[:2]) == [1, 1]
+        assert flags[:2] == [1, 1]
 
 
-def test_retrieval_result_validation():
-    with pytest.raises(ValueError, match="query itself"):
-        RetrievalResult("q", ["q", "a"], [1, 0])
-    with pytest.raises(ValueError, match="duplicate"):
-        RetrievalResult("q", ["a", "a"], [1, 0])
-    with pytest.raises(ValueError, match="match"):
-        RetrievalResult("q", ["a"], [1, 0])
+def test_retrieval_relevance_follows_rank_by_distance():
+    """Row q holds, in id order of q, the same-class flags of
+    `rank_by_distance`'s ranking for q."""
+    rng = Rng(31)
+    ids = [f"m{i:02d}" for i in range(12)]
+    descriptors = {i: rng.normal_fill((3,)) for i in reversed(ids)}
+    descriptors["m05"] = descriptors["m03"].copy()          # a distance tie
+    labels = {i: rng.randbelow(3) for i in ids}
+    relevance = retrieval_relevance(descriptors, labels)
+    assert len(relevance) == len(ids)
+    for query, flags in zip(ids, relevance):
+        ranking = rank_by_distance(query, descriptors[query], descriptors)
+        assert flags == [int(labels[m] == labels[query]) for m, _ in ranking]
 
 
 def test_dcg_discount_positions():

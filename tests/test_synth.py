@@ -125,9 +125,9 @@ def test_ten_classes_supported():
 def test_segment_labels_two_bands():
     verts, faces = cylinder(12, 7)
     mesh = build_mesh(verts, faces)
-    edge_labels, face_labels = segment_labels(verts, faces, mesh.edges, 2)
+    edge_labels = segment_labels(verts, mesh.edges, 2)
+    assert edge_labels.shape == (mesh.edge_count,)
     assert set(edge_labels) == {0, 1}
-    assert set(face_labels) == {0, 1}
     # boundary rule: ring edges exactly at z=0 go to the lower band
     mids = verts[mesh.edges].mean(axis=1)[:, 2]
     on_boundary = np.abs(mids) < 1e-12
@@ -140,9 +140,7 @@ def test_segmentation_set_labels_align():
     assert len(ds.meshes) == 12
     assert ds.task == "segmentation"
     for mesh in ds.meshes:
-        assert mesh.edge_labels is not None and mesh.face_labels is not None
         assert mesh.edge_labels.shape == (mesh.edge_count,)
-        assert mesh.face_labels.shape == (mesh.face_count,)
     two_seg = [m for m in ds.meshes if m.mesh_id.startswith("cyl2seg")]
     assert all(set(m.edge_labels) == {0, 1} for m in two_seg)
     four_seg = [m for m in ds.meshes if m.mesh_id.startswith("cyl4seg")]

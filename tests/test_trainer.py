@@ -4,7 +4,7 @@ import csv
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from meshmoe import autodiff as ad
 from meshmoe.autodiff import Tensor
@@ -113,6 +113,7 @@ def test_similarity_two_expert_hand_value():
 
 @given(seed=st.integers(0, 10_000), num_experts=st.integers(2, 4),
        batch=st.integers(1, 3), classes=st.integers(2, 5))
+@example(seed=5713, num_experts=2, batch=1, classes=2)   # cosine rounded past 1
 @settings(deadline=None, max_examples=60)
 def test_similarity_nonnegative(seed, num_experts, batch, classes):
     rng = Rng(seed)

@@ -1,5 +1,6 @@
 """Walk extraction: length law, distinctness, edge validity, branch enumeration."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -7,8 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from meshmoe.mesh import mesh_from_edges
+from meshmoe.rng import derive
+from meshmoe.synth import MAX_CLASSES, generate_classification_set, generate_segmentation_set
 from meshmoe.walks import (WalkError, extract_walk, extract_walks,
-                           walk_feature_batch, walk_length)
+                           walk_features, walk_length)
 
 
 def make_path_mesh():
@@ -76,13 +79,14 @@ def test_walk_deterministic(tetrahedron):
     b = extract_walk(tetrahedron, seed=42)
     assert a.vertex_indices == b.vertex_indices
     assert a.jump_flags == b.jump_flags
-    np.testing.assert_array_equal(a.coordinates, b.coordinates)
+    np.testing.assert_array_equal(walk_features(tetrahedron, [a]),
+                                  walk_features(tetrahedron, [b]))
 
 
 def test_walk_coordinates_match_vertices(tetrahedron):
     walk = extract_walk(tetrahedron, seed=3)
-    np.testing.assert_array_equal(
-        walk.coordinates, tetrahedron.vertices[walk.vertex_indices])
+    np.testing.assert_array_equal(walk_features(tetrahedron, [walk])[0, :, :3],
+                                  tetrahedron.vertices[walk.vertex_indices])
 
 
 def test_walk_start_respected(tetrahedron):
@@ -105,16 +109,33 @@ def test_extract_walks_independent_and_deterministic(tetrahedron):
 def test_features_shape_and_jump_channel():
     mesh = make_path_mesh()
     walk = extract_walk(mesh, seed=1, start=1, length=3)
-    feats = walk.features()
+    feats = walk_features(mesh, [walk])[0]
     assert feats.shape == (3, 4)
     np.testing.assert_array_equal(feats[:, 3], [0.0, 0.0, 1.0])
-    np.testing.assert_array_equal(feats[:, :3], walk.coordinates)
+    np.testing.assert_array_equal(feats[:, :3], mesh.vertices[walk.vertex_indices])
 
 
 def test_walk_feature_batch(tetrahedron):
     walks = extract_walks(tetrahedron, 5, seed=2)
-    batch = walk_feature_batch(walks)
+    batch = walk_features(tetrahedron, walks)
     assert batch.shape == (5, 2, 4)
+    for walk, rows in zip(walks, batch):
+        np.testing.assert_array_equal(rows, walk_features(tetrahedron, [walk])[0])
+    with pytest.raises(WalkError, match="mixed lengths"):
+        walk_features(tetrahedron, [walks[0], extract_walk(tetrahedron, 1, length=3)])
+
+
+def test_walk_features_digest_is_pinned():
+    """8 walks on one mesh of every synthetic family and of the segmentation
+    set: the (W, L, 4) feature bytes are pinned, so a rewrite of the walk or
+    feature code must keep every bit."""
+    families = generate_classification_set(MAX_CLASSES, 4, seed=11).meshes[::4]
+    digest = hashlib.sha256()
+    for mesh in families + generate_segmentation_set(4, seed=11).meshes[::4]:
+        walks = extract_walks(mesh, 8, derive(13, mesh.mesh_id))
+        digest.update(walk_features(mesh, walks).tobytes())
+    assert digest.hexdigest() == (
+        "c1eb6d61a4d77e2c06fe755f9f6123735291ca526d4c6d3f5c3897073ea7a858")
 
 
 @settings(max_examples=25, deadline=None)
