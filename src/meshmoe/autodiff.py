@@ -4,12 +4,13 @@ Each op builds a node holding its output, parent references, and a
 closure that maps the output cotangent to parent cotangent contributions.
 `backward` seeds a scalar with 1 and walks the graph in reverse
 topological order (iteratively, so deep recurrent chains cannot blow the
-recursion limit).  Broadcasting follows numpy; gradients are summed back
-over broadcast axes.  A tensor's first gradient contribution is stored as
-a copy and later ones are added in place.  No op reads global mutable
-state.  Fused layer ops with hand-written backward passes (linear, layer
-norm, multi-head attention) live in `layers` and build their nodes with
-`_node` and `_accumulate`.
+recursion limit), freeing interior gradients and saved arrays once used;
+leaf gradients stay, and a second backward raises.  Broadcasting follows
+numpy; gradients are summed back over broadcast axes.  A tensor's first
+gradient contribution is stored as a copy and later ones are added in
+place.  No op reads global mutable state.  Fused layer ops with
+hand-written backward passes (linear, layer norm, multi-head attention)
+live in `layers` and build their nodes with `_node` and `_accumulate`.
 """
 
 import numpy as np
@@ -43,13 +44,22 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def backward(self) -> None:
+        """Add d self / d leaf into every leaf's `.grad` and free the graph:
+        each interior node drops its grad, parents and saved arrays once its
+        closure has run (`.data` stays), so a later backward through it raises."""
         if self.data.shape != ():
             raise ValueError("backward needs a scalar loss")
         order = _topological_order(self)
         self.grad = np.ones((), dtype=np.float64)
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad, node._parents, node._backward = None, (), _released
+
+
+def _released(grad) -> None:
+    raise ValueError("backward already ran through this node; rebuild the graph")
 
 
 def _coerce(value) -> Tensor:

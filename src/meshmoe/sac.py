@@ -97,6 +97,7 @@ class SACState:
         self.critic_opt = Adam({**self.critic1, **self.critic2}, lr=config.lr)
         self.alpha_opt = Adam({"log_alpha": self.log_alpha}, lr=config.lr)
         self.updates = 0
+        self.last_update = None     # sac_update's dict, once one has trained
 
     @property
     def alpha(self) -> float:
@@ -239,14 +240,14 @@ def agent_step(sac: SACState, s_t: np.ndarray, r_t: float,
 
     `lambda_prev` is the (lambda, pre_squash) pair from the previous call;
     the first call (no prior action) stores nothing.  Returns the next
-    (lambda, pre_squash) pair.
+    (lambda, pre_squash) pair; `sac.last_update` keeps the update's losses.
     """
     if s_prev is not None and lambda_prev is not None:
         sac.buffer.append(Transition(
             state=np.asarray(s_prev, dtype=np.float64), action=lambda_prev[0],
             reward=float(r_t), next_state=np.asarray(s_t, dtype=np.float64),
             terminal=bool(terminal)))
-        sac_update(sac)
+        sac.last_update = sac_update(sac)
     return sample_action(sac, s_t, stochastic=True)
 
 
@@ -260,6 +261,10 @@ class SacLambdaAgent:
     def step(self, s_t, r_t, s_prev, terminal) -> float:
         self._last = agent_step(self.sac, s_t, r_t, s_prev, self._last, terminal)
         return self._last[0]
+
+    @property
+    def last_update(self) -> dict | None:
+        return self.sac.last_update
 
 
 class StaticLambdaAgent:

@@ -1,6 +1,7 @@
 """Reverse-mode core: per-op finite-difference checks and frozen loss values."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from meshmoe import autodiff as ad
 from meshmoe import layers
 from meshmoe.autodiff import Tensor
+from meshmoe.gate import GateConfig, gate_forward_features, init_gate_params
 from meshmoe.gradcheck import check_gradients
 from meshmoe.optim import Adam, OptimError
 from meshmoe.rng import Rng
@@ -157,7 +159,7 @@ def test_first_gradient_is_not_shared_between_parents():
     loss.backward()
     np.testing.assert_array_equal(b.grad, [2.0, 2.0, 2.0])
     np.testing.assert_array_equal(a.grad, [7.0, 7.0, 7.0])
-    np.testing.assert_array_equal(y.grad, [2.0, 2.0, 2.0])
+    assert y.grad is None
 
 
 def test_detach_blocks_gradient():
@@ -180,6 +182,59 @@ def test_deep_chain_no_recursion_blowup():
         y = ad.add(y, Tensor(0.0))
     y.backward()
     assert x.grad == pytest.approx(1.0)
+
+
+def test_second_backward_through_released_graph_raises():
+    x = rand_tensor((3,), 2)
+    y = ad.mul(x, x)
+    loss = ad.tsum(y)
+    loss.backward()
+    np.testing.assert_array_equal(x.grad, 2.0 * x.data)
+    np.testing.assert_array_equal(y.data, x.data * x.data)   # data outlives backward
+    with pytest.raises(ValueError, match="backward already ran"):
+        loss.backward()
+    with pytest.raises(ValueError, match="backward already ran"):
+        ad.tsum(ad.add(y, x)).backward()     # a new graph reaching released y
+
+
+def graph_bytes(root: Tensor) -> int:
+    """Bytes of the distinct arrays behind the data of every node reachable
+    from `root` (a view counts its base once)."""
+    buffers, seen, stack = {}, {id(root)}, [root]
+    while stack:
+        node = stack.pop()
+        owner = node.data if node.data.base is None else node.data.base
+        buffers[id(owner)] = owner.nbytes
+        for parent in node._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return sum(buffers.values())
+
+
+def test_backward_frees_the_graph_as_it_goes():
+    """Backward adds little above the forward graph and leaves almost
+    nothing of it behind: interior grads and saved arrays are freed once
+    used, and the caller's loss no longer reaches the graph."""
+    config = GateConfig(num_experts=3, encoder_layers=8, decoder_layers=2,
+                        d_model=16, heads=4, ff_width=32)
+    params = init_gate_params(config, seed=4)
+    features = Rng(3).normal_fill((16, 32, 4))
+    layers.positional_encoding(32, config.d_model)  # cached, not per call
+    tracemalloc.start()
+    try:
+        logits = gate_forward_features(features, params, config)
+        loss = ad.tsum(ad.mul(logits, logits))
+        forward_end, _ = tracemalloc.get_traced_memory()
+        node_bytes = graph_bytes(loss)
+        tracemalloc.reset_peak()
+        loss.backward()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(p.grad is not None for p in params.values())
+    assert peak - forward_end <= 0.10 * node_bytes
+    assert held <= 0.05 * node_bytes
 
 
 # --- losses: frozen worked values ------------------------------------------

@@ -186,6 +186,21 @@ def test_wrapper_tracks_previous_action():
     assert agent.sac.buffer[0].action == lam0
 
 
+def test_agent_keeps_the_last_update():
+    """`last_update` is None until the buffer holds a batch, then the
+    update's own dict."""
+    agent = SacLambdaAgent(small_config(), seed=0)
+    state = np.full(2, 1.0)
+    agent.step(state, 0.0, None, False)
+    for k in range(agent.sac.config.batch_size):
+        assert agent.last_update is None
+        agent.step(state, 0.1 * k, state, False)
+    stats = agent.last_update
+    assert stats is agent.sac.last_update
+    assert np.isfinite(stats["critic_loss"]) and np.isfinite(stats["actor_loss"])
+    assert stats["alpha"] == agent.sac.alpha
+
+
 def test_static_agent_is_constant():
     agent = StaticLambdaAgent(0.1)
     state = np.zeros(2)

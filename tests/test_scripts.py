@@ -10,7 +10,6 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.mark.parametrize("script, args", [
-    ("lambda_ablation.py", ["--seeds", "0", "--epochs", "1", "--per-class", "4"]),
     ("oracle_routing_demo.py", ["--epochs", "1", "--per-class", "4"]),
     ("sac_surrogate.py", ["--iterations", "400", "--seeds", "0", "--log-every", "200"]),
 ])
