@@ -56,8 +56,8 @@ def face_normals(mesh: Mesh):
 class WalkRnnExpert:
     """GRU over 8 walks; per-walk class logits are averaged, then softmaxed.
 
-    All walks of a mesh run through one fused `layers.gru_forward` node,
-    so a prediction's graph has the same few nodes at any walk length.
+    `predict_batch` runs all walks of one walk length through one fused
+    `layers.gru_forward` node; `predict` is its one-mesh case.
     """
 
     kind = "walk_rnn"
@@ -75,11 +75,7 @@ class WalkRnnExpert:
         self.params["head.b"] = layers.zeros((num_classes,))
 
     def predict(self, mesh: Mesh, seed: int) -> Tensor:
-        walks = extract_walks(mesh, self.walk_count, seed)
-        feats = walk_features(mesh, walks)                    # (W, L, 4)
-        h = layers.gru_forward(Tensor(feats), self.params, "gru", self.hidden)
-        logits = layers.linear(h, self.params["head.w"], self.params["head.b"])
-        return ad.softmax(ad.tmean(logits, axis=0), axis=-1)
+        return predict_batch(self, [mesh], [seed])[0]
 
 
 class _Perceptron:
@@ -199,6 +195,32 @@ class OracleExpert:
         probs = np.zeros(self.num_classes)
         probs[cls] = 1.0
         return Tensor(probs)
+
+
+def predict_batch(expert, meshes: list, seeds: list) -> list:
+    """Each mesh's prediction, in input order; mesh i draws from `seeds[i]`.
+
+    A walk-RNN runs once per walk length over the stacked (n * W, L, 4)
+    walks, as `gate_forward_batch` runs the gate; other experts mesh by mesh.
+    """
+    if len(meshes) != len(seeds):
+        raise ExpertError(f"{len(meshes)} meshes but {len(seeds)} seeds")
+    if not isinstance(expert, WalkRnnExpert):
+        return [expert.predict(mesh, seed) for mesh, seed in zip(meshes, seeds)]
+    groups = {}
+    for index, (mesh, seed) in enumerate(zip(meshes, seeds)):
+        features = walk_features(mesh, extract_walks(mesh, expert.walk_count, seed))
+        groups.setdefault(features.shape[1], []).append((index, features))
+    rows = [None] * len(meshes)
+    for members in groups.values():
+        walks = Tensor(np.concatenate([features for _, features in members]))
+        h = layers.gru_forward(walks, expert.params, "gru", expert.hidden)
+        logits = layers.linear(h, expert.params["head.w"], expert.params["head.b"])
+        logits = ad.reshape(logits, (len(members), expert.walk_count, -1))
+        probs = ad.softmax(ad.tmean(logits, axis=1), axis=-1)
+        for k, (index, _) in enumerate(members):
+            rows[index] = ad.slice_index(probs, 0, k)
+    return rows
 
 
 def make_expert(spec: str, name: str, num_classes: int, seed: int, hidden: int = 32):

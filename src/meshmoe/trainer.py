@@ -1,7 +1,8 @@
 """Mixture-of-experts training environment.
 
-Each iteration runs the gate and every expert on a mesh batch, routes each
-mesh to its argmax-weight expert, and optimizes a joint objective
+Each iteration runs the gate and every expert on a mesh batch (the gate
+and each walk-RNN once per walk length), routes each mesh to its
+argmax-weight expert, and optimizes a joint objective
 
     L_joint = lambda_t * L_sim + L_div
 
@@ -29,7 +30,7 @@ from . import autodiff as ad
 from . import layers
 from .autodiff import Tensor
 from .checkpoint import atomic_write, copy_into, load_checkpoint, save_checkpoint
-from .experts import expert_parameters
+from .experts import expert_parameters, predict_batch
 from .gate import (GateConfig, gate_forward_batch, gate_forward_mesh,
                    init_gate_params)
 from .metrics import (edge_accuracy, mean_average_precision,
@@ -230,24 +231,28 @@ def batch_reward(task: str, meshes: list, chosen_predictions: list) -> float:
     return next(iter(scores.values()))
 
 
+def _expert_predictions(experts: list, meshes: list, seed: int) -> list:
+    """`[i][j]`: expert j's prediction for mesh i, from `predict_batch`."""
+    columns = [predict_batch(e, meshes, [derive(seed, "expert", e.name, m.mesh_id)
+                                         for m in meshes]) for e in experts]
+    return [list(row) for row in zip(*columns)]
+
+
 def train_iteration(system: MoESystem, batch: list, lambda_t: float,
                     gate_opt: Adam, expert_opts: dict, seed: int,
                     sim_kind: str = "kld") -> BatchOutcome:
     """One optimize step on a mesh batch; reward reflects the pre-step model.
 
-    The gate runs once per walk length in the batch (`gate_forward_batch`);
-    each mesh's row equals its `gate_forward_mesh` row.  The experts
-    predict mesh by mesh.
+    The gate and each walk-RNN expert run once per walk length in the
+    batch (`gate_forward_batch`, `predict_batch`); each mesh's row equals
+    its one-mesh row.  Every other expert predicts mesh by mesh.
     """
     if not batch:
         raise TrainerError("empty batch")
     gate_rows = gate_forward_batch(
         batch, system.walks_train, system.gate_params, system.gate_config,
         [derive(seed, "gate", mesh.mesh_id) for mesh in batch])
-    predictions = [
-        [expert.predict(mesh, derive(seed, "expert", expert.name, mesh.mesh_id))
-         for expert in system.experts]
-        for mesh in batch]
+    predictions = _expert_predictions(system.experts, batch, seed)
     per_mesh_weights = np.stack([row.data for row in gate_rows])
     chosen, picked = expert_chooser(per_mesh_weights, predictions)
     reward = batch_reward(system.task, batch, picked)
@@ -311,16 +316,13 @@ def train_run(system: MoESystem, dataset, agent, epochs: int,
                 derive(seed, "it", epoch, b), sim_kind=sim_kind)
             epoch_rewards.append(outcome.reward)
             epoch_lambdas.append(lam)
-            counts += np.bincount(outcome.chosen, minlength=num_experts)
-            freqs = np.bincount(outcome.chosen,
-                                minlength=num_experts) / len(batch)
+            routed = np.bincount(outcome.chosen, minlength=num_experts)
+            counts += routed
             rows.append([epoch, iteration, lam, *outcome.loss_values,
-                         outcome.reward, *freqs.tolist()])
-            terminal = b == len(batches) - 1
-            lam_next = agent.step(outcome.state, outcome.reward, prev_state,
-                                  terminal)
+                         outcome.reward, *(routed / len(batch)).tolist()])
+            lam = agent.step(outcome.state, outcome.reward, prev_state,
+                             b == len(batches) - 1)          # terminal batch
             prev_state = outcome.state
-            lam = lam_next
             iteration += 1
         summary = {
             "epoch": epoch,
@@ -381,12 +383,8 @@ def evaluate_classification(system: MoESystem, meshes: list, seed: int = 0) -> d
 
 def evaluate_ensemble(system: MoESystem, meshes: list, seed: int = 0) -> dict:
     """Hard-voting baseline over all experts, bypassing the gate."""
-    stacks = []
-    for mesh in meshes:
-        stacks.append([
-            expert.predict(mesh, derive(seed, "expert", expert.name, mesh.mesh_id)).data
-            for expert in system.experts])
-    predicted = hard_voting_ensemble(np.asarray(stacks))
+    predicted = hard_voting_ensemble(np.asarray([
+        [p.data for p in row] for row in _expert_predictions(system.experts, meshes, seed)]))
     truth = [m.class_label for m in meshes]
     return {"accuracy": mean_instance_accuracy(predicted.tolist(), truth),
             "predicted": predicted.tolist()}

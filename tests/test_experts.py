@@ -9,13 +9,16 @@ import numpy as np
 import pytest
 
 from meshmoe import experts as experts_module
+from meshmoe import autodiff as ad
+from meshmoe.autodiff import Tensor
 from meshmoe.experts import (EdgeSegmenterExpert, ExpertError, FaceMlpExpert,
                              OracleExpert, WalkRnnExpert, build_experts,
-                             expert_loss, face_normals,
-                             make_expert, train_expert_supervised)
+                             expert_loss, face_normals, make_expert,
+                             predict_batch, train_expert_supervised)
 from meshmoe.gate import GateConfig
 from meshmoe.mesh import build_mesh, mesh_from_edges
-from meshmoe.rng import derive
+from meshmoe.optim import Adam
+from meshmoe.rng import Rng, derive
 from meshmoe.sac import StaticLambdaAgent
 from meshmoe.synth import (cylinder, generate_classification_set,
                            generate_segmentation_set, icosahedron,
@@ -52,7 +55,6 @@ def test_walk_rnn_output_contract(tetrahedron):
 def test_walk_rnn_graph_does_not_grow_with_walk_length():
     """The GRU is one node, whatever the walk length: a per-step cell
     shows up here as nodes that grow with L."""
-    from meshmoe import autodiff as ad
     from meshmoe.walks import walk_length
 
     expert = WalkRnnExpert("w", num_classes=3, seed=5)
@@ -63,6 +65,117 @@ def test_walk_rnn_graph_does_not_grow_with_walk_length():
             [n for n in ad._topological_order(pred) if n._parents])
     assert set(counts) == {5, 40}
     assert counts[5] == counts[40] <= 10
+
+
+# ------------------------------------------------ batched walk-RNN
+
+def mixed_lengths():
+    """Ten family meshes of five walk lengths (V = 26, 34, 42, 50, 60),
+    interleaved so no two neighbours share a length."""
+    meshes = generate_classification_set(5, 4, seed=11).meshes
+    return [meshes[k + 4 * c] for k in range(2) for c in range(5)]
+
+
+def test_batched_walk_rnn_rows_equal_one_mesh_predict():
+    from meshmoe.walks import walk_length
+    meshes = mixed_lengths()
+    assert len({walk_length(m.vertex_count) for m in meshes}) == 5
+    for expert in build_experts(["walk_rnn", "walk_rnn"], 5, seed=3):
+        seeds = [derive(8, expert.name, m.mesh_id) for m in meshes]
+        rows = predict_batch(expert, meshes, seeds)
+        assert len(rows) == len(meshes)
+        for row, mesh, seed in zip(rows, meshes, seeds):
+            assert row.shape == (5,)
+            assert np.array_equal(row.data, expert.predict(mesh, seed).data)
+
+
+def test_batched_gru_gradients_match_the_per_mesh_sum():
+    """One GEMM per walk length replaces per-mesh accumulation, so the
+    gradients agree to rounding, not to the bit."""
+    meshes = mixed_lengths()
+    expert = WalkRnnExpert("w", num_classes=5, seed=2)
+    seeds = [derive(4, m.mesh_id) for m in meshes]
+    weights = Tensor(Rng(6).normal_fill((len(meshes), 5)))
+
+    def gradients(rows):
+        for tensor in expert.params.values():
+            tensor.grad = None
+        ad.tsum(ad.mul(ad.stack(rows), weights)).backward()
+        return {name: tensor.grad for name, tensor in expert.params.items()}
+
+    batched = gradients(predict_batch(expert, meshes, seeds))
+    per_mesh = gradients([expert.predict(m, s) for m, s in zip(meshes, seeds)])
+    assert batched.keys() == per_mesh.keys()
+    for name, grad in batched.items():
+        assert grad.shape == per_mesh[name].shape
+        assert np.allclose(grad, per_mesh[name], rtol=1e-12, atol=0.0), name
+
+
+def test_predict_batch_rejects_mismatched_seeds():
+    meshes = mixed_lengths()[:2]
+    for expert in (WalkRnnExpert("w", 5, seed=1), FaceMlpExpert("f", 5, seed=1)):
+        with pytest.raises(ExpertError, match="2 meshes but 1 seeds"):
+            predict_batch(expert, meshes, [0])
+
+
+def _iteration_system(specs, data):
+    from meshmoe.trainer import build_system
+    pool = build_experts(specs, num_classes=data.num_classes, seed=2, hidden=8)
+    gate = GateConfig(num_experts=len(pool), encoder_layers=1, decoder_layers=1,
+                      d_model=8, heads=2, ff_width=16)
+    task = "segmentation" if "edge_seg" in specs else "classification"
+    system = build_system(pool, task=task, gate_config=gate, seed=3)
+    opts = {e.name: Adam(e.params, lr=1e-3) for e in pool}
+    return system, Adam(system.gate_params, lr=1e-3), opts
+
+
+def test_train_iteration_runs_one_gru_per_expert_and_walk_length(monkeypatch):
+    from meshmoe.trainer import train_iteration
+    from meshmoe.walks import walk_length
+    data = generate_classification_set(5, 4, seed=11)
+    system, gate_opt, opts = _iteration_system(
+        ["walk_rnn", "face_mlp", "walk_rnn"], data)
+    batch = mixed_lengths()[:7]
+    lengths = {walk_length(m.vertex_count) for m in batch}
+    assert len(lengths) == 5
+    owner = {id(e.params["gru.wz"]): e.name for e in system.experts
+             if e.kind == "walk_rnn"}
+    gru_nodes = []
+    real_backward = Tensor.backward
+
+    def recording_backward(root):
+        gru_nodes.extend(
+            (owner[id(node._parents[1])], node._parents[0].shape[1])
+            for node in ad._topological_order(root) if node._parents
+            and node._backward.__qualname__ == "gru_forward.<locals>.backward")
+        return real_backward(root)
+
+    monkeypatch.setattr(Tensor, "backward", recording_backward)
+    train_iteration(system, batch, 0.5, gate_opt, opts, seed=4)
+    assert sorted(gru_nodes) == sorted((name, length) for name in owner.values()
+                                       for length in lengths)
+
+
+@pytest.mark.parametrize("specs", [["walk_rnn", "face_mlp", "face_mlp"],
+                                   ["edge_seg", "edge_seg"]],
+                         ids=["face_mlp", "edge_seg"])
+def test_train_iteration_predicts_per_mesh_experts_once_per_mesh(specs, monkeypatch):
+    """Face and edge experts keep their per-mesh `predict` calls (their
+    bits and their benchmark spans); the walk-RNN never calls `predict`."""
+    from meshmoe.trainer import train_iteration
+    data = (generate_segmentation_set(per_class=4, seed=6) if "edge_seg" in specs
+            else generate_classification_set(5, 4, seed=11))
+    system, gate_opt, opts = _iteration_system(specs, data)
+    calls = []
+    for cls in (WalkRnnExpert, FaceMlpExpert, EdgeSegmenterExpert):
+        def counting(self, mesh, seed=None, real=cls.predict):
+            calls.append(self.name)
+            return real(self, mesh, seed)
+        monkeypatch.setattr(cls, "predict", counting)
+    batch = data.train_meshes[:5]
+    train_iteration(system, batch, 0.5, gate_opt, opts, seed=4)
+    assert sorted(calls) == sorted(e.name for e in system.experts
+                                   if e.kind != "walk_rnn" for _ in batch)
 
 
 def test_face_mlp_output_contract(tetrahedron):

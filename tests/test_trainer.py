@@ -1,6 +1,7 @@
 """Expert environment: chooser, losses, iteration protocol, round trips."""
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -551,6 +552,20 @@ def test_evaluation_helpers_run():
     assert len(ev["predicted"]) == len(data.test_ids)
     ens = evaluate_ensemble(system, data.test_meshes, seed=2)
     assert 0.0 <= ens["accuracy"] <= 1.0
+
+
+def test_ensemble_votes_equal_per_mesh_predictions():
+    """Batched walk-RNN rows are bit-equal to one-mesh rows, so the votes
+    equal a per-mesh recount exactly."""
+    data = generate_classification_set(classes=5, per_class=4, seed=11)
+    experts = build_experts(["walk_rnn", "walk_rnn", "face_mlp"], num_classes=5,
+                            seed=4)
+    system = build_system(experts, gate_config=replace(TINY, num_experts=3), seed=3)
+    ens = evaluate_ensemble(system, data.meshes, seed=2)
+    stacks = [[e.predict(m, derive(2, "expert", e.name, m.mesh_id)).data
+               for e in experts] for m in data.meshes]
+    assert ens["predicted"] == hard_voting_ensemble(np.asarray(stacks)).tolist()
+    assert len(set(ens["predicted"])) > 1
 
 
 # ---------------------------------------------------------------- round trip
