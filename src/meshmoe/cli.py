@@ -19,8 +19,8 @@ from .autodiff import Tensor
 from .checkpoint import (CheckpointError, atomic_write, copy_into,
                          load_checkpoint, save_checkpoint)
 from .config import ConfigError, RunConfig, config_snapshot, load_config
-from .experts import (ExpertError, build_experts, load_expert_checkpoint,
-                      save_expert_checkpoint, train_expert_supervised)
+from .experts import (ExpertError, build_experts, expert_parameters,
+                      train_expert_supervised)
 from .gate import (GateConfig, GateError, average_pretrained_gates,
                    init_gate_params, pretrain_imitation)
 from .gradcheck import standard_battery
@@ -74,7 +74,8 @@ def _resolve_config(args) -> tuple:
             ("walks_train", cfg.trainer, "walks_train"),
             ("walks_infer", cfg.trainer, "walks_infer"),
             ("static_lambda", cfg.agent, "static_lambda"),
-            ("loss_sim", cfg.trainer, "sim_loss")):
+            ("loss_sim", cfg.trainer, "sim_loss"), ("classes", cfg.data, "classes"),
+            ("per_class", cfg.data, "per_class"), ("task", cfg.data, "task")):
         if getattr(args, flag, None) is not None:
             setattr(section, field, getattr(args, flag))
     if getattr(args, "lambda_range", None) is not None:
@@ -108,6 +109,15 @@ def _dataset_run(args) -> tuple:
     return cfg, inputs, out, dataset
 
 
+def _load_if_present(what: str, params: dict, path, inputs: list) -> None:
+    """Copy the checkpoint at `path`, if there is one, into `params` in
+    place and count it among the run's inputs."""
+    if os.path.exists(path):
+        copy_into(params, load_checkpoint(path))
+        inputs.append(path)
+        print(f"loaded {what} from {path}")
+
+
 def _build_pool(cfg: RunConfig, num_classes: int) -> list:
     return build_experts(cfg.expert_specs(), num_classes=num_classes,
                          seed=derive(cfg.seed, "experts"),
@@ -132,12 +142,6 @@ def _build_full_system(cfg: RunConfig, dataset):
 def _cmd_gen_data(args) -> int:
     cfg, inputs = _resolve_config(args)
     out = _out_dir(args)
-    if args.classes is not None:
-        cfg.data.classes = args.classes
-    if args.per_class is not None:
-        cfg.data.per_class = args.per_class
-    if args.task is not None:
-        cfg.data.task = args.task
     data_dir = _data_dir(args)
     if cfg.data.task == "segmentation":
         dataset = generate_segmentation_set(per_class=cfg.data.per_class,
@@ -172,7 +176,7 @@ def _cmd_pretrain_experts(args) -> int:
         rows += [[expert.name, e, loss] for e, loss in enumerate(history)]
         print(f"{expert.name}: loss {history[0]:.4f} -> {history[-1]:.4f} "
               f"over {len(history)} epochs")
-    save_expert_checkpoint(experts, ckpt)
+    save_checkpoint(expert_parameters(experts), ckpt)
     with atomic_write(losses_csv) as fh:
         writer = csv.writer(fh)
         writer.writerow(["expert", "epoch", "loss"])
@@ -185,10 +189,8 @@ def _cmd_pretrain_experts(args) -> int:
 def _cmd_pretrain_gate(args) -> int:
     cfg, inputs, out, dataset = _dataset_run(args)
     experts = _build_pool(cfg, dataset.num_classes)
-    experts_ckpt = args.experts_ckpt or os.path.join(out, "experts.ckpt")
-    if os.path.exists(experts_ckpt):
-        load_expert_checkpoint(experts, experts_ckpt)
-        inputs.append(experts_ckpt)
+    _load_if_present("expert parameters", expert_parameters(experts),
+                     args.experts_ckpt or os.path.join(out, "experts.ckpt"), inputs)
     imitation_config = GateConfig(num_experts=len(experts),
                                   num_classes=dataset.num_classes,
                                   head_mode="class_imitation", **asdict(cfg.gate))
@@ -219,18 +221,11 @@ def _cmd_pretrain_gate(args) -> int:
 def _cmd_train(args) -> int:
     cfg, inputs, out, dataset = _dataset_run(args)
     system = _build_full_system(cfg, dataset)
-
-    experts_ckpt = args.experts_ckpt or os.path.join(out, "experts.ckpt")
-    if os.path.exists(experts_ckpt):
-        load_expert_checkpoint(system.experts, experts_ckpt)
-        inputs.append(experts_ckpt)
-        print(f"loaded expert parameters from {experts_ckpt}")
-    gate_init = args.gate_init or os.path.join(out, "gate_init.ckpt")
-    if os.path.exists(gate_init):
-        copy_into({f"gate.{k}": v for k, v in system.gate_params.items()},
-                  load_checkpoint(gate_init))
-        inputs.append(gate_init)
-        print(f"loaded gate initialization from {gate_init}")
+    _load_if_present("expert parameters", expert_parameters(system.experts),
+                     args.experts_ckpt or os.path.join(out, "experts.ckpt"), inputs)
+    _load_if_present("gate initialization",
+                     {f"gate.{k}": v for k, v in system.gate_params.items()},
+                     args.gate_init or os.path.join(out, "gate_init.ckpt"), inputs)
 
     static = cfg.static_lambda_value()
     if static is not None:

@@ -6,6 +6,7 @@ Command-line flags override file values which override the defaults.
 """
 
 import configparser
+import re
 from dataclasses import asdict, dataclass, field, fields
 
 
@@ -88,14 +89,20 @@ class RunConfig:
 _SECTIONS = ("gate", "experts", "trainer", "agent", "data")
 
 
-def _coerce(section: str, key: str, raw: str, default):
-    kind = type(default)
-    try:
-        return kind(raw)
-    except ValueError:
-        raise ConfigError(
-            f"[{section}] {key}: cannot parse {raw!r} as {kind.__name__}"
-        ) from None
+def ini_where(path, section: str, key: str | None = None) -> str:
+    """'path:line' of `key` inside [section], or of the [section] header
+    when `key` is None; just the path when there is no such line."""
+    inside = False
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        for line, text in enumerate(fh, start=1):
+            header = re.match(r"\[(.+)\]", text.strip())
+            if header:
+                inside = header.group(1) == section
+                if inside and key is None:
+                    return f"{path}:{line}"
+            elif inside and re.split("[=:]", text)[0].strip().lower() == key:
+                return f"{path}:{line}"
+    return str(path)
 
 
 def load_config(path) -> RunConfig:
@@ -111,20 +118,23 @@ def load_config(path) -> RunConfig:
     config = RunConfig()
     for section in parser.sections():
         if section == "run":
-            for key, raw in parser.items("run"):
-                if key != "seed":
-                    raise ConfigError(f"[run] has no key {key!r}")
-                config.seed = _coerce("run", "seed", raw, 0)
-            continue
-        if section not in _SECTIONS:
-            raise ConfigError(f"unknown config section [{section}]")
-        target = getattr(config, section)
-        known = {f.name: f for f in fields(target)}
+            target, known = config, {"seed"}
+        elif section in _SECTIONS:
+            target = getattr(config, section)
+            known = {f.name for f in fields(target)}
+        else:
+            raise ConfigError(f"{ini_where(path, section)}: "
+                              f"unknown config section [{section}]")
         for key, raw in parser.items(section):
             if key not in known:
-                raise ConfigError(f"[{section}] has no key {key!r}")
-            setattr(target, key, _coerce(section, key, raw,
-                                         getattr(target, key)))
+                raise ConfigError(f"{ini_where(path, section, key)}: "
+                                  f"[{section}] has no key {key!r}")
+            kind = type(getattr(target, key))   # the default's type
+            try:
+                setattr(target, key, kind(raw))
+            except ValueError:
+                raise ConfigError(f"{ini_where(path, section, key)}: [{section}] {key}: "
+                                  f"cannot parse {raw!r} as {kind.__name__}") from None
     return config
 
 

@@ -20,11 +20,10 @@ import numpy as np
 from . import autodiff as ad
 from . import layers
 from .autodiff import Tensor
-from .checkpoint import copy_into, load_checkpoint, save_checkpoint
 from .mesh import Mesh
 from .optim import fit
 from .rng import Rng, derive
-from .walks import extract_walks, walk_features
+from .walks import extract_walks, walk_features, walk_softmax_rows
 
 
 class ExpertError(ValueError):
@@ -200,27 +199,21 @@ class OracleExpert:
 def predict_batch(expert, meshes: list, seeds: list) -> list:
     """Each mesh's prediction, in input order; mesh i draws from `seeds[i]`.
 
-    A walk-RNN runs once per walk length over the stacked (n * W, L, 4)
-    walks, as `gate_forward_batch` runs the gate; other experts mesh by mesh.
+    A walk-RNN runs once per walk length over the stacked walks, through
+    `walk_softmax_rows` as the gate does; other experts mesh by mesh.
     """
     if len(meshes) != len(seeds):
         raise ExpertError(f"{len(meshes)} meshes but {len(seeds)} seeds")
     if not isinstance(expert, WalkRnnExpert):
         return [expert.predict(mesh, seed) for mesh, seed in zip(meshes, seeds)]
-    groups = {}
-    for index, (mesh, seed) in enumerate(zip(meshes, seeds)):
-        features = walk_features(mesh, extract_walks(mesh, expert.walk_count, seed))
-        groups.setdefault(features.shape[1], []).append((index, features))
-    rows = [None] * len(meshes)
-    for members in groups.values():
-        walks = Tensor(np.concatenate([features for _, features in members]))
-        h = layers.gru_forward(walks, expert.params, "gru", expert.hidden)
-        logits = layers.linear(h, expert.params["head.w"], expert.params["head.b"])
-        logits = ad.reshape(logits, (len(members), expert.walk_count, -1))
-        probs = ad.softmax(ad.tmean(logits, axis=1), axis=-1)
-        for k, (index, _) in enumerate(members):
-            rows[index] = ad.slice_index(probs, 0, k)
-    return rows
+
+    def run(walks):
+        h = layers.gru_forward(Tensor(walks), expert.params, "gru", expert.hidden)
+        return layers.linear(h, expert.params["head.w"], expert.params["head.b"])
+
+    features = [walk_features(mesh, extract_walks(mesh, expert.walk_count, seed))
+                for mesh, seed in zip(meshes, seeds)]
+    return walk_softmax_rows(features, run)
 
 
 def make_expert(spec: str, name: str, num_classes: int, seed: int, hidden: int = 32):
@@ -280,13 +273,3 @@ def expert_parameters(experts: list) -> dict:
     return {f"expert.{expert.name}.{key}": tensor
             for expert in experts if expert.params is not None
             for key, tensor in expert.params.items()}
-
-
-def save_expert_checkpoint(experts: list, path) -> None:
-    save_checkpoint(expert_parameters(experts), path)
-
-
-def load_expert_checkpoint(experts: list, path) -> None:
-    """Copy a checkpoint's parameters into matching experts, in place."""
-    copy_into(expert_parameters(experts), load_checkpoint(path))
-

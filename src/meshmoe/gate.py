@@ -5,9 +5,7 @@ positions, then 8 self-attention blocks.  Decoder: a learned query token
 cross-attends to the encoder output through 8 blocks; a final linear head
 maps the token to one logit per expert (or per class in the imitation
 head used for pre-training).  Per-mesh weights are the softmax of
-walk-averaged logits.  A batch of meshes is run as one gate call per walk
-length: the walks of every mesh with the same L are stacked into one
-(n * W, L, 4) array, so no padding or mask is needed.
+walk-averaged logits, batched by `walks.walk_softmax_rows`.
 
 Without trainable parameters (inference) the body runs over chunks of
 max(1, CHUNK_TOKENS // L) walks and the head over all walks at once, so
@@ -30,7 +28,7 @@ from . import layers
 from .autodiff import Tensor
 from .optim import fit
 from .rng import derive
-from .walks import extract_walks, walk_features
+from .walks import extract_walks, walk_features, walk_softmax_rows
 
 WALK_CHANNELS = 4  # xyz + jump flag
 CHUNK_TOKENS = 512  # walk positions per grad-free body chunk
@@ -126,25 +124,14 @@ def gate_forward_batch(meshes: list, walk_count: int, params: dict,
                        config: GateConfig, seeds: list) -> list:
     """GateWeights of each mesh, shape (J,) each, in input order.
 
-    Mesh i draws `walk_count` walks from `seeds[i]`.  Meshes are grouped by
-    walk length; each group runs through one `gate_forward_features` call,
-    and its logits are averaged over each mesh's walks before the softmax.
+    Mesh i draws `walk_count` walks from `seeds[i]`; see `walk_softmax_rows`.
     """
     if len(meshes) != len(seeds):
         raise GateError(f"{len(meshes)} meshes but {len(seeds)} seeds")
-    groups = {}
-    for index, (mesh, seed) in enumerate(zip(meshes, seeds)):
-        features = walk_features(mesh, extract_walks(mesh, walk_count, seed))
-        groups.setdefault(features.shape[1], []).append((index, features))
-    rows = [None] * len(meshes)
-    for members in groups.values():
-        logits = gate_forward_features(
-            np.concatenate([features for _, features in members]), params, config)
-        logits = ad.reshape(logits, (len(members), walk_count, logits.shape[-1]))
-        weights = ad.softmax(ad.tmean(logits, axis=1), axis=-1)
-        for k, (index, _) in enumerate(members):
-            rows[index] = ad.slice_index(weights, 0, k)
-    return rows
+    features = [walk_features(mesh, extract_walks(mesh, walk_count, seed))
+                for mesh, seed in zip(meshes, seeds)]
+    return walk_softmax_rows(
+        features, lambda walks: gate_forward_features(walks, params, config))
 
 
 def gate_forward_mesh(mesh, walk_count: int, params: dict, config: GateConfig,

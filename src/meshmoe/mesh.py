@@ -11,12 +11,12 @@ lengths only, so connectivity and labels ride along.
 import configparser
 import csv
 import os
-import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .checkpoint import atomic_write
+from .config import ini_where
 from .rng import Rng, derive
 
 
@@ -342,23 +342,19 @@ def save_dataset(dataset: Dataset, out_dir) -> None:
 
 def _read_dataset_ini(ini) -> dict:
     """{"task", "num_classes"} from dataset.ini; bad input names file and line."""
-    where = lambda line: f"{ini}:{line}" if line else ini
     parser = configparser.ConfigParser()
     try:
         parser.read(ini, encoding="utf-8")
     except configparser.Error as err:
-        raise MeshError(f"{where(getattr(err, 'lineno', None))}: "
-                        f"{err.message.splitlines()[0]}") from None
+        line = getattr(err, "lineno", None)
+        where = f"{ini}:{line}" if line else ini
+        raise MeshError(f"{where}: {err.message.splitlines()[0]}") from None
     raw = parser.get("dataset", "num_classes", fallback="0")
     try:
         num_classes = int(raw)
     except ValueError:
-        with open(ini, encoding="utf-8") as fh:
-            line = next((i for i, text in enumerate(fh, start=1)
-                         if re.split("[=:]", text)[0].strip().lower() == "num_classes"),
-                        None)
-        raise MeshError(f"{where(line)}: num_classes must be an integer, "
-                        f"got {raw!r}") from None
+        raise MeshError(f"{ini_where(ini, 'dataset', 'num_classes')}: num_classes "
+                        f"must be an integer, got {raw!r}") from None
     return {"task": parser.get("dataset", "task", fallback="classification"),
             "num_classes": num_classes}
 

@@ -54,6 +54,8 @@ class Adam:
 def epoch_batches(count: int, batch_size: int, seed: int, epoch: int) -> list:
     """Index batches of one epoch: a seeded shuffle of range(count), cut
     into consecutive runs of `batch_size` (the last may be shorter)."""
+    if batch_size < 1:
+        raise OptimError(f"batch size must be >= 1, got {batch_size}")
     order = list(range(count))
     Rng(derive(seed, "order", epoch)).shuffle(order)
     return [order[i:i + batch_size] for i in range(0, count, batch_size)]
@@ -67,6 +69,8 @@ def fit(params: dict, items: list, batch_loss, epochs: int, batch_size: int,
     """
     if not items:
         raise OptimError("no items to fit")
+    if epochs < 1:
+        raise OptimError(f"epochs must be >= 1, got {epochs}")
     optimizer = Adam(params, lr=lr)
     history = []
     for epoch in range(epochs):

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from .mesh import Mesh
 from .rng import Rng, derive
 
@@ -87,3 +88,24 @@ def walk_features(mesh: Mesh, walks: list) -> np.ndarray:
         raise WalkError(f"walks have mixed lengths: {sorted(lengths)}")
     flags = np.array([w.jump_flags for w in walks], dtype=np.float64)
     return np.dstack([mesh.vertices[np.array([w.vertex_indices for w in walks])], flags])
+
+
+def walk_softmax_rows(features: list, run) -> list:
+    """Softmax of walk-averaged logits, one (K,) row per mesh, in input order.
+
+    `features` holds each mesh's (W, L, 4) walk features, the same W for
+    every mesh.  Meshes are grouped by walk length: the walks of every mesh
+    with the same L are stacked into one (n * W, L, 4) array, so no padding
+    or mask is needed, and `run` maps it to (n * W, K) logits.
+    """
+    groups = {}
+    for index, walks in enumerate(features):
+        groups.setdefault(walks.shape[1], []).append(index)
+    rows = [None] * len(features)
+    for members in groups.values():
+        logits = run(np.concatenate([features[i] for i in members]))
+        logits = ad.reshape(logits, (len(members), len(features[members[0]]), -1))
+        weights = ad.softmax(ad.tmean(logits, axis=1), axis=-1)
+        for k, index in enumerate(members):
+            rows[index] = ad.slice_index(weights, 0, k)
+    return rows

@@ -276,6 +276,34 @@ def test_bad_lambda_range_fails(tmp_path, tiny_config, capsys):
     assert "lambda-range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("train", ("--batch-size", "-1")),
+    ("train", ("--batch-size", "0")),
+    ("pretrain-experts", ("--batch-size", "-2")),
+    ("pretrain-experts", ("--epochs", "0")),
+    ("pretrain-gate", ("--epochs", "0")),
+], ids=["train_negative_batch", "train_zero_batch", "pretrain_negative_batch",
+        "pretrain_experts_zero_epochs", "pretrain_gate_zero_epochs"])
+def test_bad_batch_size_or_epochs_fails_cleanly(tmp_path, capsys, command, flags):
+    ini = tmp_path / "face.ini"
+    ini.write_text(TINY_INI.replace("specs = oracle:0,oracle:1", "specs = face_mlp"))
+    out = str(tmp_path / "run")
+    assert run("gen-data", "--config", str(ini), "--out-dir", out) == 0
+    capsys.readouterr()
+    assert run(command, "--config", str(ini), "--out-dir", out, *flags) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not os.path.exists(os.path.join(out, "experts.ckpt"))
+    assert not os.path.exists(os.path.join(out, "model.ckpt"))
+
+
+def test_train_with_zero_epochs_still_saves(tmp_path, tiny_config):
+    out = str(tmp_path / "run")
+    assert run("gen-data", "--config", tiny_config, "--out-dir", out) == 0
+    assert run("train", "--config", tiny_config, "--out-dir", out,
+               "--static-lambda", "0", "--epochs", "0") == 0
+    assert os.path.exists(os.path.join(out, "model.ckpt"))
+
+
 def test_unknown_flag_exits_two(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run("gen-data", "--no-such-flag")

@@ -60,6 +60,21 @@ def test_bad_value_rejected(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[gate]\nd_model = 8\n\n[nonsense]\nx = 1\n",
+     ":4: unknown config section [nonsense]"),
+    ("[trainer]\nepochs = 3\nepochss = 3\n", ":3: [trainer] has no key 'epochss'"),
+    ("[run]\n\nsee = 3\n", ":3: [run] has no key 'see'"),
+    ("[agent]\nbatch_size = 8\n[trainer]\n# batch_size = 3\nBatch_Size = ten\n",
+     ":5: [trainer] batch_size: cannot parse 'ten' as int"),
+], ids=["section", "key", "run_key", "value"])
+def test_errors_name_file_and_line(tmp_path, text, message):
+    path = write(tmp_path, text)
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert str(exc.value) == path + message
+
+
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(str(tmp_path / "absent.ini"))

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from meshmoe.autodiff import Tensor
 from meshmoe.mesh import mesh_from_edges
 from meshmoe.rng import derive
 from meshmoe.synth import MAX_CLASSES, generate_classification_set, generate_segmentation_set
 from meshmoe.walks import (WalkError, extract_walk, extract_walks,
-                           walk_features, walk_length)
+                           walk_features, walk_length, walk_softmax_rows)
 
 
 def make_path_mesh():
@@ -123,6 +124,36 @@ def test_walk_feature_batch(tetrahedron):
         np.testing.assert_array_equal(rows, walk_features(tetrahedron, [walk])[0])
     with pytest.raises(WalkError, match="mixed lengths"):
         walk_features(tetrahedron, [walks[0], extract_walk(tetrahedron, 1, length=3)])
+
+
+def test_walk_softmax_rows_runs_once_per_length_in_input_order():
+    """Rings of 5, 10 and 15 vertices (L = 2, 4, 6), interleaved, each ring
+    scaled by its position so that every mesh gets a different row."""
+    def ring(count, scale):
+        angles = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
+        vertices = scale * np.stack([np.cos(angles), np.sin(angles), angles], axis=1)
+        return mesh_from_edges(vertices, [(i, (i + 1) % count) for i in range(count)])
+
+    meshes = [ring(count, 1.0 + i)
+              for i, count in enumerate([5, 10, 15, 10, 5, 15, 5])]
+    features = [walk_features(mesh, extract_walks(mesh, 3, seed=i))
+                for i, mesh in enumerate(meshes)]
+    calls = []
+
+    def run(walks):
+        calls.append(walks.copy())
+        return Tensor(walks.sum(axis=1))            # (n * W, 4) logits
+
+    rows = walk_softmax_rows(features, run)
+    assert sorted(call.shape[1] for call in calls) == [2, 4, 6]
+    for call in calls:
+        expected = [f for f in features if f.shape[1] == call.shape[1]]
+        np.testing.assert_array_equal(call, np.concatenate(expected))
+    assert len({row.data.tobytes() for row in rows}) == len(meshes)
+    for mesh_features, row in zip(features, rows):
+        assert row.shape == (4,)
+        alone = walk_softmax_rows([mesh_features], run)[0]
+        assert row.data.tobytes() == alone.data.tobytes()
 
 
 def test_walk_features_digest_is_pinned():
