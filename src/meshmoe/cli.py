@@ -18,7 +18,8 @@ from dataclasses import asdict
 from .autodiff import Tensor
 from .checkpoint import (CheckpointError, atomic_write, copy_into,
                          load_checkpoint, save_checkpoint)
-from .config import ConfigError, RunConfig, config_snapshot, load_config
+from .config import (ConfigError, RunConfig, config_snapshot, ini_where,
+                     load_config)
 from .experts import (ExpertError, build_experts, expert_parameters,
                       train_expert_supervised)
 from .gate import (GateConfig, GateError, average_pretrained_gates,
@@ -78,6 +79,12 @@ def _resolve_config(args) -> tuple:
             ("per_class", cfg.data, "per_class"), ("task", cfg.data, "task")):
         if getattr(args, flag, None) is not None:
             setattr(section, field, getattr(args, flag))
+    for field in ("walks_train", "walks_infer"):
+        count = getattr(cfg.trainer, field)
+        if count < 1:
+            where = (f"--{field.replace('_', '-')}" if getattr(args, field, None) is not None
+                     else ini_where(args.config, "trainer", field))
+            raise ConfigError(f"{where}: {field} must be >= 1, got {count}")
     if getattr(args, "lambda_range", None) is not None:
         try:
             lo, hi = (float(v) for v in args.lambda_range.split(","))

@@ -2,16 +2,19 @@
 
 Encoder: linear embedding of (xyz, jump) walk positions + sinusoidal
 positions, then 8 self-attention blocks.  Decoder: a learned query token
-cross-attends to the encoder output through 8 blocks; a final linear head
-maps the token to one logit per expert (or per class in the imitation
-head used for pre-training).  Per-mesh weights are the softmax of
-walk-averaged logits, batched by `walks.walk_softmax_rows`.
+cross-attends to the encoder output through 8 blocks.  Each block reads
+the unprojected encoder output through `layers.query_attention`: one
+folded query per head and one pooled row per walk, with no per-position
+keys or values.  A final linear head maps the token to one logit per
+expert (or per class in the imitation head used for pre-training).
+Per-mesh weights are the softmax of walk-averaged logits, batched by
+`walks.walk_softmax_rows`.
 
 Without trainable parameters (inference) the body runs over chunks of
 max(1, CHUNK_TOKENS // L) walks and the head over all walks at once, so
 attention memory is O(chunk * heads * L^2), not O(W * heads * L^2).  The
 bits do not change: `linear` does one GEMM per leading index, layer norm
-reduces per row and attention one GEMM per (walk, head), so no walk's
+reduces per row and attention does its GEMMs per walk, so no walk's
 numbers depend on the others.  With a graph all walks are one chunk.
 
 Pre-training runs one gate per expert against that expert's prediction

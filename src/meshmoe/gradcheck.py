@@ -88,9 +88,10 @@ def standard_battery(seed: int = 0) -> list:
     """Finite-difference checks across every differentiable building block.
 
     Returns [(name, GradReport), ...] covering the fused multi-head
-    attention (self and cross), linear and layer norm ops, a full MHA
-    block, the recurrent cell, cross-entropy, KL divergence, the gate end
-    to end, and the joint training loss composite.
+    attention, the decoder's query attention over unprojected memory, the
+    linear and layer norm ops, a full MHA block, the recurrent cell,
+    cross-entropy, KL divergence, the gate end to end, and the joint
+    training loss composite.
     """
     from . import autodiff as ad
     from . import layers
@@ -155,11 +156,14 @@ def standard_battery(seed: int = 0) -> list:
 
     rng = stream("cross_attention")
     cross = {"q": Tensor(rng.normal_fill((2, 1, 4)) * 0.5, requires_grad=True),
-             "k": Tensor(rng.normal_fill((2, 5, 4)) * 0.5, requires_grad=True),
-             "v": Tensor(rng.normal_fill((2, 5, 4)) * 0.5, requires_grad=True)}
+             "memory": Tensor(rng.normal_fill((2, 5, 4)) * 0.5, requires_grad=True),
+             "wk": Tensor(rng.normal_fill((4, 4)) * 0.5, requires_grad=True),
+             "wv": Tensor(rng.normal_fill((4, 4)) * 0.5, requires_grad=True),
+             "vb": Tensor(rng.normal_fill((4,)) * 0.1, requires_grad=True)}
     cross_mix = rng.normal_fill((2, 1, 4))
-    entries.append(("cross_attention", lambda: ad.tsum(ad.mul(layers.multi_head_attention(
-        cross["q"], cross["k"], cross["v"], heads=2), Tensor(cross_mix))), cross))
+    entries.append(("cross_attention", lambda: ad.tsum(ad.mul(layers.query_attention(
+        cross["q"], cross["memory"], cross["wk"], cross["wv"], cross["vb"], heads=2),
+        Tensor(cross_mix))), cross))
 
     rng = stream("linear")
     lin = {"x": Tensor(rng.normal_fill((2, 3, 4)) * 0.5, requires_grad=True),

@@ -1,11 +1,14 @@
 """Differentiable layers: linear, layer norm, attention, GRU, losses.
 
 Shapes use trailing (sequence, feature) axes so batch axes broadcast.
-`linear`, `layer_norm`, `multi_head_attention` and `gru_forward` are
-fused: each is one autodiff node with a hand-written backward, so an
-attention block adds 12 graph nodes and keeps one (heads, Lq, Lk)
-probability buffer alive, and a GRU over L steps is one node that keeps
-h_prev, z, r, r * h_prev and n for each step.
+`linear`, `layer_norm`, `multi_head_attention`, `query_attention` and
+`gru_forward` are fused: each is one autodiff node with a hand-written
+backward, so a self-attention block adds 12 graph nodes and keeps one
+(heads, Lq, Lk) probability buffer alive, and a GRU over L steps is one
+node that keeps h_prev, z, r, r * h_prev and n for each step.  A
+cross-attention block adds 10 nodes: `query_attention` folds the key
+projection into its short query and projects the pooled memory, so it
+keeps no (..., Lk, d) key or value array.
 A 2-D weight under a batched input gets its gradient from one GEMM over
 the flattened leading axes.  Attention blocks are pre-norm residual:
 x + attn(norm(x)), then x + ff(norm(x)); the key projection has no bias.
@@ -157,6 +160,66 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     return ad._node(out_data, (q, k, v), backward)
 
 
+def query_attention(q: Tensor, memory: Tensor, wk: Tensor, wv: Tensor, vb: Tensor,
+                    heads: int) -> Tensor:
+    """multi_head_attention(q, linear(memory, wk), linear(memory, wv, vb)) as
+    one node that never forms the (..., Lk, d) keys and values.
+
+    q is (..., Lq, d) with a short Lq (one learned query per walk), memory
+    (..., Lk, d).  Each head folds its slice of wk into the query and
+    scores the raw memory, q_h (M wk_h)^T = (q_h wk_h^T) M^T; it pools the
+    raw memory and projects once, sum_l p_l (M_l wv_h + vb_h) =
+    (sum_l p_l M_l) wv_h + vb_h, since the probabilities sum to 1.  The
+    node keeps the probabilities, the folded queries and the pooled
+    memory, all (..., heads * Lq, ·).
+    """
+    *batch, lq, d = q.shape
+    dh = d // heads
+    scale = 1.0 / math.sqrt(dh)
+    # (heads, d, dh): head h's columns of a (d, d) projection
+    wkh, wvh = (np.swapaxes(w.data.reshape(d, heads, dh), 0, 1) for w in (wk, wv))
+    qh = _heads(q.data, heads)                                     # (..., H, Lq, dh)
+    folded = (qh @ np.swapaxes(wkh, -1, -2)).reshape(*batch, heads * lq, d)
+    mem_t = np.swapaxes(memory.data, -1, -2)
+    probs = folded @ mem_t                                         # (..., H*Lq, Lk)
+    probs *= scale
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    pooled = (probs @ memory.data).reshape(*batch, heads, lq, d)
+    out_data = _merged(pooled @ wvh)
+    out_data += vb.data
+
+    def weight_grad(a, b):
+        # per head, a^T b over every (..., Lq) row, as a (d, heads * dh) weight
+        a, b = (np.moveaxis(t.reshape(-1, heads, lq, t.shape[-1]), 1, 0)
+                .reshape(heads, -1, t.shape[-1]) for t in (a, b))
+        return np.swapaxes(np.swapaxes(a, -1, -2) @ b, 0, 1).reshape(d, d)
+
+    def backward(g):
+        gh = _heads(g, heads)                                      # (..., H, Lq, dh)
+        if vb.requires_grad:
+            ad._accumulate(vb, g.reshape(-1, d).sum(axis=0))
+        if wv.requires_grad:
+            ad._accumulate(wv, weight_grad(pooled, gh))
+        d_pooled = (gh @ np.swapaxes(wvh, -1, -2)).reshape(*batch, heads * lq, d)
+        d_scores = d_pooled @ mem_t
+        d_scores -= (d_scores * probs).sum(axis=-1, keepdims=True)
+        d_scores *= probs
+        d_scores *= scale
+        if memory.requires_grad:
+            d_memory = np.swapaxes(probs, -1, -2) @ d_pooled
+            d_memory += np.swapaxes(d_scores, -1, -2) @ folded
+            ad._accumulate(memory, d_memory)
+        d_folded = (d_scores @ memory.data).reshape(*batch, heads, lq, d)
+        if q.requires_grad:
+            ad._accumulate(q, _merged(d_folded @ wkh))
+        if wk.requires_grad:
+            ad._accumulate(wk, weight_grad(d_folded, qh))
+
+    return ad._node(out_data, (q, memory, wk, wv, vb), backward)
+
+
 def init_mha_block(params: dict, prefix: str, d_model: int, ff_width: int, seed: int) -> None:
     """Create one pre-norm attention + feed-forward block under `prefix`."""
     for name in ("wq", "wk", "wv", "wo"):
@@ -179,15 +242,18 @@ def mha_block(x: Tensor, params: dict, prefix: str, heads: int,
     """Pre-norm residual block; cross-attends to `memory` when given.
 
     Queries come from the normed input; keys and values come from the
-    memory as-is in the cross-attention case, from the normed input in
-    the self-attention case.
+    normed input in the self-attention case.  In the cross-attention case
+    `query_attention` reads the memory as-is, without projecting it.
     """
     p = lambda name: params[f"{prefix}.{name}"]
     normed = layer_norm(x, p("ln1.g"), p("ln1.b"))
-    source = normed if memory is None else memory
-    attended = multi_head_attention(linear(normed, p("attn.wq"), p("attn.qb")),
-                                    linear(source, p("attn.wk")),
-                                    linear(source, p("attn.wv"), p("attn.vb")), heads)
+    query = linear(normed, p("attn.wq"), p("attn.qb"))
+    if memory is None:
+        attended = multi_head_attention(query, linear(normed, p("attn.wk")),
+                                        linear(normed, p("attn.wv"), p("attn.vb")), heads)
+    else:
+        attended = query_attention(query, memory, p("attn.wk"), p("attn.wv"),
+                                   p("attn.vb"), heads)
     x = ad.add(x, linear(attended, p("attn.wo"), p("attn.ob")))
     normed = layer_norm(x, p("ln2.g"), p("ln2.b"))
     hidden = ad.relu(linear(normed, p("ff.w1"), p("ff.b1")))

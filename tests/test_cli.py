@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 
 import pytest
 
@@ -294,6 +295,29 @@ def test_bad_batch_size_or_epochs_fails_cleanly(tmp_path, capsys, command, flags
     assert capsys.readouterr().err.startswith("error: ")
     assert not os.path.exists(os.path.join(out, "experts.ckpt"))
     assert not os.path.exists(os.path.join(out, "model.ckpt"))
+
+
+@pytest.mark.parametrize("flag", ["--walks-train", "--walks-infer"])
+def test_zero_walk_flag_fails_before_training(tmp_path, capsys, tiny_config, flag):
+    out = str(tmp_path / "run")
+    assert run("gen-data", "--config", tiny_config, "--out-dir", out) == 0
+    capsys.readouterr()
+    assert run("train", "--config", tiny_config, "--out-dir", out,
+               "--static-lambda", "0", flag, "0") == 1
+    assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+    assert not os.path.exists(os.path.join(out, "model.ckpt"))
+
+
+@pytest.mark.parametrize("key", ["walks_train", "walks_infer"])
+def test_zero_walk_config_value_names_file_and_line(tmp_path, capsys, key):
+    ini = tmp_path / "walks.ini"
+    ini.write_text(re.sub(rf"{key} = \d+", f"{key} = 0", TINY_INI))
+    line = ini.read_text().splitlines().index(f"{key} = 0") + 1
+    out = str(tmp_path / "run")
+    assert run("train", "--config", str(ini), "--out-dir", out,
+               "--static-lambda", "0") == 1
+    assert capsys.readouterr().err.startswith(f"error: {ini}:{line}: ")
+    assert not os.path.exists(out)
 
 
 def test_train_with_zero_epochs_still_saves(tmp_path, tiny_config):

@@ -134,6 +134,26 @@ def test_gate_end_to_end_gradients(tetrahedron):
     assert report.passed, str(report)
 
 
+def test_decoder_projects_no_memory(monkeypatch, tetrahedron):
+    """Six linears per encoder block, four per decoder block (no key or
+    value projection of the memory), plus the embedding and the head."""
+    config = GateConfig(num_experts=3, encoder_layers=3, decoder_layers=2,
+                        d_model=8, heads=2, ff_width=16)
+    params = init_gate_params(config, seed=8)
+    calls = []
+    real_linear = layers.linear
+
+    def counting_linear(*args):
+        calls.append(args[1])
+        return real_linear(*args)
+
+    monkeypatch.setattr(layers, "linear", counting_linear)
+    gate_forward_mesh(tetrahedron, 3, params, config, seed=1)
+    assert len(calls) == 6 * 3 + 4 * 2 + 2
+    decoder_weights = {id(params[f"dec.{i}.attn.{w}"]) for i in range(2) for w in ("wk", "wv")}
+    assert not any(id(w) in decoder_weights for w in calls)
+
+
 def test_batched_walks_match_loop(tetrahedron):
     from meshmoe.walks import extract_walks
     params = init_gate_params(TINY, seed=9)
@@ -308,7 +328,7 @@ def test_pretrain_imitation_loss_history_is_pinned():
     history = pretrain_imitation(init_gate_params(cfg, seed=6), cfg, expert,
                                  meshes, epochs=2, walk_count=2, batch_size=4,
                                  lr=1e-2, seed=7)
-    assert history == [0.09071023411304757, 0.0417274648038884]
+    assert history == [0.0907102341130476, 0.04172746480388839]
 
 
 def test_pretrain_requires_imitation_mode():

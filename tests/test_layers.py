@@ -102,6 +102,19 @@ def test_fused_attention_matches_composed(heads, q_len, k_len):
         inputs, (3, q_len, 8), seed=94)
 
 
+@pytest.mark.parametrize("heads,batch,k_len", [(1, (3,), 5), (2, (3,), 1), (4, (2, 3), 7)],
+                         ids=["one-head", "L1", "two-batch-axes"])
+def test_query_attention_matches_projected_memory(heads, batch, k_len):
+    """Output and all five gradients equal attention over linear(memory)."""
+    inputs = [rand((*batch, 1, 8), 95), rand((*batch, k_len, 8), 96),
+              rand((8, 8), 97), rand((8, 8), 98), rand((8,), 99)]
+    assert_fused_matches(
+        lambda q, m, wk, wv, vb: layers.query_attention(q, m, wk, wv, vb, heads),
+        lambda q, m, wk, wv, vb: layers.multi_head_attention(
+            q, layers.linear(m, wk), layers.linear(m, wv, vb), heads),
+        inputs, (*batch, 1, 8), seed=100)
+
+
 def test_layer_norm_output_stats_and_grad():
     x = rand((4, 6), 1, scale=3.0)
     g, b = layers.ones((6,)), layers.zeros((6,))
@@ -204,6 +217,16 @@ def test_mha_block_adds_twelve_graph_nodes():
     out = layers.mha_block(x, params, "blk", heads=2)
     nodes = [n for n in ad._topological_order(out) if n._parents]
     assert len(nodes) <= 12
+
+
+def test_cross_attention_block_adds_ten_graph_nodes():
+    """The memory is read unprojected: no key or value linear node."""
+    params = {}
+    layers.init_mha_block(params, "blk", 8, 16, seed=35)
+    x, memory = rand((2, 1, 8), 36), rand((2, 5, 8), 37)
+    out = layers.mha_block(x, params, "blk", heads=2, memory=memory)
+    nodes = [n for n in ad._topological_order(out) if n._parents]
+    assert len(nodes) <= 10
 
 
 def test_mha_block_batched_matches_loop():
