@@ -25,14 +25,14 @@ from .experts import (ExpertError, build_experts, expert_parameters,
 from .gate import (GateConfig, GateError, average_pretrained_gates,
                    init_gate_params, pretrain_imitation)
 from .gradcheck import standard_battery
-from .mesh import MeshError, load_dataset, load_off, save_dataset
+from .mesh import TASKS, MeshError, load_dataset, load_off, save_dataset
 from .optim import OptimError
 from .rng import derive
 from .sac import SACConfig, SacLambdaAgent, StaticLambdaAgent
 from .synth import generate_classification_set, generate_segmentation_set
-from .trainer import (TrainerError, build_system, evaluate_ensemble,
-                      inference, load_system, save_system, task_scores,
-                      train_run)
+from .trainer import (SIM_KINDS, TrainerError, build_system,
+                      evaluate_ensemble, inference, load_system, save_system,
+                      task_scores, train_run)
 from .walks import WalkError, extract_walks
 
 _ERRORS = (ConfigError, MeshError, WalkError, TrainerError, CheckpointError,
@@ -69,16 +69,11 @@ def _resolve_config(args) -> tuple:
         inputs.append(args.config)
     else:
         cfg = RunConfig()
-    for flag, section, field in (
-            ("seed", cfg, "seed"), ("epochs", cfg.trainer, "epochs"),
-            ("batch_size", cfg.trainer, "batch_size"), ("experts", cfg.experts, "specs"),
-            ("walks_train", cfg.trainer, "walks_train"),
-            ("walks_infer", cfg.trainer, "walks_infer"),
-            ("static_lambda", cfg.agent, "static_lambda"),
-            ("loss_sim", cfg.trainer, "sim_loss"), ("classes", cfg.data, "classes"),
-            ("per_class", cfg.data, "per_class"), ("task", cfg.data, "task")):
-        if getattr(args, flag, None) is not None:
-            setattr(section, field, getattr(args, flag))
+    for flag, (_, target) in _FLAGS.items():
+        value = getattr(args, flag.replace("-", "_"), None)
+        if target is not None and value is not None:
+            section, field = target
+            setattr(cfg if section == "run" else getattr(cfg, section), field, value)
     for field in ("walks_train", "walks_infer"):
         count = getattr(cfg.trainer, field)
         if count < 1:
@@ -108,6 +103,11 @@ def _data_dir(args) -> str:
 def _dataset_run(args) -> tuple:
     """(cfg, inputs, out_dir, dataset) of a subcommand that reads a dataset."""
     cfg, inputs = _resolve_config(args)
+    # only the default <out-dir> checkpoints are optional
+    for flag in ("experts_ckpt", "gate_init"):
+        path = getattr(args, flag, None)
+        if path is not None and not os.path.exists(path):
+            raise CheckpointError(f"--{flag.replace('_', '-')}: no checkpoint at {path}")
     out = _out_dir(args)
     data_dir = _data_dir(args)
     dataset = load_dataset(data_dir)
@@ -329,78 +329,74 @@ def _cmd_gradcheck(args) -> int:
 
 # -------------------------------------------------------------- parser
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--config", default=None,
-                        help="key=value config file; flags override it")
-    common.add_argument("--out-dir", default="runs")
-    common.add_argument("--data-dir", default=None,
-                        help="dataset directory (default <out-dir>/data)")
-    common.add_argument("--epochs", type=int, default=None)
-    common.add_argument("--batch-size", type=int, default=None)
-    common.add_argument("--experts", default=None,
-                        help="comma-separated expert specs")
-    common.add_argument("--walks-train", type=int, default=None)
-    common.add_argument("--walks-infer", type=int, default=None)
-    common.add_argument("--lambda-range", default=None, metavar="LO,HI")
+# Every flag, declared once: its argparse options and the RunConfig (section,
+# field) it overrides, if any ("run" is the top level, as in config files).
+_FLAGS = {
+    "seed": ({"type": int}, ("run", "seed")),
+    "config": ({"help": "key=value config file; flags override it"}, None),
+    "out-dir": ({"default": "runs"}, None),
+    "data-dir": ({"help": "dataset directory (default <out-dir>/data)"}, None),
+    "classes": ({"type": int}, ("data", "classes")),
+    "per-class": ({"type": int}, ("data", "per_class")),
+    "task": ({"choices": TASKS}, ("data", "task")),
+    "epochs": ({"type": int}, ("trainer", "epochs")),
+    "batch-size": ({"type": int}, ("trainer", "batch_size")),
+    "experts": ({"help": "comma-separated expert specs"}, ("experts", "specs")),
+    "walks-train": ({"type": int}, ("trainer", "walks_train")),
+    "walks-infer": ({"type": int}, ("trainer", "walks_infer")),
+    "lambda-range": ({"metavar": "LO,HI"}, None),   # parsed by _resolve_config
+    "static-lambda": ({"metavar": "X", "help": "constant lambda instead of the learned agent"},
+                      ("agent", "static_lambda")),
+    "loss-sim": ({"choices": SIM_KINDS}, ("trainer", "sim_loss")),
+    "experts-ckpt": ({}, None),
+    "gate-init": ({}, None),
+    "ckpt": ({}, None),
+    "split": ({"default": "test", "choices": ["train", "test"]}, None),
+    "ensemble": ({"action": "store_true",
+                  "help": "hard-voting baseline over all experts"}, None),
+    "mesh-file": ({"required": True}, None),
+    "count": ({"type": int, "default": 8}, None),
+    "out": ({}, None),
+}
 
+# Each subcommand: its handler, its help line and the flags it reads.
+_COMMANDS = {
+    "gen-data": (_cmd_gen_data, "write a synthetic mesh dataset",
+                 "seed config out-dir data-dir classes per-class task"),
+    "pretrain-experts": (_cmd_pretrain_experts,
+                         "supervised pre-training of each trainable expert",
+                         "seed config out-dir data-dir epochs batch-size experts"),
+    "pretrain-gate": (_cmd_pretrain_gate,
+                      "imitation pre-training per expert, then averaging",
+                      "seed config out-dir data-dir epochs batch-size experts "
+                      "walks-train experts-ckpt"),
+    "train": (_cmd_train, "joint MoE training with a coefficient agent",
+              "seed config out-dir data-dir epochs batch-size experts walks-train "
+              "lambda-range static-lambda loss-sim experts-ckpt gate-init"),
+    "eval": (_cmd_eval, "evaluate a trained system",
+             "seed config out-dir data-dir experts walks-infer ckpt split ensemble"),
+    "dump-walks": (_cmd_dump_walks, "print walk vertex sequences for one mesh",
+                   "seed config mesh-file count out"),
+    "gradcheck": (_cmd_gradcheck,
+                  "finite-difference checks on every building block", "seed config"),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="meshmoe",
         description="walk-routed mixture of mesh experts")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-data", parents=[common],
-                       help="write a synthetic mesh dataset")
-    p.add_argument("--classes", type=int, default=None)
-    p.add_argument("--per-class", type=int, default=None)
-    p.add_argument("--task", default=None,
-                   choices=["classification", "retrieval", "segmentation"])
-    p.set_defaults(func=_cmd_gen_data)
-
-    p = sub.add_parser("pretrain-experts", parents=[common],
-                       help="supervised pre-training of each trainable expert")
-    p.set_defaults(func=_cmd_pretrain_experts)
-
-    p = sub.add_parser("pretrain-gate", parents=[common],
-                       help="imitation pre-training per expert, then averaging")
-    p.add_argument("--experts-ckpt", default=None)
-    p.set_defaults(func=_cmd_pretrain_gate)
-
-    p = sub.add_parser("train", parents=[common],
-                       help="joint MoE training with a coefficient agent")
-    p.add_argument("--static-lambda", default=None, metavar="X",
-                   help="constant lambda instead of the learned agent")
-    p.add_argument("--loss-sim", default=None,
-                   choices=["kld", "cosine", "mse", "none"])
-    p.add_argument("--experts-ckpt", default=None)
-    p.add_argument("--gate-init", default=None)
-    p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser("eval", parents=[common],
-                       help="evaluate a trained system")
-    p.add_argument("--ckpt", default=None)
-    p.add_argument("--split", default="test", choices=["train", "test"])
-    p.add_argument("--ensemble", action="store_true",
-                   help="hard-voting baseline over all experts")
-    p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("dump-walks", parents=[common],
-                       help="print walk vertex sequences for one mesh")
-    p.add_argument("--mesh-file", required=True)
-    p.add_argument("--count", type=int, default=8)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_dump_walks)
-
-    p = sub.add_parser("gradcheck", parents=[common],
-                       help="finite-difference checks on every building block")
-    p.set_defaults(func=_cmd_gradcheck)
+    for name, (func, help_line, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for flag in flags.split():
+            p.add_argument(f"--{flag}", **_FLAGS[flag][0])
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except _ERRORS as exc:

@@ -266,16 +266,19 @@ def save_label_sidecar(labels: np.ndarray, path) -> None:
 
 # --- datasets ------------------------------------------------------------
 
+TASKS = ("classification", "retrieval", "segmentation")
+
+
 @dataclass
 class Dataset:
     meshes: list
     num_classes: int
-    task: str = "classification"      # classification | retrieval | segmentation
+    task: str = "classification"
     train_ids: list = field(default_factory=list)
     test_ids: list = field(default_factory=list)
 
     def __post_init__(self):
-        if self.task not in ("classification", "retrieval", "segmentation"):
+        if self.task not in TASKS:
             raise MeshError(f"unknown task: {self.task}")
         ids = [m.mesh_id for m in self.meshes]
         if len(set(ids)) != len(ids):

@@ -33,6 +33,7 @@ from .checkpoint import atomic_write, copy_into, load_checkpoint, save_checkpoin
 from .experts import expert_parameters, predict_batch
 from .gate import (GateConfig, gate_forward_batch, gate_forward_mesh,
                    init_gate_params)
+from .mesh import TASKS
 from .metrics import (edge_accuracy, mean_average_precision,
                       mean_instance_accuracy, ndcg, retrieval_relevance)
 from .optim import Adam, epoch_batches
@@ -61,7 +62,7 @@ class MoESystem:
             raise TrainerError(
                 f"gate routes {self.gate_config.num_experts} experts, got "
                 f"{len(self.experts)}")
-        if self.task not in ("classification", "retrieval", "segmentation"):
+        if self.task not in TASKS:
             raise TrainerError(f"unknown task {self.task!r}")
 
 
@@ -112,9 +113,8 @@ def _stacked_rows(expert_predictions: list):
     if any(len(preds) != num_experts for preds in expert_predictions):
         raise TrainerError("meshes disagree in expert count")
     counts = [int(np.prod(preds[0].shape[:-1])) for preds in expert_predictions]
-    columns = zip(*[[ad.reshape(p, (-1, p.shape[-1])) for p in preds]
-                    for preds in expert_predictions])
-    rows = ad.stack([ad.concat(list(column)) for column in columns])
+    rows = ad.stack([ad.reshape(ad.concat(list(column)), (-1, column[0].shape[-1]))
+                     for column in zip(*expert_predictions)])
     average = np.repeat(np.eye(len(counts)) / counts, counts, axis=0)
     return rows, Tensor(average)
 

@@ -1,6 +1,8 @@
 """End-to-end runs of the command-line pipeline in temp directories."""
 
+import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -9,7 +11,8 @@ import re
 
 import pytest
 
-from meshmoe.cli import main
+from meshmoe.cli import _FLAGS, build_parser, main
+from meshmoe.config import RunConfig
 from meshmoe.mesh import load_off
 
 TINY_INI = """
@@ -302,8 +305,19 @@ def test_zero_walk_flag_fails_before_training(tmp_path, capsys, tiny_config, fla
     out = str(tmp_path / "run")
     assert run("gen-data", "--config", tiny_config, "--out-dir", out) == 0
     capsys.readouterr()
-    assert run("train", "--config", tiny_config, "--out-dir", out,
-               "--static-lambda", "0", flag, "0") == 1
+    train = ("train", "--config", tiny_config, "--out-dir", out,
+             "--static-lambda", "0", flag, "0")
+    if flag == "--walks-train":
+        assert run(*train) == 1
+    else:
+        # train never reads --walks-infer; eval does, and must fail before
+        # it looks for a checkpoint
+        with pytest.raises(SystemExit) as exc:
+            run(*train)
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run("eval", "--config", tiny_config, "--out-dir", out, flag, "0") == 1
+        assert not os.path.exists(os.path.join(out, "report.csv"))
     assert capsys.readouterr().err.startswith(f"error: {flag}: ")
     assert not os.path.exists(os.path.join(out, "model.ckpt"))
 
@@ -326,6 +340,63 @@ def test_train_with_zero_epochs_still_saves(tmp_path, tiny_config):
     assert run("train", "--config", tiny_config, "--out-dir", out,
                "--static-lambda", "0", "--epochs", "0") == 0
     assert os.path.exists(os.path.join(out, "model.ckpt"))
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("pretrain-gate", "--experts-ckpt"),
+    ("train", "--experts-ckpt"),
+    ("train", "--gate-init"),
+])
+def test_missing_explicit_checkpoint_fails(tmp_path, capsys, tiny_config, command, flag):
+    out = str(tmp_path / "run")
+    assert run("gen-data", "--config", tiny_config, "--out-dir", out) == 0
+    before = sorted(os.listdir(out))
+    capsys.readouterr()
+    missing = str(tmp_path / "no" / "such.ckpt")
+    assert run(command, "--config", tiny_config, "--out-dir", out, flag, missing) == 1
+    assert capsys.readouterr().err == f"error: {flag}: no checkpoint at {missing}\n"
+    assert sorted(os.listdir(out)) == before
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_gradcheck_exit_code_follows_the_battery(capsys, seed):
+    code = run("gradcheck", "--seed", str(seed))
+    statuses = [line.split()[1] for line in capsys.readouterr().out.splitlines()]
+    assert len(statuses) == 10 and set(statuses) <= {"PASS", "FAIL"}
+    assert code == (1 if "FAIL" in statuses else 0)
+    if seed == 0:
+        assert statuses == ["PASS"] * 10
+
+
+SUBCOMMAND_FLAGS = {
+    "gen-data": "seed config out-dir data-dir classes per-class task",
+    "pretrain-experts": "seed config out-dir data-dir epochs batch-size experts",
+    "pretrain-gate": "seed config out-dir data-dir epochs batch-size experts "
+                     "walks-train experts-ckpt",
+    "train": "seed config out-dir data-dir epochs batch-size experts walks-train "
+             "lambda-range static-lambda loss-sim experts-ckpt gate-init",
+    "eval": "seed config out-dir data-dir experts walks-infer ckpt split ensemble",
+    "dump-walks": "seed config mesh-file count out",
+    "gradcheck": "seed config",
+}
+
+
+def test_each_subcommand_accepts_only_the_flags_it_reads():
+    (sub,) = [action for action in build_parser()._actions
+              if isinstance(action, argparse._SubParsersAction)]
+    accepted = {name: {opt for action in parser._actions
+                       for opt in action.option_strings} - {"-h", "--help"}
+                for name, parser in sub.choices.items()}
+    assert accepted == {name: {f"--{flag}" for flag in flags.split()}
+                        for name, flags in SUBCOMMAND_FLAGS.items()}
+    assert sum(map(len, accepted.values())) == 52
+
+
+@pytest.mark.parametrize("flag", [flag for flag, (_, target) in _FLAGS.items() if target])
+def test_flag_overrides_an_existing_config_field(flag):
+    section, field = _FLAGS[flag][1]
+    owner = RunConfig() if section == "run" else getattr(RunConfig(), section)
+    assert field in {f.name for f in dataclasses.fields(owner)}
 
 
 def test_unknown_flag_exits_two(tmp_path):

@@ -284,17 +284,12 @@ def test_diversity_rejects_target_rows_mismatch():
 
 
 def test_losses_build_no_per_pair_subgraphs():
-    # B=16, J=4: the per-pair losses added 1,537 and 641 nodes
+    # B=16, J=4: the per-pair losses added 1,537 and 641 nodes, and one
+    # reshape per (mesh, expert) made the count grow with the batch
     rng = Rng(5)
-    batch, num_experts = 16, 4
-    preds = [[Tensor(prob_rows(rng, (5,)), requires_grad=True)
-              for _ in range(num_experts)] for _ in range(batch)]
-    weights = [Tensor(prob_rows(rng, (num_experts,)), requires_grad=True)
-               for _ in range(batch)]
-    targets = [rng.randbelow(5) for _ in range(batch)]
-    leaves = {id(t) for t in weights} | {id(p) for row in preds for p in row}
+    num_experts = 4
 
-    def added_nodes(root):
+    def added_nodes(root, leaves):
         seen, stack = {id(root)}, [root]
         while stack:
             for parent in stack.pop()._parents:
@@ -303,8 +298,18 @@ def test_losses_build_no_per_pair_subgraphs():
                     stack.append(parent)
         return len(seen - leaves)
 
-    assert added_nodes(similarity_loss(preds, "kld")) <= 2 * batch * num_experts
-    assert added_nodes(diversity_loss(weights, preds, targets)) <= 2 * batch * num_experts
+    counts = []
+    for batch in (16, 32):
+        preds = [[Tensor(prob_rows(rng, (5,)), requires_grad=True)
+                  for _ in range(num_experts)] for _ in range(batch)]
+        weights = [Tensor(prob_rows(rng, (num_experts,)), requires_grad=True)
+                   for _ in range(batch)]
+        targets = [rng.randbelow(5) for _ in range(batch)]
+        leaves = {id(t) for t in weights} | {id(p) for row in preds for p in row}
+        counts.append((added_nodes(similarity_loss(preds, "kld"), leaves),
+                       added_nodes(diversity_loss(weights, preds, targets), leaves)))
+    assert counts[0] == counts[1]
+    assert max(counts[0]) <= 2 * 16 * num_experts
 
 
 @given(ls=st.floats(-100, 100), ld=st.floats(-100, 100))
