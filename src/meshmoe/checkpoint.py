@@ -5,11 +5,13 @@ path: `<path> <d0>x<d1>x... <base64>`, where the payload is the raw
 little-endian float64 bytes.  Scalars use the shape token `scalar`.
 Checkpoints, dataset indexes and the CLI's manifests, logs, reports and
 walk listings are written by `atomic_write`: to a temp file that is
-renamed into place.
+renamed into place.  `ini_where` points errors in the INI files the program
+reads (run configs, dataset.ini) at a file and line.
 """
 
 import base64
 import os
+import re
 from contextlib import contextmanager
 
 import numpy as np
@@ -21,6 +23,22 @@ HEADER = "MME-CKPT v1"
 
 class CheckpointError(ValueError):
     pass
+
+
+def ini_where(path, section: str, key: str | None = None) -> str:
+    """'path:line' of `key` inside [section], or of the [section] header
+    when `key` is None; just the path when there is no such line."""
+    inside = False
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        for line, text in enumerate(fh, start=1):
+            header = re.match(r"\[(.+)\]", text.strip())
+            if header:
+                inside = header.group(1) == section
+                if inside and key is None:
+                    return f"{path}:{line}"
+            elif inside and re.split("[=:]", text)[0].strip().lower() == key:
+                return f"{path}:{line}"
+    return str(path)
 
 
 def _shape_token(shape) -> str:

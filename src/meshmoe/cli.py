@@ -16,10 +16,9 @@ import sys
 from dataclasses import asdict
 
 from .autodiff import Tensor
-from .checkpoint import (CheckpointError, atomic_write, copy_into,
+from .checkpoint import (CheckpointError, atomic_write, copy_into, ini_where,
                          load_checkpoint, save_checkpoint)
-from .config import (ConfigError, RunConfig, config_snapshot, ini_where,
-                     load_config)
+from .config import ConfigError, RunConfig, config_snapshot, load_config
 from .experts import (ExpertError, build_experts, expert_parameters,
                       train_expert_supervised)
 from .gate import (GateConfig, GateError, average_pretrained_gates,
@@ -108,12 +107,11 @@ def _dataset_run(args) -> tuple:
         path = getattr(args, flag, None)
         if path is not None and not os.path.exists(path):
             raise CheckpointError(f"--{flag.replace('_', '-')}: no checkpoint at {path}")
-    out = _out_dir(args)
     data_dir = _data_dir(args)
     dataset = load_dataset(data_dir)
     inputs += [os.path.join(data_dir, "manifest.csv"),
                os.path.join(data_dir, "dataset.ini")]
-    return cfg, inputs, out, dataset
+    return cfg, inputs, _out_dir(args), dataset
 
 
 def _load_if_present(what: str, params: dict, path, inputs: list) -> None:
@@ -148,7 +146,6 @@ def _build_full_system(cfg: RunConfig, dataset):
 
 def _cmd_gen_data(args) -> int:
     cfg, inputs = _resolve_config(args)
-    out = _out_dir(args)
     data_dir = _data_dir(args)
     if cfg.data.task == "segmentation":
         dataset = generate_segmentation_set(per_class=cfg.data.per_class,
@@ -157,6 +154,7 @@ def _cmd_gen_data(args) -> int:
         dataset = generate_classification_set(
             classes=cfg.data.classes, per_class=cfg.data.per_class,
             seed=cfg.seed, task=cfg.data.task)
+    out = _out_dir(args)
     save_dataset(dataset, data_dir)
     _write_manifest(out, "gen-data", cfg, inputs,
                     [os.path.join(data_dir, "manifest.csv")])

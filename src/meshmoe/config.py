@@ -2,25 +2,35 @@
 
 The file format is INI-style flat sections ([gate], [experts], [trainer],
 [agent], [data]); values are coerced to the type of the dataclass default.
+[gate] and [agent] take their keys and defaults from `GateConfig` and
+`SACConfig`, less the fields the CLI fills in from the dataset and pool.
 Command-line flags override file values which override the defaults.
 """
 
 import configparser
-import re
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, make_dataclass
+
+from .checkpoint import ini_where
+from .gate import GateConfig
+from .sac import SACConfig
 
 
 class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class GateSection:
-    encoder_layers: int = 8
-    decoder_layers: int = 8
-    d_model: int = 64
-    heads: int = 4
-    ff_width: int = 128
+def _section(name: str, source, supplied: set, extra=()):
+    """Dataclass of `source`'s fields and defaults, less those in `supplied`."""
+    return make_dataclass(name, [(f.name, f.type, field(default=f.default))
+                                 for f in fields(source) if f.name not in supplied]
+                          + list(extra))
+
+
+GateSection = _section("GateSection", GateConfig,
+                       {"num_experts", "head_mode", "num_classes"})
+# static_lambda "none" -> SAC agent, else a float
+AgentSection = _section("AgentSection", SACConfig, {"state_dim"},
+                        [("static_lambda", str, field(default="none"))])
 
 
 @dataclass
@@ -38,19 +48,6 @@ class TrainerSection:
     sim_loss: str = "kld"
     walks_train: int = 8
     walks_infer: int = 32
-
-
-@dataclass
-class AgentSection:
-    discount: float = 0.99
-    tau: float = 0.005
-    lr: float = 3e-4
-    buffer_capacity: int = 10000
-    batch_size: int = 64
-    hidden: int = 64
-    lambda_min: float = -1.0
-    lambda_max: float = 1.0
-    static_lambda: str = "none"     # "none" -> SAC agent, else a float
 
 
 @dataclass
@@ -89,22 +86,6 @@ class RunConfig:
 _SECTIONS = ("gate", "experts", "trainer", "agent", "data")
 
 
-def ini_where(path, section: str, key: str | None = None) -> str:
-    """'path:line' of `key` inside [section], or of the [section] header
-    when `key` is None; just the path when there is no such line."""
-    inside = False
-    with open(path, encoding="utf-8", errors="replace") as fh:
-        for line, text in enumerate(fh, start=1):
-            header = re.match(r"\[(.+)\]", text.strip())
-            if header:
-                inside = header.group(1) == section
-                if inside and key is None:
-                    return f"{path}:{line}"
-            elif inside and re.split("[=:]", text)[0].strip().lower() == key:
-                return f"{path}:{line}"
-    return str(path)
-
-
 def load_config(path) -> RunConfig:
     """Parse a key=value config file; unknown sections or keys are errors."""
     parser = configparser.ConfigParser()
@@ -140,6 +121,4 @@ def load_config(path) -> RunConfig:
 
 def config_snapshot(config: RunConfig) -> dict:
     """Plain nested dict of every setting, for run manifests."""
-    out = {section: asdict(getattr(config, section)) for section in _SECTIONS}
-    out["seed"] = config.seed
-    return out
+    return asdict(config)

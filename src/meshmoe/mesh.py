@@ -15,8 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .checkpoint import atomic_write
-from .config import ini_where
+from .checkpoint import atomic_write, ini_where
 from .rng import Rng, derive
 
 

@@ -342,6 +342,20 @@ def test_train_with_zero_epochs_still_saves(tmp_path, tiny_config):
     assert os.path.exists(os.path.join(out, "model.ckpt"))
 
 
+@pytest.mark.parametrize("argv", [
+    ("train", "--data-dir", "nodata", "--static-lambda", "0"),
+    ("eval", "--data-dir", "nodata"),
+    ("gen-data", "--classes", "1"),
+], ids=["train_no_dataset", "eval_no_dataset", "gen_data_one_class"])
+def test_failed_input_leaves_no_out_dir(tmp_path, capsys, argv):
+    command, *flags = argv
+    flags = [str(tmp_path / f) if f == "nodata" else f for f in flags]
+    out = tmp_path / "run"
+    assert run(command, "--out-dir", str(out), *flags) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, flag", [
     ("pretrain-gate", "--experts-ckpt"),
     ("train", "--experts-ckpt"),

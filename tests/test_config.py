@@ -1,6 +1,10 @@
+from dataclasses import asdict, fields
+
 import pytest
 
 from meshmoe.config import ConfigError, RunConfig, config_snapshot, load_config
+from meshmoe.gate import GateConfig
+from meshmoe.sac import SACConfig
 
 
 def write(tmp_path, text):
@@ -108,3 +112,18 @@ def test_static_lambda_parsing():
     cfg.agent.static_lambda = "junk"
     with pytest.raises(ConfigError):
         cfg.static_lambda_value()
+
+
+def test_gate_and_agent_sections_mirror_their_config_objects():
+    # the sections are derived from GateConfig/SACConfig, so a new field there
+    # becomes a config key by itself; this pins which keys that yields
+    cfg = RunConfig()
+    assert [f.name for f in fields(cfg.gate)] == \
+        "encoder_layers decoder_layers d_model heads ff_width".split()
+    assert sorted(f.name for f in fields(cfg.agent)) == sorted(
+        "discount tau lr buffer_capacity batch_size hidden lambda_min lambda_max "
+        "static_lambda".split())
+    assert GateConfig(num_experts=2, **asdict(cfg.gate)) == GateConfig(num_experts=2)
+    agent = asdict(cfg.agent)
+    assert agent.pop("static_lambda") == "none"
+    assert SACConfig(state_dim=2, **agent) == SACConfig(state_dim=2)
