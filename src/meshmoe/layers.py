@@ -4,8 +4,9 @@ Shapes use trailing (sequence, feature) axes so batch axes broadcast.
 `linear`, `layer_norm`, `multi_head_attention`, `query_attention` and
 `gru_forward` are fused: each is one autodiff node with a hand-written
 backward, so a self-attention block adds 12 graph nodes and keeps one
-(heads, Lq, Lk) probability buffer alive, and a GRU over L steps is one
-node that keeps h_prev, z, r, r * h_prev and n for each step.  A
+(heads, Lq, Lk) probability buffer alive (a grad-free call keeps none and
+never normalises it), and a GRU over L steps is one node that keeps
+h_prev, z, r, r * h_prev and n for each step.  A
 cross-attention block adds 10 nodes: `query_attention` folds the key
 projection into its short query and projects the pooled memory, so it
 keeps no (..., Lk, d) key or value array.
@@ -126,23 +127,31 @@ def _merged(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -2, -3).reshape(*batch, length, heads * dh)
 
 
+def _exp_rows(scores: np.ndarray):
+    """exp(scores - row max) in place, and its (..., 1) row sums."""
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    return scores, scores.sum(axis=-1, keepdims=True)
+
+
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     """softmax(q k^T / sqrt(dh)) v per head, as one node.
 
     q is (..., Lq, d), k and v are (..., Lk, d); each head reads a
     contiguous d / heads slice of the feature axis and the heads' outputs
-    are concatenated back to (..., Lq, d).  Only the attention
-    probabilities are stored; the backward recomputes everything else
-    from them and the inputs.
+    are concatenated back to (..., Lq, d).  The pooled rows are divided by
+    the softmax row sums; only a graph call normalises and keeps the
+    (..., heads, Lq, Lk) probabilities, the one array its backward reads
+    besides the inputs.
     """
     qh, kh, vh = (_heads(t.data, heads) for t in (q, k, v))
     scale = 1.0 / math.sqrt(qh.shape[-1])
-    probs = qh @ np.swapaxes(kh, -1, -2)
-    probs *= scale
-    probs -= probs.max(axis=-1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
-    out_data = _merged(probs @ vh)
+    probs, sums = _exp_rows((qh * scale) @ np.swapaxes(kh, -1, -2))
+    pooled = probs @ vh
+    pooled /= sums
+    out_data = _merged(pooled)
+    if any(t.requires_grad for t in (q, k, v)):
+        probs /= sums                                  # only the backward reads them
 
     def backward(g):
         gh = _heads(g, heads)
@@ -169,7 +178,8 @@ def query_attention(q: Tensor, memory: Tensor, wk: Tensor, wv: Tensor, vb: Tenso
     (..., Lk, d).  Each head folds its slice of wk into the query and
     scores the raw memory, q_h (M wk_h)^T = (q_h wk_h^T) M^T; it pools the
     raw memory and projects once, sum_l p_l (M_l wv_h + vb_h) =
-    (sum_l p_l M_l) wv_h + vb_h, since the probabilities sum to 1.  The
+    (sum_l p_l M_l) wv_h + vb_h, since the probabilities sum to 1.  Like
+    `multi_head_attention` it divides the pooled rows by the row sums.  The
     node keeps the probabilities, the folded queries and the pooled
     memory, all (..., heads * Lq, ·).
     """
@@ -181,12 +191,10 @@ def query_attention(q: Tensor, memory: Tensor, wk: Tensor, wv: Tensor, vb: Tenso
     qh = _heads(q.data, heads)                                     # (..., H, Lq, dh)
     folded = (qh @ np.swapaxes(wkh, -1, -2)).reshape(*batch, heads * lq, d)
     mem_t = np.swapaxes(memory.data, -1, -2)
-    probs = folded @ mem_t                                         # (..., H*Lq, Lk)
-    probs *= scale
-    probs -= probs.max(axis=-1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
-    pooled = (probs @ memory.data).reshape(*batch, heads, lq, d)
+    probs, sums = _exp_rows(folded @ mem_t * scale)               # (..., H*Lq, Lk)
+    pooled = (probs @ memory.data / sums).reshape(*batch, heads, lq, d)
+    if any(t.requires_grad for t in (q, memory, wk, wv, vb)):
+        probs /= sums                                  # only the backward reads them
     out_data = _merged(pooled @ wvh)
     out_data += vb.data
 

@@ -59,12 +59,16 @@ class Rng:
 
     def fill_u64(self, n: int) -> np.ndarray:
         # same words next_u64 would produce, computed in one vector pass
-        ks = np.arange(self.count + 1, self.count + n + 1, dtype=np.uint64)
+        z = np.arange(self.count + 1, self.count + n + 1, dtype=np.uint64)
         self.count += n
-        z = np.uint64(self.seed) + ks * np.uint64(GOLDEN)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_M1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_M2)
-        return z ^ (z >> np.uint64(31))
+        z *= GOLDEN
+        z += self.seed
+        z ^= z >> 30
+        z *= _M1
+        z ^= z >> 27
+        z *= _M2
+        z ^= z >> 31
+        return z
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
         u = (self.next_u64() >> 11) * 2.0**-53

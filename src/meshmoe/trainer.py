@@ -21,6 +21,7 @@ reward and for evaluation alike.
 """
 
 import csv
+import io
 
 import numpy as np
 
@@ -289,7 +290,8 @@ def train_run(system: MoESystem, dataset, agent, epochs: int,
     The agent sees (s_t, r_t) after every batch and answers with the next
     coefficient; the final batch of each epoch is terminal.  Returns one
     summary dict per epoch; `epoch_callback(epoch, summary)` may return
-    True to stop early.  `log_path` writes one CSV row per iteration.
+    True to stop early.  `log_path` gets one CSV row per iteration; it is
+    rewritten whole at every epoch end, before the callback.
     """
     num_experts = len(system.experts)
     gate_opt = Adam(system.gate_params, lr=gate_lr)
@@ -299,7 +301,9 @@ def train_run(system: MoESystem, dataset, agent, epochs: int,
     if not train_meshes and epochs > 0:
         raise TrainerError("dataset has no training meshes")
 
-    rows = []
+    log = io.StringIO()                # rows rendered once, written whole per epoch
+    csv.writer(log).writerow(["epoch", "iteration", "lambda", "l_sim", "l_div", "l_joint",
+                              "reward"] + [f"sel_{e.name}" for e in system.experts])
     history = []
     prev_state = np.full(num_experts, 1.0 / num_experts)
     lam = agent.step(prev_state, 0.0, None, False)
@@ -318,8 +322,8 @@ def train_run(system: MoESystem, dataset, agent, epochs: int,
             epoch_lambdas.append(lam)
             routed = np.bincount(outcome.chosen, minlength=num_experts)
             counts += routed
-            rows.append([epoch, iteration, lam, *outcome.loss_values,
-                         outcome.reward, *(routed / len(batch)).tolist()])
+            csv.writer(log).writerow([epoch, iteration, lam, *outcome.loss_values,
+                                      outcome.reward, *(routed / len(batch)).tolist()])
             lam = agent.step(outcome.state, outcome.reward, prev_state,
                              b == len(batches) - 1)          # terminal batch
             prev_state = outcome.state
@@ -328,20 +332,15 @@ def train_run(system: MoESystem, dataset, agent, epochs: int,
             "epoch": epoch,
             "reward": float(np.mean(epoch_rewards)),
             "lambda": float(np.mean(epoch_lambdas)),
-            "l_sim": rows[-1][3], "l_div": rows[-1][4], "l_joint": rows[-1][5],
+            **dict(zip(("l_sim", "l_div", "l_joint"), outcome.loss_values)),
             "selection": (counts / counts.sum()).tolist(),
         }
         history.append(summary)
+        if log_path is not None:
+            with atomic_write(log_path) as fh:
+                fh.write(log.getvalue())
         if epoch_callback is not None and epoch_callback(epoch, summary):
             break
-
-    if log_path is not None:
-        header = ["epoch", "iteration", "lambda", "l_sim", "l_div", "l_joint",
-                  "reward"] + [f"sel_{e.name}" for e in system.experts]
-        with atomic_write(log_path) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
     return history
 
 

@@ -45,30 +45,27 @@ def extract_walk(mesh: Mesh, seed: int, start: int | None = None,
     `start` and `length` override the random start and the 40% length
     rule; fixtures use them to pin down specific walks.
     """
-    rng = Rng(seed)
     if length is None:
         length = walk_length(mesh.vertex_count)
     elif not (2 <= length <= mesh.vertex_count):
         raise WalkError(f"length {length} not in [2, {mesh.vertex_count}]")
+    # draw k reads word k of the stream; (word * n) >> 64 is Rng.randbelow(n)
+    words = Rng(seed).fill_u64(length).tolist()
     if start is None:
-        start = rng.randbelow(mesh.vertex_count)
+        start = (words.pop(0) * mesh.vertex_count) >> 64
     elif not (0 <= start < mesh.vertex_count):
         raise WalkError(f"start vertex {start} out of range")
 
-    visited = {start}
-    indices = [start]
-    flags = [False]
-    current = start
-    while len(indices) < length:
-        candidates = [v for v in mesh.adjacency[current] if v not in visited]
-        if candidates:
-            current = candidates[rng.randbelow(len(candidates))]
-            flags.append(False)
-        else:
-            unvisited = [v for v in range(mesh.vertex_count) if v not in visited]
-            current = unvisited[rng.randbelow(len(unvisited))]
-            flags.append(True)
-        visited.add(current)
+    visited = bytearray(mesh.vertex_count)
+    visited[start] = 1
+    indices, flags = [start], [False]
+    for word in words[:length - 1]:
+        candidates = [v for v in mesh.adjacency[indices[-1]] if not visited[v]]
+        flags.append(not candidates)
+        if not candidates:
+            candidates = [v for v, seen in enumerate(visited) if not seen]
+        current = candidates[(word * len(candidates)) >> 64]
+        visited[current] = 1
         indices.append(current)
 
     return Walk(vertex_indices=indices, jump_flags=flags)

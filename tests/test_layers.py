@@ -115,6 +115,47 @@ def test_query_attention_matches_projected_memory(heads, batch, k_len):
         inputs, (*batch, 1, 8), seed=100)
 
 
+def frozen(*tensors):
+    return [Tensor(t.data) for t in tensors]
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_grad_free_attention_equals_graph_call(heads):
+    """Without a trainable input the forward skips normalising the
+    probabilities, yet its output equals the graph call bit for bit."""
+    q, k, v = rand((2, 3, 4, 8), 101), rand((2, 3, 6, 8), 102), rand((2, 3, 6, 8), 103)
+    graph = layers.multi_head_attention(q, k, v, heads)
+    free = layers.multi_head_attention(*frozen(q, k, v), heads)
+    np.testing.assert_array_equal(free.data, graph.data)
+    inputs = [rand((2, 3, 1, 8), 104), rand((2, 3, 6, 8), 105),
+              rand((8, 8), 106), rand((8, 8), 107), rand((8,), 108)]
+    graph = layers.query_attention(*inputs, heads)
+    free = layers.query_attention(*frozen(*inputs), heads)
+    np.testing.assert_array_equal(free.data, graph.data)
+
+
+def test_grad_free_attention_builds_no_node():
+    q, k, v = frozen(rand((3, 4, 8), 109), rand((3, 5, 8), 110), rand((3, 5, 8), 111))
+    assert layers.multi_head_attention(q, k, v, 2)._parents == ()
+    wk, wv, vb = frozen(rand((8, 8), 112), rand((8, 8), 113), rand((8,), 114))
+    assert layers.query_attention(Tensor(q.data[:, :1]), k, wk, wv, vb, 2)._parents == ()
+
+
+@pytest.mark.parametrize("heads", [1, 2])
+def test_attention_with_huge_scores_stays_finite(heads):
+    """Inputs x30 put self-attention scores in the thousands, where a naive
+    exp overflows; the row-max shift keeps the output finite and equal to
+    the composed softmax."""
+    x = Tensor(rand((2, 8, 64), 115).data * 30.0)
+    xh = layers._heads(x.data, heads)
+    scores = xh @ np.swapaxes(xh, -1, -2) / np.sqrt(xh.shape[-1])
+    assert scores.max() > 1000.0
+    out = layers.multi_head_attention(x, x, x, heads)
+    assert np.isfinite(out.data).all()
+    np.testing.assert_allclose(out.data, reference_attention(x, x, x, heads).data,
+                               rtol=1e-12, atol=0)
+
+
 def test_layer_norm_output_stats_and_grad():
     x = rand((4, 6), 1, scale=3.0)
     g, b = layers.ones((6,)), layers.zeros((6,))

@@ -487,6 +487,32 @@ def test_epoch_callback_stops_early():
     assert len(history) == 2
 
 
+def test_crash_after_an_epoch_leaves_the_log_so_far(tmp_path):
+    """A run killed in its epoch-1 callback keeps the rows of epochs 0-1,
+    byte for byte the start of the same run's full log, and no temp file."""
+    full, crashed = tmp_path / "full.csv", tmp_path / "crashed.csv"
+    train_run(oracle_system(), tiny_dataset(), StaticLambdaAgent(0.1), epochs=3,
+              batch_size=4, seed=0, log_path=full)
+
+    def killed_in_epoch_one(epoch, summary):
+        if epoch == 1:
+            raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        train_run(oracle_system(), tiny_dataset(), StaticLambdaAgent(0.1), epochs=3,
+                  batch_size=4, seed=0, log_path=crashed,
+                  epoch_callback=killed_in_epoch_one)
+    with open(crashed, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0][:2] == ["epoch", "iteration"]
+    # 10 train meshes in batches of 4 -> 3 iterations per epoch
+    assert [r[0] for r in rows[1:]] == ["0"] * 3 + ["1"] * 3
+    text = crashed.read_bytes()
+    assert full.read_bytes()[:len(text)] == text
+    assert len(full.read_bytes().splitlines()) == 1 + 3 * 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["crashed.csv", "full.csv"]
+
+
 # ---------------------------------------------------------------- ensemble
 
 def test_hard_voting_majority():
