@@ -22,7 +22,7 @@ from .config import ConfigError, RunConfig, config_snapshot, load_config
 from .experts import (ExpertError, build_experts, expert_parameters,
                       train_expert_supervised)
 from .gate import (GateConfig, GateError, average_pretrained_gates,
-                   init_gate_params, pretrain_imitation)
+                   gate_parameters, init_gate_params, pretrain_imitation)
 from .gradcheck import standard_battery
 from .mesh import TASKS, MeshError, load_dataset, load_off, save_dataset
 from .optim import OptimError
@@ -217,7 +217,7 @@ def _cmd_pretrain_gate(args) -> int:
     averaged = average_pretrained_gates(pretrained, imitation_config,
                                         derive(cfg.seed, "gate"))
     ckpt = os.path.join(out, "gate_init.ckpt")
-    save_checkpoint({f"gate.{k}": v for k, v in averaged.items()}, ckpt)
+    save_checkpoint(gate_parameters(averaged), ckpt)
     _write_manifest(out, "pretrain-gate", cfg, inputs, [ckpt])
     print(f"saved {ckpt}")
     return 0
@@ -228,8 +228,7 @@ def _cmd_train(args) -> int:
     system = _build_full_system(cfg, dataset)
     _load_if_present("expert parameters", expert_parameters(system.experts),
                      args.experts_ckpt or os.path.join(out, "experts.ckpt"), inputs)
-    _load_if_present("gate initialization",
-                     {f"gate.{k}": v for k, v in system.gate_params.items()},
+    _load_if_present("gate initialization", gate_parameters(system.gate_params),
                      args.gate_init or os.path.join(out, "gate_init.ckpt"), inputs)
 
     static = cfg.static_lambda_value()

@@ -23,7 +23,7 @@ from .autodiff import Tensor
 from .mesh import Mesh
 from .optim import fit
 from .rng import Rng, derive
-from .walks import extract_walks, walk_features, walk_softmax_rows
+from .walks import WALK_CHANNELS, extract_walks, walk_features, walk_softmax_rows
 
 
 class ExpertError(ValueError):
@@ -68,7 +68,7 @@ class WalkRnnExpert:
         self.num_classes = num_classes
         self.hidden = hidden
         self.params = {}
-        layers.init_gru(self.params, "gru", 4, hidden, derive(seed, name, "gru"))
+        layers.init_gru(self.params, "gru", WALK_CHANNELS, hidden, derive(seed, name, "gru"))
         self.params["head.w"] = layers.glorot((hidden, num_classes),
                                               derive(seed, name, "head"))
         self.params["head.b"] = layers.zeros((num_classes,))

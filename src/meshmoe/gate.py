@@ -31,9 +31,8 @@ from . import layers
 from .autodiff import Tensor
 from .optim import fit
 from .rng import derive
-from .walks import extract_walks, walk_features, walk_softmax_rows
+from .walks import WALK_CHANNELS, extract_walks, walk_features, walk_softmax_rows
 
-WALK_CHANNELS = 4  # xyz + jump flag
 CHUNK_TOKENS = 512  # walk positions per grad-free body chunk
 
 
@@ -85,6 +84,11 @@ def init_gate_params(config: GateConfig, seed: int) -> dict:
                                                  derive(seed, "head_imitate"))
         params["head.imitate.b"] = layers.zeros((config.num_classes,))
     return params
+
+
+def gate_parameters(params: dict) -> dict:
+    """Every gate tensor, named gate.<path> as checkpoints store it."""
+    return {f"gate.{path}": tensor for path, tensor in params.items()}
 
 
 def gate_forward_features(features: np.ndarray, params: dict,

@@ -91,15 +91,17 @@ def standard_battery(seed: int = 0) -> list:
     attention, the decoder's query attention over unprojected memory, the
     linear and layer norm ops, a full MHA block, the recurrent cell,
     cross-entropy, KL divergence, the gate end to end, and the joint
-    training loss composite.
+    training loss of `trainer.step_loss` over a face-MLP and a walk-RNN
+    expert, under the checkpoint names of `system_parameters`.
     """
     from . import autodiff as ad
     from . import layers
     from .autodiff import Tensor
     from .experts import build_experts
-    from .gate import GateConfig, gate_forward_batch, gate_forward_features, init_gate_params
+    from .gate import GateConfig, gate_forward_features, init_gate_params
     from .synth import generate_classification_set
-    from .trainer import build_system, diversity_loss, joint_loss, similarity_loss
+    from .trainer import build_system, step_loss, system_parameters
+    from .walks import walk_softmax_rows
 
     def stream(name: str) -> Rng:
         # one stream per entry, so adding an entry moves no other's points
@@ -147,12 +149,9 @@ def standard_battery(seed: int = 0) -> list:
     feats = rng.normal_fill((3, 5, 4)) * 0.5
     gate_mix = rng.normal_fill((2,))
 
-    def gate_fn():
-        logits = gate_forward_features(feats, gate_params, tiny)
-        weights = ad.softmax(ad.tmean(logits, axis=0), axis=-1)
-        return ad.tsum(ad.mul(weights, Tensor(gate_mix)))
-
-    entries.append(("gate_end_to_end", gate_fn, gate_params))
+    entries.append(("gate_end_to_end", lambda: ad.tsum(ad.mul(walk_softmax_rows(
+        [feats], lambda walks: gate_forward_features(walks, gate_params, tiny))[0],
+        Tensor(gate_mix))), gate_params))
 
     rng = stream("cross_attention")
     cross = {"q": Tensor(rng.normal_fill((2, 1, 4)) * 0.5, requires_grad=True),
@@ -183,7 +182,7 @@ def standard_battery(seed: int = 0) -> list:
 
     data = generate_classification_set(classes=2, per_class=4,
                                        seed=derive(seed, "data"))
-    experts = build_experts(["face_mlp", "face_mlp"], num_classes=2,
+    experts = build_experts(["face_mlp", "walk_rnn"], num_classes=2,
                             seed=derive(seed, "experts"), hidden=8)
     # zero-init biases put dead rows exactly on the relu kink, where central
     # differences are ill-defined; nudge to a generic point
@@ -195,22 +194,8 @@ def standard_battery(seed: int = 0) -> list:
                     tensor.data.shape, -0.05, 0.05)
     system = build_system(experts, gate_config=tiny, seed=derive(seed, "sys"))
     batch = data.train_meshes[:2]
-    composite_params = {f"gate.{k}": v for k, v in system.gate_params.items()}
-    for expert in experts:
-        composite_params.update(
-            {f"{expert.name}.{k}": v for k, v in expert.params.items()})
-
-    def composite_fn():
-        rows = gate_forward_batch(
-            batch, system.walks_train, system.gate_params, system.gate_config,
-            [derive(seed, "walks", mesh.mesh_id) for mesh in batch])
-        preds = [[e.predict(mesh, derive(seed, "pred", e.name, mesh.mesh_id))
-                  for e in experts] for mesh in batch]
-        targets = [mesh.class_label for mesh in batch]
-        return joint_loss(similarity_loss(preds),
-                          diversity_loss(rows, preds, targets), 0.7)
-
-    entries.append(("loss_composite", composite_fn, composite_params))
+    entries.append(("loss_composite", lambda: step_loss(system, batch, 0.7, seed)[0],
+                    system_parameters(system)))
 
     return [(name, check_gradients(fn, params, max_coords=8, seed=derive(seed, name)))
             for name, fn, params in entries]

@@ -17,7 +17,8 @@ form the agent's state s_t and the batch's task metric its reward r_t; the
 agent answers with the next coefficient lambda.  Inference routes with 32
 walks and returns the chosen expert's prediction alone; no coefficient
 involved.  `task_scores` is the one scorer of routed predictions, for the
-reward and for evaluation alike.
+reward and for evaluation alike; `step_loss` the one builder of L_joint,
+for training and the gradient battery alike.
 """
 
 import csv
@@ -33,7 +34,7 @@ from .autodiff import Tensor
 from .checkpoint import atomic_write, copy_into, load_checkpoint, save_checkpoint
 from .experts import expert_parameters, predict_batch
 from .gate import (GateConfig, gate_forward_batch, gate_forward_mesh,
-                   init_gate_params)
+                   gate_parameters, init_gate_params)
 from .mesh import TASKS
 from .metrics import (edge_accuracy, mean_average_precision,
                       mean_instance_accuracy, ndcg, retrieval_relevance)
@@ -239,14 +240,14 @@ def _expert_predictions(experts: list, meshes: list, seed: int) -> list:
     return [list(row) for row in zip(*columns)]
 
 
-def train_iteration(system: MoESystem, batch: list, lambda_t: float,
-                    gate_opt: Adam, expert_opts: dict, seed: int,
-                    sim_kind: str = "kld") -> BatchOutcome:
-    """One optimize step on a mesh batch; reward reflects the pre-step model.
+def step_loss(system: MoESystem, batch: list, lambda_t: float, seed: int,
+              sim_kind: str = "kld") -> tuple[Tensor, BatchOutcome]:
+    """The joint loss of one training step and what it hands the agent.
 
     The gate and each walk-RNN expert run once per walk length in the
     batch (`gate_forward_batch`, `predict_batch`); each mesh's row equals
-    its one-mesh row.  Every other expert predicts mesh by mesh.
+    its one-mesh row.  Every other expert predicts mesh by mesh.  Returns
+    (L_joint, BatchOutcome); the reward scores the current parameters.
     """
     if not batch:
         raise TrainerError("empty batch")
@@ -267,18 +268,23 @@ def train_iteration(system: MoESystem, batch: list, lambda_t: float,
         ids = [m.mesh_id for m in batch]
         raise TrainerError(
             f"non-finite loss {values} at lambda={lambda_t} on batch {ids}")
+    return l_joint, BatchOutcome(state=per_mesh_weights.mean(axis=0), reward=reward,
+                                 chosen=chosen, per_mesh_weights=per_mesh_weights,
+                                 loss_values=values)
 
-    gate_opt.zero_grad()
-    for opt in expert_opts.values():
+
+def train_iteration(system: MoESystem, batch: list, lambda_t: float,
+                    gate_opt: Adam, expert_opts: dict, seed: int,
+                    sim_kind: str = "kld") -> BatchOutcome:
+    """One optimize step on `step_loss`; reward reflects the pre-step model."""
+    l_joint, outcome = step_loss(system, batch, lambda_t, seed, sim_kind)
+    optimizers = (gate_opt, *expert_opts.values())
+    for opt in optimizers:
         opt.zero_grad()
     l_joint.backward()
-    gate_opt.step()
-    for opt in expert_opts.values():
+    for opt in optimizers:
         opt.step()
-
-    return BatchOutcome(state=per_mesh_weights.mean(axis=0), reward=reward,
-                        chosen=chosen, per_mesh_weights=per_mesh_weights,
-                        loss_values=values)
+    return outcome
 
 
 def train_run(system: MoESystem, dataset, agent, epochs: int,
@@ -391,9 +397,8 @@ def evaluate_ensemble(system: MoESystem, meshes: list, seed: int = 0) -> dict:
 
 def system_parameters(system: MoESystem) -> dict:
     """Flat named view of every trainable tensor for checkpointing."""
-    out = {f"gate.{k}": v for k, v in system.gate_params.items()}
-    out.update(expert_parameters(system.experts))
-    return out
+    return {**gate_parameters(system.gate_params),
+            **expert_parameters(system.experts)}
 
 
 def save_system(system: MoESystem, path) -> None:

@@ -16,6 +16,8 @@ from . import autodiff as ad
 from .mesh import Mesh
 from .rng import Rng, derive
 
+WALK_CHANNELS = 4  # xyz + jump flag, as `walk_features` builds them
+
 
 class WalkError(ValueError):
     pass
@@ -79,7 +81,7 @@ def extract_walks(mesh: Mesh, count: int, seed: int) -> list:
 
 
 def walk_features(mesh: Mesh, walks: list) -> np.ndarray:
-    """(W, L, 4) features of same-length walks on `mesh`: xyz plus jump flag."""
+    """(W, L, WALK_CHANNELS) features of same-length walks: xyz plus jump flag."""
     lengths = {len(w) for w in walks}
     if len(lengths) != 1:
         raise WalkError(f"walks have mixed lengths: {sorted(lengths)}")

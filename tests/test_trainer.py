@@ -1,7 +1,8 @@
 """Expert environment: chooser, losses, iteration protocol, round trips."""
 
+import copy
 import csv
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from meshmoe import autodiff as ad
 from meshmoe.autodiff import Tensor
 from meshmoe.checkpoint import CheckpointError
 from meshmoe.experts import build_experts
-from meshmoe.gate import GateConfig, gate_forward_batch, gate_forward_mesh
+from meshmoe.gate import GateConfig, gate_forward_mesh
 from meshmoe.gradcheck import check_gradients
 from meshmoe.layers import PROB_FLOOR, cross_entropy
 from meshmoe.metrics import mean_instance_accuracy
@@ -24,8 +25,8 @@ from meshmoe.trainer import (BatchOutcome, MoESystem, TrainerError,
                              evaluate_classification, evaluate_ensemble,
                              expert_chooser, hard_voting_ensemble, inference,
                              joint_loss, load_system, save_system,
-                             similarity_loss, system_parameters, task_scores,
-                             train_iteration, train_run)
+                             similarity_loss, step_loss, system_parameters,
+                             task_scores, train_iteration, train_run)
 from meshmoe.walks import walk_length
 
 TINY = GateConfig(num_experts=2, encoder_layers=1, decoder_layers=1,
@@ -411,6 +412,39 @@ def test_non_finite_loss_aborts():
         train_iteration(system, data.train_meshes[:2], 0.0, gate_opt, {}, seed=0)
 
 
+def test_train_iteration_is_step_loss_backward_and_adam():
+    """The loss the gradient battery checks is the loss a step descends."""
+    data = tiny_dataset()
+    experts = build_experts(["walk_rnn", "face_mlp", "oracle:1"], num_classes=2,
+                            seed=6, hidden=8)
+    system = build_system(experts, gate_config=replace(TINY, num_experts=3), seed=6)
+    clone = copy.deepcopy(system)
+    before = {k: v.data.copy() for k, v in system_parameters(system).items()}
+    length = walk_length(data.train_meshes[0].vertex_count)
+    batch = data.train_meshes[:3] + [next(   # two walk lengths: two gate and GRU groups
+        m for m in data.train_meshes if walk_length(m.vertex_count) != length)]
+
+    def optimizers(s):
+        return (Adam(s.gate_params, lr=1e-2),
+                {e.name: Adam(e.params, lr=1e-2) for e in s.experts if e.trainable})
+
+    outcome = train_iteration(system, batch, 0.3, *optimizers(system), seed=9)
+    gate_opt, expert_opts = optimizers(clone)
+    l_joint, expected = step_loss(clone, batch, 0.3, seed=9)
+    l_joint.backward()
+    for opt in (gate_opt, *expert_opts.values()):
+        opt.step()
+
+    for field in fields(BatchOutcome):
+        np.testing.assert_array_equal(getattr(outcome, field.name),
+                                      getattr(expected, field.name))
+    trained, cloned = system_parameters(system), system_parameters(clone)
+    assert trained.keys() == cloned.keys() == before.keys()
+    for name, tensor in trained.items():
+        assert not np.array_equal(tensor.data, before[name]), name
+        np.testing.assert_array_equal(tensor.data, cloned[name].data, err_msg=name)
+
+
 def test_gate_gradient_matches_finite_differences():
     data = tiny_dataset()
     # smooth experts keep the loss O(1) so central differences stay clean
@@ -423,18 +457,8 @@ def test_gate_gradient_matches_finite_differences():
     batch = [first, other]
     seed = 23
 
-    def loss_fn():
-        rows = gate_forward_batch(
-            batch, system.walks_train, system.gate_params, system.gate_config,
-            [derive(seed, "gate", mesh.mesh_id) for mesh in batch])
-        preds = [[e.predict(mesh, derive(seed, "expert", e.name, mesh.mesh_id))
-                  for e in system.experts] for mesh in batch]
-        targets = [mesh.class_label for mesh in batch]
-        return joint_loss(similarity_loss(preds),
-                          diversity_loss(rows, preds, targets), 0.7)
-
-    report = check_gradients(loss_fn, system.gate_params, tolerance=1e-4,
-                             max_coords=6, seed=1)
+    report = check_gradients(lambda: step_loss(system, batch, 0.7, seed)[0],
+                             system.gate_params, tolerance=1e-4, max_coords=6, seed=1)
     assert report.passed, str(report)
 
 
