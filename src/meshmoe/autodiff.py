@@ -9,8 +9,9 @@ leaf gradients stay, and a second backward raises.  Broadcasting follows
 numpy; gradients are summed back over broadcast axes.  A tensor's first
 gradient contribution is stored as a copy and later ones are added in
 place.  No op reads global mutable state.  Fused layer ops with
-hand-written backward passes (linear, layer norm, multi-head attention)
-live in `layers` and build their nodes with `_node` and `_accumulate`.
+hand-written backward passes (linear, layer norm, attention) live in
+`layers`, build their nodes with `_node` and `_accumulate`, and share
+softmax's `_exp_rows` forward and `_softmax_grad` backward.
 """
 
 import numpy as np
@@ -232,23 +233,13 @@ def sqrt(a: Tensor) -> Tensor:
     return pow_const(a, 0.5)
 
 
-def clamp_min(a: Tensor, lo: float) -> Tensor:
-    """Gradient passes only where the input is above the floor."""
-    out_data = np.maximum(a.data, lo)
+def clamp(a: Tensor, lo: float = -np.inf, hi: float = np.inf) -> Tensor:
+    """Clip to [lo, hi]; the gradient passes only strictly inside (lo, hi)."""
+    out_data = np.clip(a.data, lo, hi)
 
     def backward(g):
         if a.requires_grad:
-            _accumulate(a, g * (a.data > lo))
-
-    return _node(out_data, (a,), backward)
-
-
-def clamp_max(a: Tensor, hi: float) -> Tensor:
-    out_data = np.minimum(a.data, hi)
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g * (a.data < hi))
+            _accumulate(a, g * ((a.data > lo) & (a.data < hi)))
 
     return _node(out_data, (a,), backward)
 
@@ -370,14 +361,27 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return mul(tsum(a, axis=axis, keepdims=keepdims), Tensor(1.0 / count))
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
+def _exp_rows(scores: np.ndarray):
+    """exp(scores - row max) in place, and its (..., 1) row sums."""
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    return scores, scores.sum(axis=-1, keepdims=True)
+
+
+def _softmax_grad(g: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Softmax's input cotangent, (g - rowsum(g * probs)) * probs, in place in g."""
+    g -= (g * probs).sum(axis=-1, keepdims=True)
+    g *= probs
+    return g
+
+
+def softmax(a: Tensor) -> Tensor:
+    """Softmax over the last axis."""
+    out_data, sums = _exp_rows(a.data.copy())
+    out_data /= sums
 
     def backward(g):
         if a.requires_grad:
-            dot = (g * out_data).sum(axis=axis, keepdims=True)
-            _accumulate(a, out_data * (g - dot))
+            _accumulate(a, _softmax_grad(g.copy(), out_data))
 
     return _node(out_data, (a,), backward)

@@ -79,6 +79,13 @@ def _resolve_config(args) -> tuple:
             where = (f"--{field.replace('_', '-')}" if getattr(args, field, None) is not None
                      else ini_where(args.config, "trainer", field))
             raise ConfigError(f"{where}: {field} must be >= 1, got {count}")
+    # argparse checks a flag's choices; a value from the config file is checked here
+    for options, target in _FLAGS.values():
+        if "choices" in options and target is not None:
+            value = getattr(getattr(cfg, target[0]), target[1])
+            if value not in options["choices"]:
+                raise ConfigError(f"{ini_where(args.config, *target)}: {target[1]} must "
+                                  f"be one of {', '.join(options['choices'])}, got {value!r}")
     if getattr(args, "lambda_range", None) is not None:
         try:
             lo, hi = (float(v) for v in args.lambda_range.split(","))
@@ -100,17 +107,18 @@ def _data_dir(args) -> str:
 
 
 def _dataset_run(args) -> tuple:
-    """(cfg, inputs, out_dir, dataset) of a subcommand that reads a dataset."""
+    """(cfg, inputs, out_dir, dataset) of a subcommand that reads a dataset;
+    its config, dataset and checkpoints are all checked before out_dir exists."""
     cfg, inputs = _resolve_config(args)
-    # only the default <out-dir> checkpoints are optional
-    for flag in ("experts_ckpt", "gate_init"):
-        path = getattr(args, flag, None)
-        if path is not None and not os.path.exists(path):
-            raise CheckpointError(f"--{flag.replace('_', '-')}: no checkpoint at {path}")
     data_dir = _data_dir(args)
     dataset = load_dataset(data_dir)
     inputs += [os.path.join(data_dir, "manifest.csv"),
                os.path.join(data_dir, "dataset.ini")]
+    # a named checkpoint must exist; eval's --ckpt always names one
+    for flag in ("experts_ckpt", "gate_init", "ckpt"):
+        path = getattr(args, flag, None)
+        if path is not None and not os.path.exists(path):
+            raise CheckpointError(f"--{flag.replace('_', '-')}: no checkpoint at {path}")
     return cfg, inputs, _out_dir(args), dataset
 
 
@@ -259,13 +267,11 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    args.ckpt = args.ckpt or os.path.join(args.out_dir, "model.ckpt")
     cfg, inputs, out, dataset = _dataset_run(args)
-    ckpt = args.ckpt or os.path.join(out, "model.ckpt")
-    if not os.path.exists(ckpt):
-        raise TrainerError(f"no checkpoint at {ckpt}; run train first")
     system = _build_full_system(cfg, dataset)
-    load_system(system, ckpt)
-    inputs.append(ckpt)
+    load_system(system, args.ckpt)
+    inputs.append(args.ckpt)
 
     meshes = dataset.train_meshes if args.split == "train" else dataset.test_meshes
     seed = derive(cfg.seed, "eval", args.split)

@@ -119,7 +119,7 @@ class FaceMlpExpert(_Perceptron):
         pooled = ad.tmean(self._hidden(mesh, self.face_features), axis=0)
         logits = layers.linear(ad.reshape(pooled, (1, -1)),
                                self.params["head.w"], self.params["head.b"])
-        return ad.softmax(ad.reshape(logits, (self.num_classes,)), axis=-1)
+        return ad.softmax(ad.reshape(logits, (self.num_classes,)))
 
 
 class EdgeSegmenterExpert(_Perceptron):
@@ -149,7 +149,7 @@ class EdgeSegmenterExpert(_Perceptron):
             raise ExpertError(f"{mesh.mesh_id}: edge expert needs edges")
         h = self._hidden(mesh, self.edge_features)
         logits = layers.linear(h, self.params["head.w"], self.params["head.b"])
-        return ad.softmax(logits, axis=-1)               # (E, S) rows
+        return ad.softmax(logits)                        # (E, S) rows
 
 
 class OracleExpert:

@@ -127,11 +127,15 @@ def _merged(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -2, -3).reshape(*batch, length, heads * dh)
 
 
-def _exp_rows(scores: np.ndarray):
-    """exp(scores - row max) in place, and its (..., 1) row sums."""
-    scores -= scores.max(axis=-1, keepdims=True)
-    np.exp(scores, out=scores)
-    return scores, scores.sum(axis=-1, keepdims=True)
+def _pool(scores: np.ndarray, values: np.ndarray, keep_probs: bool):
+    """(softmax(scores) @ values, probs), the pooled rows divided by the row
+    sums; probs, `scores` normalised in place, only if `keep_probs`, else None."""
+    probs, sums = ad._exp_rows(scores)
+    pooled = probs @ values
+    pooled /= sums
+    if keep_probs:
+        probs /= sums
+    return pooled, probs if keep_probs else None
 
 
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
@@ -146,20 +150,15 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     """
     qh, kh, vh = (_heads(t.data, heads) for t in (q, k, v))
     scale = 1.0 / math.sqrt(qh.shape[-1])
-    probs, sums = _exp_rows((qh * scale) @ np.swapaxes(kh, -1, -2))
-    pooled = probs @ vh
-    pooled /= sums
+    pooled, probs = _pool((qh * scale) @ np.swapaxes(kh, -1, -2), vh,
+                          any(t.requires_grad for t in (q, k, v)))
     out_data = _merged(pooled)
-    if any(t.requires_grad for t in (q, k, v)):
-        probs /= sums                                  # only the backward reads them
 
     def backward(g):
         gh = _heads(g, heads)
         if v.requires_grad:
             ad._accumulate(v, _merged(np.swapaxes(probs, -1, -2) @ gh))
-        d_scores = gh @ np.swapaxes(vh, -1, -2)
-        d_scores -= (d_scores * probs).sum(axis=-1, keepdims=True)
-        d_scores *= probs
+        d_scores = ad._softmax_grad(gh @ np.swapaxes(vh, -1, -2), probs)
         d_scores *= scale
         if q.requires_grad:
             ad._accumulate(q, _merged(d_scores @ kh))
@@ -191,11 +190,9 @@ def query_attention(q: Tensor, memory: Tensor, wk: Tensor, wv: Tensor, vb: Tenso
     qh = _heads(q.data, heads)                                     # (..., H, Lq, dh)
     folded = (qh @ np.swapaxes(wkh, -1, -2)).reshape(*batch, heads * lq, d)
     mem_t = np.swapaxes(memory.data, -1, -2)
-    probs, sums = _exp_rows(folded @ mem_t * scale)               # (..., H*Lq, Lk)
-    pooled = (probs @ memory.data / sums).reshape(*batch, heads, lq, d)
-    if any(t.requires_grad for t in (q, memory, wk, wv, vb)):
-        probs /= sums                                  # only the backward reads them
-    out_data = _merged(pooled @ wvh)
+    pooled, probs = _pool(folded @ mem_t * scale, memory.data,    # (..., H*Lq, Lk)
+                          any(t.requires_grad for t in (q, memory, wk, wv, vb)))
+    out_data = _merged(pooled.reshape(*batch, heads, lq, d) @ wvh)
     out_data += vb.data
 
     def weight_grad(a, b):
@@ -211,9 +208,7 @@ def query_attention(q: Tensor, memory: Tensor, wk: Tensor, wv: Tensor, vb: Tenso
         if wv.requires_grad:
             ad._accumulate(wv, weight_grad(pooled, gh))
         d_pooled = (gh @ np.swapaxes(wvh, -1, -2)).reshape(*batch, heads * lq, d)
-        d_scores = d_pooled @ mem_t
-        d_scores -= (d_scores * probs).sum(axis=-1, keepdims=True)
-        d_scores *= probs
+        d_scores = ad._softmax_grad(d_pooled @ mem_t, probs)
         d_scores *= scale
         if memory.requires_grad:
             d_memory = np.swapaxes(probs, -1, -2) @ d_pooled
@@ -360,7 +355,7 @@ def cross_entropy(pred: Tensor, target) -> Tensor:
         raise ValueError(f"target index out of range for {num_classes} classes")
     if np.any(np.abs(pred.data.sum(axis=-1) - 1.0) > 1e-6):
         raise ValueError("prediction row does not sum to 1")
-    rows = ad.reshape(ad.clamp_min(pred, PROB_FLOOR), (-1, num_classes))
+    rows = ad.reshape(ad.clamp(pred, PROB_FLOOR), (-1, num_classes))
     picked = ad.gather_rows(rows, target.reshape(-1))
     return ad.reshape(ad.mul(ad.log(picked), Tensor(-1.0)), target.shape)
 
@@ -372,6 +367,6 @@ def kl_divergence(p: Tensor, q: Tensor) -> Tensor:
     """
     if p.shape[-1:] != q.shape[-1:]:
         raise ValueError(f"distribution shapes differ: {p.shape} vs {q.shape}")
-    pc = ad.clamp_min(p, PROB_FLOOR)
-    qc = ad.clamp_min(q, PROB_FLOOR)
+    pc = ad.clamp(p, PROB_FLOOR)
+    qc = ad.clamp(q, PROB_FLOOR)
     return ad.tsum(ad.mul(pc, ad.sub(ad.log(pc), ad.log(qc))), axis=-1)

@@ -1,5 +1,5 @@
-"""Adam over a named parameter dict, and the epoch loop of the two
-pre-training stages built on it."""
+"""Adam over a named parameter dict, the gradient step `descend`, and the
+epoch loop of the two pre-training stages built on them."""
 
 import numpy as np
 
@@ -51,6 +51,16 @@ class Adam:
             p.grad = None
 
 
+def descend(loss, *optimizers: Adam) -> None:
+    """Clear the optimizers' grads, backpropagate `loss` once, then step each
+    optimizer in turn; parameters outside them keep the grads `loss` adds."""
+    for optimizer in optimizers:
+        optimizer.zero_grad()
+    loss.backward()
+    for optimizer in optimizers:
+        optimizer.step()
+
+
 def epoch_batches(count: int, batch_size: int, seed: int, epoch: int) -> list:
     """Index batches of one epoch: a seeded shuffle of range(count), cut
     into consecutive runs of `batch_size` (the last may be shorter)."""
@@ -76,10 +86,8 @@ def fit(params: dict, items: list, batch_loss, epochs: int, batch_size: int,
     for epoch in range(epochs):
         losses = []
         for batch in epoch_batches(len(items), batch_size, seed, epoch):
-            optimizer.zero_grad()
             loss = batch_loss([items[i] for i in batch], epoch)
-            loss.backward()
-            optimizer.step()
+            descend(loss, optimizer)
             losses.append(loss.item())
         history.append(float(np.mean(losses)))
     return history

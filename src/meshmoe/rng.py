@@ -79,8 +79,8 @@ class Rng:
         u = (self.fill_u64(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
         return lo + u.reshape(shape) * (hi - lo)
 
-    def normal(self, mu: float = 0.0, sigma: float = 1.0) -> float:
-        return float(self.normal_fill((1,), mu, sigma)[0])
+    def normal(self) -> float:
+        return float(self.normal_fill((1,))[0])
 
     def normal_fill(self, shape, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
         # Box-Muller on uniform pairs; the sine partner is discarded so the

@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from . import layers
 from .autodiff import Tensor
-from .optim import Adam
+from .optim import Adam, descend
 from .rng import Rng, derive
 
 LOG_STD_MIN = -5.0
@@ -126,7 +126,7 @@ def actor_forward(sac: SACState, states: Tensor):
     out = _mlp_forward(sac.actor, "actor", states)
     mean = ad.slice_index(out, 1, 0)
     log_std = ad.slice_index(out, 1, 1)
-    log_std = ad.clamp_min(ad.clamp_max(log_std, LOG_STD_MAX), LOG_STD_MIN)
+    log_std = ad.clamp(log_std, LOG_STD_MIN, LOG_STD_MAX)
     return (ad.reshape(mean, (states.shape[0], 1)),
             ad.reshape(log_std, (states.shape[0], 1)))
 
@@ -196,17 +196,14 @@ def sac_update(sac: SACState) -> dict | None:
     y = rewards + cfg.discount * (1.0 - terminals) * (
         min_next - sac.alpha * next_logp.data)
 
-    sac.critic_opt.zero_grad()
     q1 = critic_forward(sac.critic1, "q1", states, actions)
     q2 = critic_forward(sac.critic2, "q2", states, actions)
     d1 = ad.sub(q1, Tensor(y))
     d2 = ad.sub(q2, Tensor(y))
     critic_loss = ad.add(ad.tmean(ad.mul(d1, d1)), ad.tmean(ad.mul(d2, d2)))
-    critic_loss.backward()
-    sac.critic_opt.step()
+    descend(critic_loss, sac.critic_opt)
 
     # actor: maximize min-critic value plus entropy bonus
-    sac.actor_opt.zero_grad()
     noise = sac.rng.normal_fill((cfg.batch_size, 1))
     new_action, logp = _sampled_action_and_logp(sac, states, noise)
     q1_new = critic_forward(sac.critic1, "q1", states, new_action)
@@ -215,17 +212,13 @@ def sac_update(sac: SACState) -> dict | None:
     min_q = ad.add(ad.mul(q1_new, Tensor(use_q1)),
                    ad.mul(q2_new, Tensor(1.0 - use_q1)))
     actor_loss = ad.tmean(ad.sub(ad.mul(logp, Tensor(sac.alpha)), min_q))
-    actor_loss.backward()
-    # actor step must not disturb critic grads: critics were just stepped,
-    # and their grads from this backward pass are cleared next update
-    sac.actor_opt.step()
+    # this also adds to the critics' grads, which the next update clears
+    descend(actor_loss, sac.actor_opt)
 
     # temperature: move alpha toward the target entropy
-    sac.alpha_opt.zero_grad()
     entropy_gap = Tensor(logp.data + TARGET_ENTROPY)    # detached
     alpha_loss = ad.tmean(ad.mul(entropy_gap, ad.mul(sac.log_alpha, Tensor(-1.0))))
-    alpha_loss.backward()
-    sac.alpha_opt.step()
+    descend(alpha_loss, sac.alpha_opt)
 
     soft_update(sac.target1, sac.critic1, cfg.tau)
     soft_update(sac.target2, sac.critic2, cfg.tau)

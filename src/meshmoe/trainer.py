@@ -38,7 +38,7 @@ from .gate import (GateConfig, gate_forward_batch, gate_forward_mesh,
 from .mesh import TASKS
 from .metrics import (edge_accuracy, mean_average_precision,
                       mean_instance_accuracy, ndcg, retrieval_relevance)
-from .optim import Adam, epoch_batches
+from .optim import Adam, descend, epoch_batches
 from .rng import derive
 
 SIM_KINDS = ("kld", "cosine", "mse", "none")
@@ -149,8 +149,8 @@ def similarity_loss(expert_predictions: list, kind: str = "kld") -> Tensor:
         norms = ad.mul(ad.sqrt(ad.tsum(ad.mul(p, p), axis=-1)),
                        ad.sqrt(ad.tsum(ad.mul(q, q), axis=-1)))
         cos = ad.div(ad.tsum(ad.mul(p, q), axis=-1),
-                     ad.clamp_min(norms, layers.PROB_FLOOR))
-        per_row = ad.clamp_min(ad.sub(Tensor(1.0), cos), 0.0)   # cos may round past 1
+                     ad.clamp(norms, layers.PROB_FLOOR))
+        per_row = ad.clamp(ad.sub(Tensor(1.0), cos), 0.0)   # cos may round past 1
     per_mesh = ad.matmul(per_row, average)                      # (J, J, B)
     off_diagonal = Tensor((1.0 - np.eye(num_experts))[:, :, None])
     total = ad.tsum(ad.mul(per_mesh, off_diagonal))
@@ -278,12 +278,7 @@ def train_iteration(system: MoESystem, batch: list, lambda_t: float,
                     sim_kind: str = "kld") -> BatchOutcome:
     """One optimize step on `step_loss`; reward reflects the pre-step model."""
     l_joint, outcome = step_loss(system, batch, lambda_t, seed, sim_kind)
-    optimizers = (gate_opt, *expert_opts.values())
-    for opt in optimizers:
-        opt.zero_grad()
-    l_joint.backward()
-    for opt in optimizers:
-        opt.step()
+    descend(l_joint, gate_opt, *expert_opts.values())
     return outcome
 
 

@@ -104,7 +104,7 @@ def walk_softmax_rows(features: list, run) -> list:
     for members in groups.values():
         logits = run(np.concatenate([features[i] for i in members]))
         logits = ad.reshape(logits, (len(members), len(features[members[0]]), -1))
-        weights = ad.softmax(ad.tmean(logits, axis=1), axis=-1)
+        weights = ad.softmax(ad.tmean(logits, axis=1))
         for k, index in enumerate(members):
             rows[index] = ad.slice_index(weights, 0, k)
     return rows

@@ -12,7 +12,7 @@ from meshmoe import layers
 from meshmoe.autodiff import Tensor
 from meshmoe.gate import GateConfig, gate_forward_features, init_gate_params
 from meshmoe.gradcheck import check_gradients
-from meshmoe.optim import Adam, OptimError
+from meshmoe.optim import Adam, OptimError, descend
 from meshmoe.rng import Rng
 
 
@@ -137,9 +137,18 @@ def test_softmax_grad_and_normalization():
 
 def test_clamp_grads_pass_above_floor_only():
     x = Tensor(np.array([0.5, 1e-15, -3.0]), requires_grad=True)
-    y = ad.tsum(ad.clamp_min(x, 1e-12))
+    y = ad.tsum(ad.clamp(x, 1e-12))
     y.backward()
     np.testing.assert_array_equal(x.grad, [1.0, 0.0, 0.0])
+
+
+def test_clamp_with_both_bounds_passes_grads_strictly_inside():
+    # below, at lo, inside, at hi, above
+    x = Tensor(np.array([-7.0, -5.0, 0.25, 2.0, 3.5]), requires_grad=True)
+    y = ad.clamp(x, -5.0, 2.0)
+    np.testing.assert_array_equal(y.data, [-5.0, -5.0, 0.25, 2.0, 2.0])
+    ad.tsum(ad.mul(y, Tensor(np.arange(1.0, 6.0)))).backward()
+    np.testing.assert_array_equal(x.grad, [0.0, 0.0, 3.0, 0.0, 0.0])
 
 
 def test_grad_accumulates_on_reuse():
@@ -365,6 +374,26 @@ def test_adam_descends_quadratic():
         loss.backward()
         opt.step()
     assert abs(p.data[0]) < 1e-2
+
+
+def test_descend_clears_backpropagates_and_steps_each_optimizer_once():
+    a = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    b = Tensor(np.array([3.0]), requires_grad=True)
+    idle = Tensor(np.array([4.0]), requires_grad=True)       # not in the loss
+    outside = Tensor(np.array([0.5]), requires_grad=True)    # in no optimizer
+    first = Adam({"a": a, "idle": idle}, lr=0.1)
+    second = Adam({"b": b}, lr=0.1)
+    a.grad = np.array([1e6, 1e6])                            # stale, must not count
+    loss = ad.add(ad.tsum(ad.mul(a, a)), ad.tsum(ad.mul(b, outside)))
+    descend(loss, first, second)
+    np.testing.assert_allclose(a.data, [0.9, -1.9], rtol=1e-8)   # first step ~ lr
+    np.testing.assert_allclose(b.data, [2.9], rtol=1e-8)
+    np.testing.assert_array_equal(idle.data, [4.0])
+    assert idle.grad is None and first.t["idle"] == 0
+    assert first.t["a"] == 1 and second.t["b"] == 1
+    np.testing.assert_array_equal(a.grad, [2.0, -4.0])
+    np.testing.assert_array_equal(outside.grad, [3.0])       # added, not stepped
+    np.testing.assert_array_equal(outside.data, [0.5])
 
 
 def test_adam_rejects_nan_gradient():

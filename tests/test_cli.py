@@ -334,6 +334,22 @@ def test_zero_walk_config_value_names_file_and_line(tmp_path, capsys, key):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("command, section, key", [
+    ("train", "trainer", "sim_loss"),
+    ("gen-data", "data", "task"),
+])
+def test_config_value_outside_the_flag_choices_names_file_and_line(
+        tmp_path, capsys, command, section, key):
+    ini = tmp_path / "bogus.ini"
+    ini.write_text(TINY_INI.replace(f"[{section}]\n", f"[{section}]\n{key} = bogus\n"))
+    line = ini.read_text().splitlines().index(f"{key} = bogus") + 1
+    out = str(tmp_path / "run")
+    assert run(command, "--config", str(ini), "--out-dir", out) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {ini}:{line}: {key} must be one of ")
+    assert not os.path.exists(out)
+
+
 def test_train_with_zero_epochs_still_saves(tmp_path, tiny_config):
     out = str(tmp_path / "run")
     assert run("gen-data", "--config", tiny_config, "--out-dir", out) == 0
@@ -345,11 +361,18 @@ def test_train_with_zero_epochs_still_saves(tmp_path, tiny_config):
 @pytest.mark.parametrize("argv", [
     ("train", "--data-dir", "nodata", "--static-lambda", "0"),
     ("eval", "--data-dir", "nodata"),
+    ("eval", "--data-dir", "data"),
+    ("eval", "--data-dir", "data", "--ckpt", "nockpt"),
     ("gen-data", "--classes", "1"),
-], ids=["train_no_dataset", "eval_no_dataset", "gen_data_one_class"])
-def test_failed_input_leaves_no_out_dir(tmp_path, capsys, argv):
+], ids=["train_no_dataset", "eval_no_dataset", "eval_no_default_checkpoint",
+        "eval_no_checkpoint", "gen_data_one_class"])
+def test_failed_input_leaves_no_out_dir(tmp_path, capsys, tiny_config, argv):
     command, *flags = argv
-    flags = [str(tmp_path / f) if f == "nodata" else f for f in flags]
+    if "data" in flags:
+        assert run("gen-data", "--config", tiny_config, "--out-dir", str(tmp_path / "gen"),
+                   "--data-dir", str(tmp_path / "data")) == 0
+        capsys.readouterr()
+    flags = [str(tmp_path / f) if f in ("nodata", "data", "nockpt") else f for f in flags]
     out = tmp_path / "run"
     assert run(command, "--out-dir", str(out), *flags) == 1
     assert capsys.readouterr().err.startswith("error: ")
@@ -360,6 +383,7 @@ def test_failed_input_leaves_no_out_dir(tmp_path, capsys, argv):
     ("pretrain-gate", "--experts-ckpt"),
     ("train", "--experts-ckpt"),
     ("train", "--gate-init"),
+    ("eval", "--ckpt"),
 ])
 def test_missing_explicit_checkpoint_fails(tmp_path, capsys, tiny_config, command, flag):
     out = str(tmp_path / "run")

@@ -39,7 +39,7 @@ def reference_attention(q, k, v, heads):
     qh, kh, vh = split(q), split(k), split(v)
     scores = ad.mul(ad.matmul(qh, ad.swapaxes(kh, -1, -2)),
                     Tensor(1.0 / np.sqrt(qh.shape[-1])))
-    merged = ad.swapaxes(ad.matmul(ad.softmax(scores, axis=-1), vh), -2, -3)
+    merged = ad.swapaxes(ad.matmul(ad.softmax(scores), vh), -2, -3)
     *batch, length, _, _ = merged.shape
     return ad.reshape(merged, (*batch, length, q.shape[-1]))
 

@@ -216,7 +216,7 @@ def reference_similarity(preds, kind):
                 if w == j:
                     continue
                 if kind == "kld":
-                    pc, qc = ad.clamp_min(p, PROB_FLOOR), ad.clamp_min(q, PROB_FLOOR)
+                    pc, qc = ad.clamp(p, PROB_FLOOR), ad.clamp(q, PROB_FLOOR)
                     per_row = ad.tsum(ad.mul(pc, ad.sub(ad.log(pc), ad.log(qc))), axis=-1)
                 elif kind == "mse":
                     diff = ad.sub(p, q)
@@ -236,7 +236,7 @@ def reference_diversity(weights, preds, targets):
     for row, mesh_preds, target in zip(weights, preds, targets):
         for j, p in enumerate(mesh_preds):
             rows = ad.reshape(p, (-1, p.shape[-1]))
-            picked = ad.gather_rows(ad.clamp_min(rows, PROB_FLOOR),
+            picked = ad.gather_rows(ad.clamp(rows, PROB_FLOOR),
                                     np.reshape(target, -1))
             ce = ad.mul(ad.tmean(ad.log(picked)), Tensor(-1.0))
             total = ad.add(total, ad.mul(ad.slice_index(row, 0, j), ce))
@@ -641,6 +641,29 @@ def test_checkpoint_round_trip_evaluation(tmp_path):
     assert before["predicted"] == after["predicted"]
     assert before["chosen"] == after["chosen"]
     assert before["accuracy"] == after["accuracy"]
+
+
+def test_checkpoint_round_trip_with_trainable_experts_is_bit_exact(tmp_path):
+    def trainable_system(seed):
+        experts = build_experts(["face_mlp", "walk_rnn"], num_classes=2, seed=seed,
+                                hidden=8)
+        system = build_system(experts, gate_config=TINY, seed=seed)
+        system.walks_train, system.walks_infer = 4, 8
+        return system
+
+    data = tiny_dataset()
+    system = trainable_system(11)
+    train_run(system, data, StaticLambdaAgent(0.1), epochs=1, batch_size=6, seed=4)
+    before = [inference(system, mesh, seed=9) for mesh in data.meshes]
+    assert {j for _, j in before} == {0, 1}     # both experts' parameters are read
+    path = tmp_path / "system.ckpt"
+    save_system(system, path)
+    reloaded = trainable_system(12)             # another init, overwritten by the load
+    load_system(reloaded, path)
+    after = [inference(reloaded, mesh, seed=9) for mesh in data.meshes]
+    assert [j for _, j in after] == [j for _, j in before]
+    for (pred_after, _), (pred_before, _) in zip(after, before):
+        assert pred_after.tobytes() == pred_before.tobytes()
 
 
 def test_checkpoint_mismatch_rejected(tmp_path):
