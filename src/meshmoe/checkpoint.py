@@ -56,12 +56,14 @@ def _parse_shape(token: str):
 
 @contextmanager
 def atomic_write(path):
-    """Text handle on `<path>.tmp`, renamed over `path` on success.
+    """Text handle on `<path>.tmp` (its directory made if missing, so a
+    directory appears with its first file), renamed over `path` on success.
 
     Any exception deletes the temp file, so a crash part-way through a
     write leaves an old file at `path` whole.  No newline translation.
     """
     tmp = f"{os.fspath(path)}.tmp"
+    os.makedirs(os.path.dirname(tmp) or ".", exist_ok=True)
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
             yield fh

@@ -18,7 +18,7 @@ from dataclasses import asdict
 from .autodiff import Tensor
 from .checkpoint import (CheckpointError, atomic_write, copy_into, ini_where,
                          load_checkpoint, save_checkpoint)
-from .config import ConfigError, RunConfig, config_snapshot, load_config
+from .config import SECTIONS, ConfigError, RunConfig, config_snapshot, load_config
 from .experts import (ExpertError, build_experts, expert_parameters,
                       train_expert_supervised)
 from .gate import (GateConfig, GateError, average_pretrained_gates,
@@ -68,17 +68,20 @@ def _resolve_config(args) -> tuple:
         inputs.append(args.config)
     else:
         cfg = RunConfig()
+    given = {}                         # (section, field) -> the flag that set it
     for flag, (_, target) in _FLAGS.items():
         value = getattr(args, flag.replace("-", "_"), None)
         if target is not None and value is not None:
             section, field = target
             setattr(cfg if section == "run" else getattr(cfg, section), field, value)
-    for field in ("walks_train", "walks_infer"):
-        count = getattr(cfg.trainer, field)
-        if count < 1:
-            where = (f"--{field.replace('_', '-')}" if getattr(args, field, None) is not None
-                     else ini_where(args.config, "trainer", field))
-            raise ConfigError(f"{where}: {field} must be >= 1, got {count}")
+            given[target] = f"--{flag}"
+    # integer settings are sizes and counts: >= 1, or >= 0 for epochs and layer counts
+    for section in SECTIONS:
+        for field, value in asdict(getattr(cfg, section)).items():
+            least = 0 if field in ("epochs", "encoder_layers", "decoder_layers") else 1
+            if type(value) is int and value < least:
+                where = given.get((section, field)) or ini_where(args.config, section, field)
+                raise ConfigError(f"{where}: {field} must be >= {least}, got {value}")
     # argparse checks a flag's choices; a value from the config file is checked here
     for options, target in _FLAGS.values():
         if "choices" in options and target is not None:
@@ -97,18 +100,13 @@ def _resolve_config(args) -> tuple:
     return cfg, inputs
 
 
-def _out_dir(args) -> str:
-    os.makedirs(args.out_dir, exist_ok=True)
-    return args.out_dir
-
-
 def _data_dir(args) -> str:
     return args.data_dir or os.path.join(args.out_dir, "data")
 
 
 def _dataset_run(args) -> tuple:
     """(cfg, inputs, out_dir, dataset) of a subcommand that reads a dataset;
-    its config, dataset and checkpoints are all checked before out_dir exists."""
+    its config, dataset and named checkpoints are all checked first."""
     cfg, inputs = _resolve_config(args)
     data_dir = _data_dir(args)
     dataset = load_dataset(data_dir)
@@ -119,7 +117,7 @@ def _dataset_run(args) -> tuple:
         path = getattr(args, flag, None)
         if path is not None and not os.path.exists(path):
             raise CheckpointError(f"--{flag.replace('_', '-')}: no checkpoint at {path}")
-    return cfg, inputs, _out_dir(args), dataset
+    return cfg, inputs, args.out_dir, dataset
 
 
 def _load_if_present(what: str, params: dict, path, inputs: list) -> None:
@@ -162,9 +160,8 @@ def _cmd_gen_data(args) -> int:
         dataset = generate_classification_set(
             classes=cfg.data.classes, per_class=cfg.data.per_class,
             seed=cfg.seed, task=cfg.data.task)
-    out = _out_dir(args)
     save_dataset(dataset, data_dir)
-    _write_manifest(out, "gen-data", cfg, inputs,
+    _write_manifest(args.out_dir, "gen-data", cfg, inputs,
                     [os.path.join(data_dir, "manifest.csv")])
     print(f"wrote {len(dataset.meshes)} meshes "
           f"({len(dataset.train_ids)} train / {len(dataset.test_ids)} test) "
@@ -257,7 +254,8 @@ def _cmd_train(args) -> int:
         seed=derive(cfg.seed, "train"), log_path=log_csv)
     ckpt = os.path.join(out, "model.ckpt")
     save_system(system, ckpt)
-    _write_manifest(out, "train", cfg, inputs, [ckpt, log_csv])
+    # train_run writes the log at each epoch end: no epoch, no log
+    _write_manifest(out, "train", cfg, inputs, [ckpt, log_csv] if history else [ckpt])
     if history:
         last = history[-1]
         print(f"epoch {last['epoch']}: reward {last['reward']:.3f}, "

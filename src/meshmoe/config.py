@@ -83,7 +83,7 @@ class RunConfig:
                               f"got {self.agent.static_lambda!r}") from None
 
 
-_SECTIONS = ("gate", "experts", "trainer", "agent", "data")
+SECTIONS = ("gate", "experts", "trainer", "agent", "data")
 
 
 def load_config(path) -> RunConfig:
@@ -100,7 +100,7 @@ def load_config(path) -> RunConfig:
     for section in parser.sections():
         if section == "run":
             target, known = config, {"seed"}
-        elif section in _SECTIONS:
+        elif section in SECTIONS:
             target = getattr(config, section)
             known = {f.name for f in fields(target)}
         else:

@@ -3,9 +3,9 @@
 Three trainable desk-scale experts consume different views of a mesh
 (walk sequences, face statistics, edge statistics), plus scripted oracle
 experts for controlled routing tests.  Classification experts return a
-(C,) probability vector; the edge segmenter returns an (E, S) row-softmax
-matrix.  Oracles are frozen and per-mesh seeded: the same mesh always
-draws the same prediction regardless of training step.
+(C,) probability vector; the edge segmenter (`per_edge`) returns an (E, S)
+row-softmax matrix.  Oracles are frozen and per-mesh seeded: the same mesh
+always draws the same prediction regardless of training step.
 
 A mesh's geometry is fixed once it is built, so the face and edge
 experts' input arrays are built once per `Mesh` object, on first use, and
@@ -61,6 +61,7 @@ class WalkRnnExpert:
 
     kind = "walk_rnn"
     trainable = True
+    per_edge = False
     walk_count = 8
 
     def __init__(self, name: str, num_classes: int, seed: int, hidden: int = 32):
@@ -81,6 +82,7 @@ class _Perceptron:
     """Two relu layers over a mesh's (N, `width`) input rows, then a head."""
 
     trainable = True
+    per_edge = False
 
     def __init__(self, name: str, num_classes: int, seed: int, hidden: int = 32):
         self.name = name
@@ -127,6 +129,7 @@ class EdgeSegmenterExpert(_Perceptron):
 
     kind = "edge_seg"
     width = 3
+    per_edge = True
 
     @staticmethod
     def edge_features(mesh: Mesh) -> np.ndarray:
@@ -164,6 +167,7 @@ class OracleExpert:
 
     kind = "oracle"
     trainable = False
+    per_edge = False
     params = None
 
     def __init__(self, name: str, num_classes: int, specialty_class: int,
@@ -243,27 +247,54 @@ def build_experts(specs: list, num_classes: int, seed: int, hidden: int = 32) ->
     return experts
 
 
-def expert_loss(expert, mesh: Mesh, seed: int) -> Tensor:
-    """Supervised loss for one mesh: CE on the class or mean CE over edges."""
-    pred = expert.predict(mesh, seed)
-    labels, target = (("edge labels", mesh.edge_labels) if pred.ndim == 2
-                      else ("class label", mesh.class_label))
+def mesh_target(mesh: Mesh, per_edge: bool):
+    """The one target rule: edge labels for per-edge rows, else the class label."""
+    target = mesh.edge_labels if per_edge else mesh.class_label
     if target is None:
-        raise ExpertError(f"{mesh.mesh_id}: no {labels}")
-    return ad.tmean(layers.cross_entropy(pred, target))
+        raise ExpertError(f"{mesh.mesh_id}: no {'edge labels' if per_edge else 'class label'}")
+    return target
+
+
+def stacked_rows(expert_predictions: list):
+    """Every expert's probability rows as one (J, N, C) tensor, plus the
+    constant (N, B) matrix that averages each mesh's rows.
+
+    A (C,) class vector is one row and an (E_i, S) edge matrix is E_i rows;
+    each row is weighted by 1 / (rows in its mesh), so a mesh counts once
+    whatever its edge count.
+    """
+    num_experts = len(expert_predictions[0])
+    if any(len(preds) != num_experts for preds in expert_predictions):
+        raise ExpertError("meshes disagree in expert count")
+    counts = [int(np.prod(preds[0].shape[:-1])) for preds in expert_predictions]
+    rows = ad.stack([ad.reshape(ad.concat(list(column)), (-1, column[0].shape[-1]))
+                     for column in zip(*expert_predictions)])
+    average = np.repeat(np.eye(len(counts)) / counts, counts, axis=0)
+    return rows, Tensor(average)
+
+
+def mesh_cross_entropy(expert_predictions: list, targets: list) -> Tensor:
+    """(J, B) cross-entropy of expert j on mesh i (`expert_predictions[i][j]`),
+    one over the stacked rows, then each mesh's rows averaged."""
+    rows, average = stacked_rows(expert_predictions)
+    target_rows = np.concatenate([np.reshape(t, -1) for t in targets])
+    ce = layers.cross_entropy(rows, np.broadcast_to(target_rows, rows.shape[:-1]))
+    return ad.matmul(ce, average)
 
 
 def train_expert_supervised(expert, meshes: list, epochs: int = 10,
                             batch_size: int = 8, lr: float = 1e-3,
                             seed: int = 0) -> list:
-    """Plain supervised pre-training; returns per-epoch mean losses."""
+    """Supervised pre-training on the joint step's batched path; returns
+    per-epoch mean losses."""
     if not expert.trainable:
         raise ExpertError(f"{expert.name} is not trainable")
 
     def batch_loss(batch, epoch):
-        return ad.tmean(ad.stack([
-            expert_loss(expert, mesh, derive(seed, "walks", epoch, mesh.mesh_id))
-            for mesh in batch]))
+        preds = predict_batch(expert, batch, [derive(seed, "walks", epoch, m.mesh_id)
+                                              for m in batch])
+        targets = [mesh_target(mesh, expert.per_edge) for mesh in batch]
+        return ad.tmean(mesh_cross_entropy([[pred] for pred in preds], targets))
 
     return fit(expert.params, meshes, batch_loss, epochs, batch_size, lr, seed)
 

@@ -29,6 +29,7 @@ import numpy as np
 from . import autodiff as ad
 from . import layers
 from .autodiff import Tensor
+from .experts import predict_batch
 from .optim import fit
 from .rng import derive
 from .walks import WALK_CHANNELS, extract_walks, walk_features, walk_softmax_rows
@@ -55,7 +56,8 @@ class GateConfig:
         if self.num_experts < 1:
             raise GateError("need at least one expert")
         if self.d_model % self.heads != 0:
-            raise GateError("d_model must divide evenly into heads")
+            raise GateError(f"d_model {self.d_model} must divide evenly into "
+                            f"{self.heads} heads")
         if self.head_mode not in ("expert_weights", "class_imitation"):
             raise GateError(f"unknown head_mode: {self.head_mode}")
         if self.head_mode == "class_imitation" and self.num_classes < 2:
@@ -160,18 +162,17 @@ def pretrain_imitation(gate_params: dict, config: GateConfig, expert, meshes: li
                        lr: float = 1e-3, seed: int = 0) -> list:
     """Train the imitation head to match one expert; returns per-epoch losses.
 
-    Expert predictions are computed once up front (they do not change);
-    fresh walks are drawn every epoch.
+    Expert predictions are computed once up front by `predict_batch` (they
+    do not change); fresh walks are drawn every epoch.
     """
     if config.head_mode != "class_imitation":
         raise GateError("pretraining requires class_imitation mode")
-    targets = {}
-    for mesh in meshes:
-        values = expert.predict(mesh, derive(seed, "target", mesh.mesh_id)).data
-        if values.shape != (config.num_classes,):
-            raise GateError(f"expert prediction shape {values.shape} does not "
-                            f"match num_classes {config.num_classes}")
-        targets[mesh.mesh_id] = values
+    if expert.per_edge:
+        raise GateError(f"expert {expert.name} predicts per-edge rows, which gate "
+                        f"imitation (one class vector per mesh) cannot match")
+    seeds = [derive(seed, "target", mesh.mesh_id) for mesh in meshes]
+    targets = {mesh.mesh_id: row.data
+               for mesh, row in zip(meshes, predict_batch(expert, meshes, seeds))}
 
     def batch_loss(batch, epoch):
         return imitation_loss(gate_params, config, batch,

@@ -325,7 +325,6 @@ def split_dataset(meshes: list, fraction_train: float, seed: int):
 def save_dataset(dataset: Dataset, out_dir) -> None:
     """OFF files and label sidecars, then manifest.csv and dataset.ini, each
     through `atomic_write`: a crash part-way leaves the old index files whole."""
-    os.makedirs(out_dir, exist_ok=True)
     split_of = {i: "train" for i in dataset.train_ids}
     split_of.update({i: "test" for i in dataset.test_ids})
     for mesh in dataset.meshes:

@@ -49,9 +49,12 @@ class SACConfig:
 
     def __post_init__(self):
         if self.lambda_min >= self.lambda_max:
-            raise ValueError("lambda range is empty")
+            raise ValueError(f"lambda range [{self.lambda_min}, {self.lambda_max}] is empty")
         if self.state_dim < 1:
             raise ValueError("state_dim must be >= 1")
+        if self.buffer_capacity < self.batch_size:
+            raise ValueError(f"buffer_capacity {self.buffer_capacity} is below "
+                             f"batch_size {self.batch_size}")
 
     @property
     def mid(self) -> float:

@@ -11,14 +11,14 @@ experts together for lambda > 0, apart for lambda < 0) and L_div is the
 gate-weighted cross-entropy of every expert.  Both losses work on one
 (J, N, C) stack of every expert's probability rows (a class vector is one
 row, an edge matrix one row per edge): L_sim is one broadcast divergence
-over all ordered expert pairs, L_div one cross-entropy, and a constant
-(N, B) matrix averages each mesh's rows.  The batch-mean gate weights
-form the agent's state s_t and the batch's task metric its reward r_t; the
-agent answers with the next coefficient lambda.  Inference routes with 32
-walks and returns the chosen expert's prediction alone; no coefficient
-involved.  `task_scores` is the one scorer of routed predictions, for the
-reward and for evaluation alike; `step_loss` the one builder of L_joint,
-for training and the gradient battery alike.
+over all ordered expert pairs, L_div pre-training's cross-entropy, and a
+constant (N, B) matrix averages each mesh's rows.  The batch-mean gate
+weights form the agent's state s_t and the batch's task metric its reward
+r_t; the agent answers with the next coefficient lambda.  Inference routes
+with 32 walks and returns the chosen expert's prediction alone; no
+coefficient involved.  `task_scores` is the one scorer of routed
+predictions, for the reward and for evaluation alike; `step_loss` the one
+builder of L_joint, for training and the gradient battery alike.
 """
 
 import csv
@@ -32,7 +32,8 @@ from . import autodiff as ad
 from . import layers
 from .autodiff import Tensor
 from .checkpoint import atomic_write, copy_into, load_checkpoint, save_checkpoint
-from .experts import expert_parameters, predict_batch
+from .experts import (expert_parameters, mesh_cross_entropy, mesh_target,
+                      predict_batch, stacked_rows)
 from .gate import (GateConfig, gate_forward_batch, gate_forward_mesh,
                    gate_parameters, init_gate_params)
 from .mesh import TASKS
@@ -66,6 +67,11 @@ class MoESystem:
                 f"{len(self.experts)}")
         if self.task not in TASKS:
             raise TrainerError(f"unknown task {self.task!r}")
+        for expert in self.experts:
+            if expert.per_edge != (self.task == "segmentation"):
+                layout = "per-edge rows" if expert.per_edge else "one class vector per mesh"
+                raise TrainerError(f"expert {expert.name} predicts {layout}, which "
+                                   f"the {self.task} task cannot score")
 
 
 @dataclass
@@ -103,24 +109,6 @@ def expert_chooser(per_mesh_weights: np.ndarray, expert_predictions: list):
     return chosen, picked
 
 
-def _stacked_rows(expert_predictions: list):
-    """Every expert's probability rows as one (J, N, C) tensor, plus the
-    constant (N, B) matrix that averages each mesh's rows.
-
-    A (C,) class vector is one row and an (E_i, S) edge matrix is E_i rows;
-    each row is weighted by 1 / (rows in its mesh), so a mesh counts once
-    whatever its edge count.
-    """
-    num_experts = len(expert_predictions[0])
-    if any(len(preds) != num_experts for preds in expert_predictions):
-        raise TrainerError("meshes disagree in expert count")
-    counts = [int(np.prod(preds[0].shape[:-1])) for preds in expert_predictions]
-    rows = ad.stack([ad.reshape(ad.concat(list(column)), (-1, column[0].shape[-1]))
-                     for column in zip(*expert_predictions)])
-    average = np.repeat(np.eye(len(counts)) / counts, counts, axis=0)
-    return rows, Tensor(average)
-
-
 def similarity_loss(expert_predictions: list, kind: str = "kld") -> Tensor:
     """Batch-mean sum of divergences over ordered expert pairs.
 
@@ -136,7 +124,7 @@ def similarity_loss(expert_predictions: list, kind: str = "kld") -> Tensor:
     num_experts = len(expert_predictions[0])
     if num_experts < 2:
         return Tensor(0.0)
-    rows, average = _stacked_rows(expert_predictions)
+    rows, average = stacked_rows(expert_predictions)
     _, num_rows, num_classes = rows.shape
     p = ad.reshape(rows, (num_experts, 1, num_rows, num_classes))
     q = ad.reshape(rows, (1, num_experts, num_rows, num_classes))
@@ -177,10 +165,7 @@ def diversity_loss(gate_weight_rows: list, expert_predictions: list,
         if np.shape(target) != preds[0].shape[:-1]:
             raise TrainerError(f"target shape {np.shape(target)} vs "
                                f"prediction rows {preds[0].shape[:-1]}")
-    rows, average = _stacked_rows(expert_predictions)
-    target_rows = np.concatenate([np.reshape(t, -1) for t in targets])
-    ce = layers.cross_entropy(rows, np.broadcast_to(target_rows, rows.shape[:-1]))
-    per_mesh = ad.matmul(ce, average)                           # (J, B)
+    per_mesh = mesh_cross_entropy(expert_predictions, targets)     # (J, B)
     weighted = ad.mul(ad.stack(gate_weight_rows, axis=1), per_mesh)
     total = ad.tsum(ad.tsum(weighted, axis=0))
     return ad.div(total, Tensor(float(len(targets))))
@@ -188,16 +173,6 @@ def diversity_loss(gate_weight_rows: list, expert_predictions: list,
 
 def joint_loss(l_sim: Tensor, l_div: Tensor, lambda_t: float) -> Tensor:
     return ad.add(ad.mul(Tensor(float(lambda_t)), l_sim), l_div)
-
-
-def _target(task: str, mesh):
-    if task == "segmentation":
-        if mesh.edge_labels is None:
-            raise TrainerError(f"{mesh.mesh_id}: no edge labels")
-        return mesh.edge_labels
-    if mesh.class_label is None:
-        raise TrainerError(f"{mesh.mesh_id}: no class label")
-    return mesh.class_label
 
 
 def task_scores(task: str, meshes: list, predictions: list) -> dict:
@@ -259,7 +234,7 @@ def step_loss(system: MoESystem, batch: list, lambda_t: float, seed: int,
     chosen, picked = expert_chooser(per_mesh_weights, predictions)
     reward = batch_reward(system.task, batch, picked)
 
-    targets = [_target(system.task, mesh) for mesh in batch]
+    targets = [mesh_target(mesh, system.task == "segmentation") for mesh in batch]
     l_sim = similarity_loss(predictions, sim_kind)
     l_div = diversity_loss(gate_rows, predictions, targets)
     l_joint = joint_loss(l_sim, l_div, lambda_t)

@@ -52,6 +52,21 @@ def run(*argv):
     return main(list(argv))
 
 
+def ini_with(tmp_path, section: str, setting: str):
+    """TINY_INI with `setting` ("key = value") in [section], in place of the
+    key's own line if TINY_INI has one."""
+    key = setting.split(" = ")[0]
+    text = "".join(line for line in TINY_INI.splitlines(keepends=True)
+                   if not line.startswith(f"{key} = "))
+    if f"[{section}]\n" in text:
+        text = text.replace(f"[{section}]\n", f"[{section}]\n{setting}\n")
+    else:
+        text += f"\n[{section}]\n{setting}\n"
+    ini = tmp_path / "setting.ini"
+    ini.write_text(text)
+    return ini
+
+
 def test_gen_data_outputs(tmp_path, tiny_config):
     out = str(tmp_path / "run")
     assert run("gen-data", "--config", tiny_config, "--out-dir", out) == 0
@@ -358,20 +373,111 @@ def test_train_with_zero_epochs_still_saves(tmp_path, tiny_config):
     assert os.path.exists(os.path.join(out, "model.ckpt"))
 
 
+def test_zero_epoch_manifest_names_only_the_files_written(tmp_path, tiny_config):
+    out = str(tmp_path / "run")
+    assert run("gen-data", "--config", tiny_config, "--out-dir", out) == 0
+    assert run("train", "--config", tiny_config, "--out-dir", out,
+               "--static-lambda", "0", "--epochs", "0") == 0
+    with open(os.path.join(out, "manifest_train.json")) as fh:
+        outputs = json.load(fh)["outputs"]
+    assert outputs == [os.path.join(out, "model.ckpt")]
+    assert not os.path.exists(os.path.join(out, "train_log.csv"))
+
+
+def test_negative_epochs_flag_fails(tmp_path, capsys, tiny_config):
+    out = tmp_path / "run"
+    assert run("train", "--config", tiny_config, "--out-dir", str(out),
+               "--static-lambda", "0", "--epochs", "-1") == 1
+    assert capsys.readouterr().err == "error: --epochs: epochs must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section, setting, least", [
+    ("experts", "hidden = 0", 1),
+    ("gate", "d_model = 0", 1),
+    ("gate", "encoder_layers = -1", 0),
+    ("agent", "batch_size = 0", 1),
+    ("agent", "buffer_capacity = 0", 1),
+], ids=["experts_hidden", "gate_d_model", "gate_encoder_layers", "agent_batch_size",
+        "agent_buffer_capacity"])
+def test_integer_setting_below_its_minimum_names_file_and_line(tmp_path, capsys,
+                                                                section, setting, least):
+    ini = ini_with(tmp_path, section, setting)
+    line = ini.read_text().splitlines().index(setting) + 1
+    key, value = setting.split(" = ")
+    out = tmp_path / "run"
+    assert run("train", "--config", str(ini), "--out-dir", str(out)) == 1
+    assert capsys.readouterr().err == (
+        f"error: {ini}:{line}: {key} must be >= {least}, got {value}\n")
+    assert not out.exists()
+
+
+def test_agent_buffer_below_its_batch_fails(tmp_path, capsys, tiny_config):
+    data = str(tmp_path / "data")
+    assert run("gen-data", "--config", tiny_config, "--out-dir", str(tmp_path / "gen"),
+               "--data-dir", data) == 0
+    capsys.readouterr()
+    ini = ini_with(tmp_path, "agent", "buffer_capacity = 10")
+    out = tmp_path / "run"
+    assert run("train", "--config", str(ini), "--out-dir", str(out),
+               "--data-dir", data) == 1
+    assert capsys.readouterr().err == "error: buffer_capacity 10 is below batch_size 64\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, task, message", [
+    (("train", "--experts", "edge_seg,face_mlp", "--static-lambda", "0"), "classification",
+     "expert edge_seg_0 predicts per-edge rows, which the classification task "
+     "cannot score"),
+    (("train", "--experts", "face_mlp,walk_rnn", "--static-lambda", "0"), "segmentation",
+     "expert face_mlp_0 predicts one class vector per mesh, which the "
+     "segmentation task cannot score"),
+    (("pretrain-gate", "--experts", "edge_seg"), "segmentation",
+     "expert edge_seg_0 predicts per-edge rows, which gate imitation (one class "
+     "vector per mesh) cannot match"),
+], ids=["train_edge_expert_on_classes", "train_class_experts_on_edges",
+        "pretrain_gate_edge_expert"])
+def test_pool_that_does_not_fit_the_task_fails_before_predicting(
+        tmp_path, capsys, monkeypatch, argv, task, message):
+    from meshmoe import experts
+    ini = ini_with(tmp_path, "data", f"task = {task}")
+    out = str(tmp_path / "run")
+    assert run("gen-data", "--config", str(ini), "--out-dir", out) == 0
+    capsys.readouterr()
+    predicted = []
+    for cls in (experts.FaceMlpExpert, experts.EdgeSegmenterExpert):
+        monkeypatch.setattr(cls, "predict", lambda self, *a: predicted.append(self))
+    monkeypatch.setattr(experts, "extract_walks", lambda *a: predicted.append(a))
+    command, *flags = argv
+    assert run(command, "--config", str(ini), "--out-dir", out, *flags) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert predicted == []
+
+
 @pytest.mark.parametrize("argv", [
     ("train", "--data-dir", "nodata", "--static-lambda", "0"),
     ("eval", "--data-dir", "nodata"),
     ("eval", "--data-dir", "data"),
     ("eval", "--data-dir", "data", "--ckpt", "nockpt"),
     ("gen-data", "--classes", "1"),
+    ("train", "--data-dir", "data", "--config", "gate:heads = 3"),
+    ("train", "--data-dir", "data", "--config", "agent:lambda_min = 2"),
+    ("train", "--data-dir", "data", "--config", "agent:static_lambda = abc"),
+    ("train", "--data-dir", "data", "--config", "trainer:batch_size = 0"),
+    ("train", "--data-dir", "data", "--config", "experts:specs = nope"),
 ], ids=["train_no_dataset", "eval_no_dataset", "eval_no_default_checkpoint",
-        "eval_no_checkpoint", "gen_data_one_class"])
+        "eval_no_checkpoint", "gen_data_one_class", "config_gate_heads",
+        "config_agent_lambda_min", "config_agent_static_lambda",
+        "config_trainer_batch_size", "config_experts_specs"])
 def test_failed_input_leaves_no_out_dir(tmp_path, capsys, tiny_config, argv):
     command, *flags = argv
     if "data" in flags:
         assert run("gen-data", "--config", tiny_config, "--out-dir", str(tmp_path / "gen"),
                    "--data-dir", str(tmp_path / "data")) == 0
         capsys.readouterr()
+    if "--config" in flags:       # "section:setting" names a TINY_INI variant
+        at = flags.index("--config") + 1
+        flags[at] = str(ini_with(tmp_path, *flags[at].split(":")))
     flags = [str(tmp_path / f) if f in ("nodata", "data", "nockpt") else f for f in flags]
     out = tmp_path / "run"
     assert run(command, "--out-dir", str(out), *flags) == 1

@@ -13,8 +13,8 @@ from meshmoe import autodiff as ad
 from meshmoe.autodiff import Tensor
 from meshmoe.experts import (EdgeSegmenterExpert, ExpertError, FaceMlpExpert,
                              OracleExpert, WalkRnnExpert, build_experts,
-                             expert_loss, face_normals, make_expert,
-                             predict_batch, train_expert_supervised)
+                             face_normals, make_expert, mesh_cross_entropy,
+                             mesh_target, predict_batch, train_expert_supervised)
 from meshmoe.gate import GateConfig
 from meshmoe.mesh import build_mesh, mesh_from_edges
 from meshmoe.optim import Adam
@@ -129,17 +129,10 @@ def _iteration_system(specs, data):
     return system, Adam(system.gate_params, lr=1e-3), opts
 
 
-def test_train_iteration_runs_one_gru_per_expert_and_walk_length(monkeypatch):
-    from meshmoe.trainer import train_iteration
-    from meshmoe.walks import walk_length
-    data = generate_classification_set(5, 4, seed=11)
-    system, gate_opt, opts = _iteration_system(
-        ["walk_rnn", "face_mlp", "walk_rnn"], data)
-    batch = mixed_lengths()[:7]
-    lengths = {walk_length(m.vertex_count) for m in batch}
-    assert len(lengths) == 5
-    owner = {id(e.params["gru.wz"]): e.name for e in system.experts
-             if e.kind == "walk_rnn"}
+def _recorded_gru_nodes(monkeypatch, experts) -> list:
+    """(expert name, walk length) of each `gru_forward` node of `experts`
+    in the graph of every later `Tensor.backward`."""
+    owner = {id(e.params["gru.wz"]): e.name for e in experts if e.kind == "walk_rnn"}
     gru_nodes = []
     real_backward = Tensor.backward
 
@@ -151,9 +144,61 @@ def test_train_iteration_runs_one_gru_per_expert_and_walk_length(monkeypatch):
         return real_backward(root)
 
     monkeypatch.setattr(Tensor, "backward", recording_backward)
+    return gru_nodes
+
+
+def test_train_iteration_runs_one_gru_per_expert_and_walk_length(monkeypatch):
+    from meshmoe.trainer import train_iteration
+    from meshmoe.walks import walk_length
+    data = generate_classification_set(5, 4, seed=11)
+    system, gate_opt, opts = _iteration_system(
+        ["walk_rnn", "face_mlp", "walk_rnn"], data)
+    batch = mixed_lengths()[:7]
+    lengths = {walk_length(m.vertex_count) for m in batch}
+    assert len(lengths) == 5
+    gru_nodes = _recorded_gru_nodes(monkeypatch, system.experts)
     train_iteration(system, batch, 0.5, gate_opt, opts, seed=4)
-    assert sorted(gru_nodes) == sorted((name, length) for name in owner.values()
+    names = [e.name for e in system.experts if e.kind == "walk_rnn"]
+    assert sorted(gru_nodes) == sorted((name, length) for name in names
                                        for length in lengths)
+
+
+def test_pretraining_batch_runs_one_gru_per_walk_length(monkeypatch):
+    from meshmoe.walks import walk_length
+    expert = WalkRnnExpert("w", num_classes=5, seed=2, hidden=8)
+    batch = mixed_lengths()[:7]
+    lengths = {walk_length(m.vertex_count) for m in batch}
+    assert len(lengths) == 5
+    gru_nodes = _recorded_gru_nodes(monkeypatch, [expert])
+    train_expert_supervised(expert, batch, epochs=1, batch_size=len(batch), seed=4)
+    assert sorted(gru_nodes) == sorted(("w", length) for length in lengths)
+
+
+def test_imitation_targets_equal_one_mesh_predict(monkeypatch):
+    """`pretrain_imitation` predicts its targets in one batch; each row is
+    the expert's one-mesh prediction, bit for bit."""
+    import meshmoe.gate as gate
+    from meshmoe.walks import walk_length
+    meshes = mixed_lengths()
+    assert len({walk_length(m.vertex_count) for m in meshes}) == 5
+    expert = WalkRnnExpert("w", num_classes=5, seed=2, hidden=8)
+    config = GateConfig(num_experts=1, encoder_layers=1, decoder_layers=1,
+                        d_model=8, heads=2, ff_width=16,
+                        head_mode="class_imitation", num_classes=5)
+    seen = {}
+    real_loss = gate.imitation_loss
+
+    def recording_loss(params, cfg, batch, targets, *args):
+        seen.update((mesh.mesh_id, target) for mesh, target in zip(batch, targets))
+        return real_loss(params, cfg, batch, targets, *args)
+
+    monkeypatch.setattr(gate, "imitation_loss", recording_loss)
+    gate.pretrain_imitation(gate.init_gate_params(config, 0), config, expert, meshes,
+                            epochs=1, walk_count=2, batch_size=4, seed=9)
+    assert seen.keys() == {m.mesh_id for m in meshes}
+    for mesh in meshes:
+        want = expert.predict(mesh, derive(9, "target", mesh.mesh_id)).data
+        assert np.array_equal(seen[mesh.mesh_id], want), mesh.mesh_id
 
 
 @pytest.mark.parametrize("specs", [["walk_rnn", "face_mlp", "face_mlp"],
@@ -444,13 +489,24 @@ def test_edge_segmenter_learns_mid_height_split():
         assert acc > 0.85, f"seed {seed}: {acc}"
 
 
-def test_expert_loss_dispatch(tetrahedron):
+def test_one_target_rule_dispatches_on_the_row_layout(tetrahedron):
+    """Per-edge rows are scored against the edge labels, a class vector
+    against the class label; a missing label is an error naming the mesh."""
+    with pytest.raises(ExpertError, match="tetra: no class label"):
+        mesh_target(tetrahedron, per_edge=False)
+    with pytest.raises(ExpertError, match="tetra: no edge labels"):
+        mesh_target(tetrahedron, per_edge=True)
     tetrahedron.class_label = 1
-    ce = expert_loss(FaceMlpExpert("f", 3, seed=1), tetrahedron, seed=0)
-    assert ce.shape == ()
-    tetrahedron.edge_labels = np.zeros(tetrahedron.edge_count, dtype=np.int64)
-    seg = expert_loss(EdgeSegmenterExpert("e", 2, seed=1), tetrahedron, seed=0)
-    assert seg.shape == ()
+    tetrahedron.edge_labels = np.arange(tetrahedron.edge_count) % 2
+    assert mesh_target(tetrahedron, per_edge=False) == 1
+    assert mesh_target(tetrahedron, per_edge=True) is tetrahedron.edge_labels
+    for expert in (FaceMlpExpert("f", 3, seed=1), EdgeSegmenterExpert("e", 2, seed=1)):
+        pred, target = expert.predict(tetrahedron), mesh_target(tetrahedron, expert.per_edge)
+        ce = mesh_cross_entropy([[pred]], [target])
+        assert ce.shape == (1, 1)
+        rows = np.reshape(pred.data, (-1, pred.shape[-1]))
+        picked = rows[np.arange(len(rows)), np.reshape(target, -1)]
+        assert ce.data[0, 0] == pytest.approx(-np.log(picked).mean(), rel=1e-12)
 
 
 def test_oracle_not_trainable():
@@ -462,11 +518,14 @@ def test_oracle_not_trainable():
 
 @pytest.mark.parametrize("spec, expected", [
     ("face_mlp", [0.7451623203114187, 0.6969072000339542]),
-    ("walk_rnn", [0.647929830868516, 0.669601607806084]),
-], ids=["face_mlp", "walk_rnn"])
+    ("walk_rnn", [0.647929830868516, 0.6696016078060841]),
+    ("edge_seg", [1.4479891647382472, 1.3638619757901742]),
+], ids=["face_mlp", "walk_rnn", "edge_seg"])
 def test_supervised_loss_history_is_pinned(spec, expected):
     """Two epochs of two batches (4 + 2 meshes), equal to the last bit."""
-    meshes = generate_classification_set(2, 4, seed=3).train_meshes
-    expert = build_experts([spec], num_classes=2, seed=4, hidden=8)[0]
+    data = (generate_segmentation_set(per_class=4, seed=3) if spec == "edge_seg"
+            else generate_classification_set(2, 4, seed=3))
+    meshes = data.train_meshes[:6]
+    expert = build_experts([spec], num_classes=data.num_classes, seed=4, hidden=8)[0]
     assert train_expert_supervised(expert, meshes, epochs=2, batch_size=4,
                                    lr=1e-2, seed=5) == expected

@@ -37,6 +37,12 @@ def test_config_validation():
         SACConfig(state_dim=0)
 
 
+def test_config_rejects_a_buffer_smaller_than_its_batch():
+    with pytest.raises(ValueError, match="buffer_capacity 3 is below batch_size 4"):
+        SACConfig(state_dim=2, buffer_capacity=3, batch_size=4)
+    assert SACConfig(state_dim=2, buffer_capacity=4, batch_size=4).buffer_capacity == 4
+
+
 def test_squash_midpoint_and_bounds():
     cfg = SACConfig(state_dim=1)
     assert _squash(np.array(0.0), cfg) == 0.0
@@ -80,7 +86,7 @@ def test_deterministic_action_repeatable():
 
 
 def test_buffer_fifo_eviction():
-    sac = SACState(small_config(buffer_capacity=2), seed=0)
+    sac = SACState(small_config(buffer_capacity=2, batch_size=2), seed=0)
     for r in (1.0, 2.0, 3.0):
         sac.buffer.append(Transition(
             state=np.zeros(2), action=0.0, reward=r,
