@@ -1,5 +1,9 @@
 """Reverse-mode automatic differentiation over float64 numpy arrays.
 
+A float32 array keeps its dtype; every other input becomes float64.  Ops
+follow numpy's promotion, so a graph built only from float32 tensors
+(the inference gate) computes in float32, and a float64 operand promotes.
+
 Each op builds a node holding its output, parent references, and a
 closure that maps the output cotangent to parent cotangent contributions.
 `backward` seeds a scalar with 1 and walks the graph in reverse
@@ -16,12 +20,15 @@ softmax's `_exp_rows` forward and `_softmax_grad` backward.
 
 import numpy as np
 
+_FLOAT32 = np.dtype(np.float32)   # comparing to a dtype, not a type, is cheaper
+
 
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype == _FLOAT32 else data.astype(np.float64, copy=False)
         self.grad = None
         self.requires_grad = requires_grad
         self._parents = ()

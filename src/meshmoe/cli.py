@@ -29,7 +29,7 @@ from .optim import OptimError
 from .rng import derive
 from .sac import SACConfig, SacLambdaAgent, StaticLambdaAgent
 from .synth import generate_classification_set, generate_segmentation_set
-from .trainer import (SIM_KINDS, TrainerError, build_system,
+from .trainer import (SIM_KINDS, TrainerError, build_system, check_pool,
                       evaluate_ensemble, inference, load_system, save_system,
                       task_scores, train_run)
 from .walks import WalkError, extract_walks
@@ -129,14 +129,17 @@ def _load_if_present(what: str, params: dict, path, inputs: list) -> None:
         print(f"loaded {what} from {path}")
 
 
-def _build_pool(cfg: RunConfig, num_classes: int) -> list:
-    return build_experts(cfg.expert_specs(), num_classes=num_classes,
-                         seed=derive(cfg.seed, "experts"),
-                         hidden=cfg.experts.hidden)
+def _build_pool(cfg: RunConfig, dataset) -> list:
+    """The configured experts, checked against the dataset's task."""
+    experts = build_experts(cfg.expert_specs(), num_classes=dataset.num_classes,
+                            seed=derive(cfg.seed, "experts"),
+                            hidden=cfg.experts.hidden)
+    check_pool(experts, dataset.task)
+    return experts
 
 
 def _build_full_system(cfg: RunConfig, dataset):
-    experts = _build_pool(cfg, dataset.num_classes)
+    experts = _build_pool(cfg, dataset)
     # num_classes materializes the imitation head too, so imitation-pretrained
     # checkpoints and randomly initialized ones stay interchangeable
     gate_config = GateConfig(num_experts=len(experts),
@@ -171,7 +174,7 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_pretrain_experts(args) -> int:
     cfg, inputs, out, dataset = _dataset_run(args)
-    experts = _build_pool(cfg, dataset.num_classes)
+    experts = _build_pool(cfg, dataset)
     ckpt = os.path.join(out, "experts.ckpt")
     losses_csv = os.path.join(out, "pretrain_losses.csv")
     rows = []
@@ -198,7 +201,7 @@ def _cmd_pretrain_experts(args) -> int:
 
 def _cmd_pretrain_gate(args) -> int:
     cfg, inputs, out, dataset = _dataset_run(args)
-    experts = _build_pool(cfg, dataset.num_classes)
+    experts = _build_pool(cfg, dataset)
     _load_if_present("expert parameters", expert_parameters(experts),
                      args.experts_ckpt or os.path.join(out, "experts.ckpt"), inputs)
     imitation_config = GateConfig(num_experts=len(experts),

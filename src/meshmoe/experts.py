@@ -177,7 +177,8 @@ class OracleExpert:
         if behavior not in ("random_onehot", "uniform"):
             raise ExpertError(f"unknown off-specialty behavior: {behavior}")
         if not (0 <= specialty_class < num_classes):
-            raise ExpertError("specialty class out of range")
+            raise ExpertError(f"specialty class {specialty_class} is out of range "
+                              f"for {num_classes} classes")
         self.name = name
         self.num_classes = num_classes
         self.specialty_class = specialty_class
@@ -230,10 +231,12 @@ def make_expert(spec: str, name: str, num_classes: int, seed: int, hidden: int =
         return EdgeSegmenterExpert(name, num_classes, seed, hidden=hidden)
     if spec.startswith("oracle:"):
         parts = spec.split(":")
-        specialty = int(parts[1])
-        accuracy = float(parts[2]) if len(parts) > 2 else 1.0
-        behavior = parts[3] if len(parts) > 3 else "random_onehot"
-        return OracleExpert(name, num_classes, specialty, accuracy, behavior, seed=seed)
+        try:
+            return OracleExpert(name, num_classes, int(parts[1]),
+                                float(parts[2]) if len(parts) > 2 else 1.0,
+                                parts[3] if len(parts) > 3 else "random_onehot", seed=seed)
+        except ValueError as exc:
+            raise ExpertError(f"expert spec {spec}: {exc}") from None
     raise ExpertError(f"unknown expert spec: {spec}")
 
 

@@ -16,6 +16,8 @@ attention memory is O(chunk * heads * L^2), not O(W * heads * L^2).  The
 bits do not change: `linear` does one GEMM per leading index, layer norm
 reduces per row and attention does its GEMMs per walk, so no walk's
 numbers depend on the others.  With a graph all walks are one chunk.
+The body computes in the dtype of its parameters: float64 in training,
+float32 on the copies `trainer.inference` makes.
 
 Pre-training runs one gate per expert against that expert's prediction
 vectors with KL(expert || gate); the pre-trained bodies are averaged to
@@ -115,14 +117,18 @@ def gate_forward_features(features: np.ndarray, params: dict,
 
 
 def _walk_tokens(features: np.ndarray, params: dict, config: GateConfig) -> Tensor:
-    """The gate body: (n, L, 4) walk features to (n, d) final-norm tokens."""
+    """The gate body: (n, L, 4) walk features to (n, d) final-norm tokens,
+    in the dtype of `embed.w`, to which its constant inputs are cast."""
     n, length, _ = features.shape
-    x = layers.linear(Tensor(features), params["embed.w"], params["embed.b"])
-    x = ad.add(x, Tensor(layers.positional_encoding(length, config.d_model)))
+    dtype = params["embed.w"].data.dtype
+    table = layers.positional_encoding(length, config.d_model)
+    x = layers.linear(Tensor(features.astype(dtype, copy=False)),
+                      params["embed.w"], params["embed.b"])
+    x = ad.add(x, Tensor(table.astype(dtype, copy=False)))
     for i in range(config.encoder_layers):
         x = layers.mha_block(x, params, f"enc.{i}", config.heads)
 
-    token = ad.add(Tensor(np.zeros((n, 1, config.d_model))), params["query"])
+    token = ad.add(Tensor(np.zeros((n, 1, config.d_model), dtype)), params["query"])
     for i in range(config.decoder_layers):
         token = layers.mha_block(token, params, f"dec.{i}", config.heads, memory=x)
     token = layers.layer_norm(token, params["final_norm.g"], params["final_norm.b"])

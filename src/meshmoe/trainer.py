@@ -65,13 +65,19 @@ class MoESystem:
             raise TrainerError(
                 f"gate routes {self.gate_config.num_experts} experts, got "
                 f"{len(self.experts)}")
-        if self.task not in TASKS:
-            raise TrainerError(f"unknown task {self.task!r}")
-        for expert in self.experts:
-            if expert.per_edge != (self.task == "segmentation"):
-                layout = "per-edge rows" if expert.per_edge else "one class vector per mesh"
-                raise TrainerError(f"expert {expert.name} predicts {layout}, which "
-                                   f"the {self.task} task cannot score")
+        check_pool(self.experts, self.task)
+
+
+def check_pool(experts: list, task: str) -> None:
+    """Every expert must predict the layout `task` scores: per-edge rows for
+    segmentation, one class vector per mesh for classification."""
+    if task not in TASKS:
+        raise TrainerError(f"unknown task {task!r}")
+    for expert in experts:
+        if expert.per_edge != (task == "segmentation"):
+            layout = "per-edge rows" if expert.per_edge else "one class vector per mesh"
+            raise TrainerError(f"expert {expert.name} predicts {layout}, which "
+                               f"the {task} task cannot score")
 
 
 @dataclass
@@ -323,10 +329,13 @@ def train_run(system: MoESystem, dataset, agent, epochs: int,
 def inference(system: MoESystem, mesh, seed: int = 0):
     """Route with 32 walks; returns (prediction array, chosen expert index).
 
-    The gate runs on grad-free views of its parameters, so its forward
-    pass builds no autodiff graph.
+    The gate runs on grad-free float32 copies of its parameters, so its
+    forward pass builds no autodiff graph and its body runs in float32; the
+    walk-averaged logits are promoted to float64 by `walk_softmax_rows`'
+    mean.  The routed expert predicts in float64.
     """
-    frozen = {name: Tensor(tensor.data) for name, tensor in system.gate_params.items()}
+    frozen = {name: Tensor(tensor.data.astype(np.float32))
+              for name, tensor in system.gate_params.items()}
     weights = gate_forward_mesh(
         mesh, system.walks_infer, frozen, system.gate_config,
         derive(seed, "gate", mesh.mesh_id))

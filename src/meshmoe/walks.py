@@ -95,7 +95,9 @@ def walk_softmax_rows(features: list, run) -> list:
     `features` holds each mesh's (W, L, 4) walk features, the same W for
     every mesh.  Meshes are grouped by walk length: the walks of every mesh
     with the same L are stacked into one (n * W, L, 4) array, so no padding
-    or mask is needed, and `run` maps it to (n * W, K) logits.
+    or mask is needed, and `run` maps it to (n * W, K) logits.  The walk
+    mean's float64 1/W scale promotes float32 logits, so the softmax rows
+    are float64 whatever dtype `run` computes in.
     """
     groups = {}
     for index, walks in enumerate(features):

@@ -178,6 +178,20 @@ def test_detach_blocks_gradient():
     assert x.grad == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("data", [np.ones(3), 2, [1, 2.5], np.ones(3, np.float16)],
+                         ids=["float64", "int", "list", "float16"])
+def test_tensor_turns_every_input_but_float32_into_float64(data):
+    assert Tensor(data).data.dtype == np.float64
+
+
+def test_tensor_keeps_float32_and_a_float64_operand_promotes():
+    x = Tensor(np.ones((2, 3), np.float32), requires_grad=True)
+    assert x.data.dtype == np.float32
+    out = layers.linear(x, Tensor(np.ones((3, 2), np.float32)))
+    assert out.data.dtype == np.float32
+    assert ad.tmean(out).data.dtype == np.float64   # its 1/count scale is float64
+
+
 def test_backward_requires_scalar():
     x = rand_tensor((3,), 1)
     with pytest.raises(ValueError, match="scalar"):

@@ -454,6 +454,39 @@ def test_pool_that_does_not_fit_the_task_fails_before_predicting(
     assert predicted == []
 
 
+@pytest.mark.parametrize("experts, task, message", [
+    ("edge_seg", "classification",
+     "expert edge_seg_0 predicts per-edge rows, which the classification task "
+     "cannot score"),
+    ("face_mlp", "segmentation",
+     "expert face_mlp_0 predicts one class vector per mesh, which the "
+     "segmentation task cannot score"),
+], ids=["edge_expert_on_classes", "class_expert_on_edges"])
+def test_pretrain_experts_checks_the_pool_against_the_task(tmp_path, capsys,
+                                                           experts, task, message):
+    ini = ini_with(tmp_path, "data", f"task = {task}")
+    out = str(tmp_path / "run")
+    assert run("gen-data", "--config", str(ini), "--out-dir", out) == 0
+    capsys.readouterr()
+    assert run("pretrain-experts", "--config", str(ini), "--out-dir", out,
+               "--experts", experts) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not os.path.exists(os.path.join(out, "experts.ckpt"))
+
+
+def test_default_oracle_pool_on_two_classes_names_the_spec_and_class_count(
+        tmp_path, capsys):
+    ini = tmp_path / "two.ini"
+    ini.write_text(TINY_INI.replace("specs = oracle:0,oracle:1\n", ""))
+    out = str(tmp_path / "run")
+    assert run("gen-data", "--config", str(ini), "--out-dir", out) == 0
+    capsys.readouterr()
+    assert run("train", "--config", str(ini), "--out-dir", out,
+               "--static-lambda", "0") == 1
+    assert capsys.readouterr().err == ("error: expert spec oracle:2: specialty class 2 "
+                                       "is out of range for 2 classes\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("train", "--data-dir", "nodata", "--static-lambda", "0"),
     ("eval", "--data-dir", "nodata"),

@@ -426,6 +426,17 @@ def test_oracle_validation():
         OracleExpert("o", 3, 5)
 
 
+@pytest.mark.parametrize("spec, detail", [
+    ("oracle:3", "specialty class 3 is out of range for 3 classes"),
+    ("oracle:x", "invalid literal"),
+    ("oracle:0:high", "could not convert"),
+    ("oracle:0:1.0:sometimes", "behavior"),
+])
+def test_bad_oracle_spec_names_the_spec(spec, detail):
+    with pytest.raises(ExpertError, match=f"^expert spec {spec}: .*{detail}"):
+        make_expert(spec, "o", 3, seed=1)
+
+
 def test_registry_parsing():
     oracle = make_expert("oracle:2:0.75:uniform", "o", 3, seed=1)
     assert (oracle.specialty_class, oracle.accuracy, oracle.behavior) == (2, 0.75, "uniform")

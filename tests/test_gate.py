@@ -183,14 +183,21 @@ def test_batched_rows_equal_per_mesh_rows_in_input_order():
             row.data, gate_forward_mesh(mesh, 3, params, TINY, seed).data)
 
 
-def frozen(params):
-    """Grad-free views of `params`, as `trainer.inference` makes them."""
-    return {name: Tensor(tensor.data) for name, tensor in params.items()}
+def frozen(params, dtype=np.float32):
+    """Grad-free `dtype` copies of `params`; float32 is what
+    `trainer.inference` makes."""
+    return {name: Tensor(tensor.data.astype(dtype)) for name, tensor in params.items()}
 
 
-@pytest.mark.parametrize("head_mode", ["expert_weights", "class_imitation"])
-def test_grad_free_chunks_equal_one_graph_chunk(head_mode):
-    """Chunks of 5 walks (the last of 2) give the bits of one 32-walk call."""
+def trainable(params, dtype):
+    """Trainable `dtype` copies of `params`: the gate builds a graph on them."""
+    return {name: Tensor(tensor.data.astype(dtype), requires_grad=True)
+            for name, tensor in params.items()}
+
+
+def assert_chunks_equal_one_graph_chunk(head_mode, dtype):
+    """Chunks of 5 walks (the last of 2) give the bits of one 32-walk graph
+    call on `dtype` parameters."""
     config = GateConfig(num_experts=3, encoder_layers=2, decoder_layers=2,
                         d_model=8, heads=2, ff_width=16, head_mode=head_mode,
                         num_classes=5)
@@ -198,16 +205,30 @@ def test_grad_free_chunks_equal_one_graph_chunk(head_mode):
     assert CHUNK_TOKENS // length == 5 and walks % 5 != 0
     features = Rng(9).normal_fill((walks, length, 4))
     params = init_gate_params(config, seed=6)
-    trained = gate_forward_features(features, params, config)
-    chunked = gate_forward_features(features, frozen(params), config)
+    trained = gate_forward_features(features, trainable(params, dtype), config)
+    chunked = gate_forward_features(features, frozen(params, dtype), config)
     assert trained._parents and chunked._parents == ()
     assert chunked.shape == trained.shape
+    assert chunked.data.dtype == trained.data.dtype == dtype
     assert np.array_equal(chunked.data, trained.data)
 
 
+@pytest.mark.parametrize("head_mode", ["expert_weights", "class_imitation"])
+def test_grad_free_chunks_equal_one_graph_chunk(head_mode):
+    """In float64, as training runs the gate."""
+    assert_chunks_equal_one_graph_chunk(head_mode, np.float64)
+
+
+@pytest.mark.parametrize("head_mode", ["expert_weights", "class_imitation"])
+def test_float32_grad_free_chunks_equal_one_float32_graph_chunk(head_mode):
+    """In float32, as inference runs the gate."""
+    assert_chunks_equal_one_graph_chunk(head_mode, np.float32)
+
+
 def test_inference_rows_equal_trainable_batch_rows(monkeypatch):
-    """Each mesh's chunked inference row is its graph-built batch row, bit
-    for bit, and inference enters `gate_forward_features` once per mesh."""
+    """Each mesh's chunked inference row is its batch row from a float32
+    graph, bit for bit, and inference enters `gate_forward_features` once
+    per mesh."""
     import meshmoe.gate as gate
     import meshmoe.trainer as trainer
     ds = generate_classification_set(3, 4, seed=11)
@@ -217,7 +238,7 @@ def test_inference_rows_equal_trainable_batch_rows(monkeypatch):
                for m in ds.meshes)
     seeds = [derive(4, "gate", mesh.mesh_id) for mesh in ds.meshes]
     reference = gate_forward_batch(ds.meshes, system.walks_infer,
-                                   system.gate_params, TINY, seeds)
+                                   trainable(system.gate_params, np.float32), TINY, seeds)
 
     rows, calls = [], []
     real_mesh, real_features = trainer.gate_forward_mesh, gate.gate_forward_features

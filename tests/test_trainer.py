@@ -578,7 +578,10 @@ def test_inference_routes_like_the_gate_and_keeps_no_graph(monkeypatch):
     data = tiny_dataset()
     system = oracle_system()
     mesh = data.test_meshes[1]
-    weights = gate_forward_mesh(mesh, system.walks_infer, system.gate_params,
+    # inference runs the gate on float32 copies; a float32 graph gives its bits
+    params32 = {name: Tensor(t.data.astype(np.float32), requires_grad=True)
+                for name, t in system.gate_params.items()}
+    weights = gate_forward_mesh(mesh, system.walks_infer, params32,
                                 system.gate_config, derive(5, "gate", mesh.mesh_id))
     j_ref = int(np.argmax(weights.data))
     expert = system.experts[j_ref]
@@ -597,6 +600,47 @@ def test_inference_routes_like_the_gate_and_keeps_no_graph(monkeypatch):
     assert len(outputs) == 1
     np.testing.assert_array_equal(outputs[0].data, weights.data)
     assert outputs[0]._parents == () and not outputs[0].requires_grad
+
+
+def test_float32_inference_routes_like_the_float64_gate(monkeypatch):
+    """On a gen-data test split the float32 inference rows pick the float64
+    gate's expert and lie within 1e-5 of its rows."""
+    import meshmoe.trainer as trainer
+    data = generate_classification_set(classes=3, per_class=8, seed=21)
+    config = GateConfig(num_experts=3, encoder_layers=2, decoder_layers=2,
+                        d_model=32, heads=4, ff_width=64)
+    system = oracle_system(num_classes=3, gate_config=config, seed=8)
+    rows = []
+
+    def recording(*args, **kwargs):
+        rows.append(gate_forward_mesh(*args, **kwargs))
+        return rows[-1]
+
+    monkeypatch.setattr(trainer, "gate_forward_mesh", recording)
+    for mesh in data.test_meshes:
+        _, j = inference(system, mesh, seed=4)
+        row64 = gate_forward_mesh(mesh, system.walks_infer, system.gate_params,
+                                  config, derive(4, "gate", mesh.mesh_id)).data
+        assert j == int(np.argmax(row64)), mesh.mesh_id
+        assert np.max(np.abs(rows[-1].data - row64)) <= 1e-5, mesh.mesh_id
+    assert len(rows) == len(data.test_meshes) >= 6
+
+
+def test_training_keeps_every_parameter_gradient_and_moment_float64():
+    """Only inference's gate copies are float32; training stays float64."""
+    data = tiny_dataset()
+    experts = build_experts(["walk_rnn", "face_mlp"], num_classes=2, seed=6, hidden=8)
+    system = build_system(experts, gate_config=TINY, seed=6)
+    gate_opt = Adam(system.gate_params, lr=1e-2)
+    expert_opts = {e.name: Adam(e.params, lr=1e-2) for e in system.experts}
+    inference(system, data.test_meshes[0], seed=1)
+    train_iteration(system, data.train_meshes[:4], 0.3, gate_opt, expert_opts, seed=2)
+    arrays = [(name, t.data) for name, t in system_parameters(system).items()]
+    for opt in (gate_opt, *expert_opts.values()):
+        for path, tensor in opt.params.items():
+            arrays += [(path, tensor.grad), (path, opt.m[path]), (path, opt.v[path])]
+    assert len(arrays) == 4 * len(system_parameters(system))
+    assert [name for name, a in arrays if a.dtype != np.float64] == []
 
 
 def test_evaluation_helpers_run():
