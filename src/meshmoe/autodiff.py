@@ -317,27 +317,6 @@ def slice_index(a: Tensor, axis: int, index: int) -> Tensor:
     return _node(out_data, (a,), backward)
 
 
-def gather_rows(a: Tensor, indices) -> Tensor:
-    """Pick a[i, indices[i]] for each row i of a 2-D tensor."""
-    indices = np.asarray(indices, dtype=np.int64)
-    if a.ndim != 2:
-        raise ValueError("gather_rows expects a 2-D tensor")
-    if indices.ndim != 1 or len(indices) != a.data.shape[0]:
-        raise ValueError("indices must be 1-D with one entry per row")
-    if indices.size and (indices.min() < 0 or indices.max() >= a.data.shape[1]):
-        raise ValueError("gather index out of range")
-    rows = np.arange(a.data.shape[0])
-    out_data = a.data[rows, indices]
-
-    def backward(g):
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            np.add.at(full, (rows, indices), g)
-            _accumulate(a, full)
-
-    return _node(out_data, (a,), backward)
-
-
 # --- reductions ------------------------------------------------------------
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:

@@ -19,12 +19,11 @@ from .autodiff import Tensor
 from .checkpoint import (CheckpointError, atomic_write, copy_into, ini_where,
                          load_checkpoint, save_checkpoint)
 from .config import SECTIONS, ConfigError, RunConfig, config_snapshot, load_config
-from .experts import (ExpertError, build_experts, expert_parameters,
-                      train_expert_supervised)
-from .gate import (GateConfig, GateError, average_pretrained_gates,
-                   gate_parameters, init_gate_params, pretrain_imitation)
+from .experts import build_experts, expert_parameters, train_expert_supervised
+from .gate import (GateConfig, average_pretrained_gates, gate_parameters,
+                   init_gate_params, pretrain_imitation)
 from .gradcheck import standard_battery
-from .mesh import TASKS, MeshError, load_dataset, load_off, save_dataset
+from .mesh import TASKS, load_dataset, load_off, save_dataset
 from .optim import OptimError
 from .rng import derive
 from .sac import SACConfig, SacLambdaAgent, StaticLambdaAgent
@@ -32,10 +31,9 @@ from .synth import generate_classification_set, generate_segmentation_set
 from .trainer import (SIM_KINDS, TrainerError, build_system, check_pool,
                       evaluate_ensemble, inference, load_system, save_system,
                       task_scores, train_run)
-from .walks import WalkError, extract_walks
+from .walks import extract_walks
 
-_ERRORS = (ConfigError, MeshError, WalkError, TrainerError, CheckpointError,
-           ExpertError, GateError, OptimError, OSError, ValueError)
+_ERRORS = (TrainerError, OptimError, OSError, ValueError)
 
 
 def _sha256(path) -> str:
@@ -140,10 +138,7 @@ def _build_pool(cfg: RunConfig, dataset) -> list:
 
 def _build_full_system(cfg: RunConfig, dataset):
     experts = _build_pool(cfg, dataset)
-    # num_classes materializes the imitation head too, so imitation-pretrained
-    # checkpoints and randomly initialized ones stay interchangeable
-    gate_config = GateConfig(num_experts=len(experts),
-                             num_classes=dataset.num_classes, **asdict(cfg.gate))
+    gate_config = GateConfig(num_experts=len(experts), **asdict(cfg.gate))
     system = build_system(experts, task=dataset.task, gate_config=gate_config,
                           seed=derive(cfg.seed, "gate"))
     system.walks_train = cfg.trainer.walks_train

@@ -5,8 +5,9 @@ positions, then 8 self-attention blocks.  Decoder: a learned query token
 cross-attends to the encoder output through 8 blocks.  Each block reads
 the unprojected encoder output through `layers.query_attention`: one
 folded query per head and one pooled row per walk, with no per-position
-keys or values.  A final linear head maps the token to one logit per
-expert (or per class in the imitation head used for pre-training).
+keys or values.  One linear head, `head.w` / `head.b`, maps the token to
+one logit per expert, or per class in the `class_imitation` mode that
+pre-training uses; a gate holds only the head its mode reads.
 Per-mesh weights are the softmax of walk-averaged logits, batched by
 `walks.walk_softmax_rows`.
 
@@ -19,12 +20,12 @@ numbers depend on the others.  With a graph all walks are one chunk.
 The body computes in the dtype of its parameters: float64 in training,
 float32 on the copies `trainer.inference` makes.
 
-Pre-training runs one gate per expert against that expert's prediction
-vectors with KL(expert || gate); the pre-trained bodies are averaged to
-initialize the real gate, whose expert head starts fresh.
+Pre-training runs one class-headed gate per expert against that expert's
+prediction vectors with KL(expert || gate); the pre-trained bodies are
+averaged to initialize the real gate, whose expert head starts fresh.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -67,7 +68,8 @@ class GateConfig:
 
 
 def init_gate_params(config: GateConfig, seed: int) -> dict:
-    """Both heads are always created so checkpoints are mode-agnostic."""
+    """The body plus the one head `config.head_mode` reads, as `head.w` /
+    `head.b`: one logit per class in imitation mode, per expert otherwise."""
     params = {}
     params["embed.w"] = layers.glorot((WALK_CHANNELS, config.d_model), derive(seed, "embed"))
     params["embed.b"] = layers.zeros((config.d_model,))
@@ -80,13 +82,12 @@ def init_gate_params(config: GateConfig, seed: int) -> dict:
                               derive(seed, "dec", i))
     params["final_norm.g"] = layers.ones((config.d_model,))
     params["final_norm.b"] = layers.zeros((config.d_model,))
-    params["head.expert.w"] = layers.glorot((config.d_model, config.num_experts),
-                                            derive(seed, "head_expert"))
-    params["head.expert.b"] = layers.zeros((config.num_experts,))
-    if config.num_classes >= 2:
-        params["head.imitate.w"] = layers.glorot((config.d_model, config.num_classes),
-                                                 derive(seed, "head_imitate"))
-        params["head.imitate.b"] = layers.zeros((config.num_classes,))
+    if config.head_mode == "class_imitation":
+        width, key = config.num_classes, "head_imitate"
+    else:
+        width, key = config.num_experts, "head_expert"
+    params["head.w"] = layers.glorot((config.d_model, width), derive(seed, key))
+    params["head.b"] = layers.zeros((width,))
     return params
 
 
@@ -111,9 +112,7 @@ def gate_forward_features(features: np.ndarray, params: dict,
     tokens = [_walk_tokens(features[i:i + chunk], params, config)
               for i in range(0, w_count, chunk)]
     token = tokens[0] if len(tokens) == 1 else Tensor(np.concatenate([t.data for t in tokens]))
-    if config.head_mode == "expert_weights":
-        return layers.linear(token, params["head.expert.w"], params["head.expert.b"])
-    return layers.linear(token, params["head.imitate.w"], params["head.imitate.b"])
+    return layers.linear(token, params["head.w"], params["head.b"])
 
 
 def _walk_tokens(features: np.ndarray, params: dict, config: GateConfig) -> Tensor:
@@ -190,17 +189,17 @@ def pretrain_imitation(gate_params: dict, config: GateConfig, expert, meshes: li
 
 def average_pretrained_gates(params_list: list, config: GateConfig,
                              seed: int) -> dict:
-    """Mean of shared-body weights; expert head freshly initialized.
+    """Mean of shared-body weights under a fresh expert head.
 
     Imitation heads are class-sized and cannot feed the J-sized head, so
-    every `head.*` parameter is replaced from a fresh init.
+    the result carries the `expert_weights` head of a fresh init.
     """
     if not params_list:
         raise GateError("no parameter sets to average")
     body_paths = [sorted(k for k in p if not k.startswith("head.")) for p in params_list]
     if any(paths != body_paths[0] for paths in body_paths[1:]):
         raise GateError("parameter sets have mismatched body paths")
-    averaged = init_gate_params(config, seed)
+    averaged = init_gate_params(replace(config, head_mode="expert_weights"), seed)
     for path in body_paths[0]:
         shapes = {p[path].data.shape for p in params_list}
         if len(shapes) != 1:

@@ -105,29 +105,30 @@ def standard_battery(seed: int = 0) -> list:
         # one stream per entry, so adding an entry moves no other's points
         return Rng(derive(seed, "battery", name))
 
+    def probed(rng: Rng, out):
+        # out() summed against mix weights drawn next from the entry's stream
+        mix = Tensor(rng.normal_fill(out().shape))
+        return lambda: ad.tsum(ad.mul(out(), mix))
+
     entries = []
 
     rng = stream("attention")
     attn = {name: Tensor(rng.normal_fill((2, 3, 4)) * 0.5, requires_grad=True)
             for name in ("q", "k", "v")}
-    attn_mix = rng.normal_fill((2, 3, 4))
-    entries.append(("attention", lambda: ad.tsum(ad.mul(layers.multi_head_attention(
-        attn["q"], attn["k"], attn["v"], heads=2), Tensor(attn_mix))), attn))
+    entries.append(("attention", probed(rng, lambda: layers.multi_head_attention(
+        attn["q"], attn["k"], attn["v"], heads=2)), attn))
 
     rng = stream("mha_block")
     mha = {"x": Tensor(rng.normal_fill((2, 3, 8)) * 0.5, requires_grad=True)}
     layers.init_mha_block(mha, "blk", 8, 16, derive(seed, "mha"))
-    mha_mix = rng.normal_fill((2, 3, 8))
-    entries.append(("mha_block", lambda: ad.tsum(ad.mul(
-        layers.mha_block(mha["x"], mha, "blk", heads=2), Tensor(mha_mix))),
-        mha))
+    entries.append(("mha_block", probed(
+        rng, lambda: layers.mha_block(mha["x"], mha, "blk", heads=2)), mha))
 
     rng = stream("recurrent_cell")
     gru = {"x": Tensor(rng.normal_fill((2, 3, 4)) * 0.5, requires_grad=True)}
     layers.init_gru(gru, "gru", 4, 6, derive(seed, "gru"))
-    gru_mix = rng.normal_fill((2, 6))
-    entries.append(("recurrent_cell", lambda: ad.tsum(ad.mul(
-        layers.gru_forward(gru["x"], gru, "gru", 6), Tensor(gru_mix))), gru))
+    entries.append(("recurrent_cell", probed(
+        rng, lambda: layers.gru_forward(gru["x"], gru, "gru", 6)), gru))
 
     rng = stream("cross_entropy")
     ce = {"logits": Tensor(rng.normal_fill((5,)), requires_grad=True)}
@@ -145,11 +146,9 @@ def standard_battery(seed: int = 0) -> list:
     gate_params = init_gate_params(tiny, derive(seed, "gate"))
     rng = stream("gate_end_to_end")
     feats = rng.normal_fill((3, 5, 4)) * 0.5
-    gate_mix = rng.normal_fill((2,))
-
-    entries.append(("gate_end_to_end", lambda: ad.tsum(ad.mul(walk_softmax_rows(
-        [feats], lambda walks: gate_forward_features(walks, gate_params, tiny))[0],
-        Tensor(gate_mix))), gate_params))
+    entries.append(("gate_end_to_end", probed(rng, lambda: walk_softmax_rows(
+        [feats], lambda walks: gate_forward_features(walks, gate_params, tiny))[0]),
+        gate_params))
 
     rng = stream("cross_attention")
     cross = {"q": Tensor(rng.normal_fill((2, 1, 4)) * 0.5, requires_grad=True),
@@ -157,26 +156,23 @@ def standard_battery(seed: int = 0) -> list:
              "wk": Tensor(rng.normal_fill((4, 4)) * 0.5, requires_grad=True),
              "wv": Tensor(rng.normal_fill((4, 4)) * 0.5, requires_grad=True),
              "vb": Tensor(rng.normal_fill((4,)) * 0.1, requires_grad=True)}
-    cross_mix = rng.normal_fill((2, 1, 4))
-    entries.append(("cross_attention", lambda: ad.tsum(ad.mul(layers.query_attention(
-        cross["q"], cross["memory"], cross["wk"], cross["wv"], cross["vb"], heads=2),
-        Tensor(cross_mix))), cross))
+    entries.append(("cross_attention", probed(rng, lambda: layers.query_attention(
+        cross["q"], cross["memory"], cross["wk"], cross["wv"], cross["vb"], heads=2)),
+        cross))
 
     rng = stream("linear")
     lin = {"x": Tensor(rng.normal_fill((2, 3, 4)) * 0.5, requires_grad=True),
            "w": layers.glorot((4, 5), derive(seed, "linear")),
            "b": Tensor(rng.normal_fill((5,)) * 0.1, requires_grad=True)}
-    lin_mix = rng.normal_fill((2, 3, 5))
-    entries.append(("linear", lambda: ad.tsum(ad.mul(
-        layers.linear(lin["x"], lin["w"], lin["b"]), Tensor(lin_mix))), lin))
+    entries.append(("linear", probed(
+        rng, lambda: layers.linear(lin["x"], lin["w"], lin["b"])), lin))
 
     rng = stream("layer_norm")
     norm = {"x": Tensor(rng.normal_fill((2, 3, 6)), requires_grad=True),
             "g": Tensor(1.0 + rng.normal_fill((6,)) * 0.1, requires_grad=True),
             "b": Tensor(rng.normal_fill((6,)) * 0.1, requires_grad=True)}
-    norm_mix = rng.normal_fill((2, 3, 6))
-    entries.append(("layer_norm", lambda: ad.tsum(ad.mul(
-        layers.layer_norm(norm["x"], norm["g"], norm["b"]), Tensor(norm_mix))), norm))
+    entries.append(("layer_norm", probed(
+        rng, lambda: layers.layer_norm(norm["x"], norm["g"], norm["b"])), norm))
 
     data = generate_classification_set(classes=2, per_class=4,
                                        seed=derive(seed, "data"))

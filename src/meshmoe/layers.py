@@ -345,6 +345,8 @@ def cross_entropy(pred: Tensor, target) -> Tensor:
 
     pred (..., C) holds probability rows; target holds one class index per
     row, shaped like pred's leading axes (a plain int for a (C,) vector).
+    The target entry is read out as the row sum of the clamped rows times
+    a one-hot mask, which adds only exact zeros to it.
     """
     target = np.asarray(target, dtype=np.int64)
     num_classes = pred.shape[-1]
@@ -355,9 +357,9 @@ def cross_entropy(pred: Tensor, target) -> Tensor:
         raise ValueError(f"target index out of range for {num_classes} classes")
     if np.any(np.abs(pred.data.sum(axis=-1) - 1.0) > 1e-6):
         raise ValueError("prediction row does not sum to 1")
-    rows = ad.reshape(ad.clamp(pred, PROB_FLOOR), (-1, num_classes))
-    picked = ad.gather_rows(rows, target.reshape(-1))
-    return ad.reshape(ad.mul(ad.log(picked), Tensor(-1.0)), target.shape)
+    onehot = Tensor(np.arange(num_classes) == target[..., None])
+    picked = ad.tsum(ad.mul(ad.clamp(pred, PROB_FLOOR), onehot), axis=-1)
+    return ad.mul(ad.log(picked), Tensor(-1.0))
 
 
 def kl_divergence(p: Tensor, q: Tensor) -> Tensor:

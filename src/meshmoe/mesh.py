@@ -342,7 +342,9 @@ def save_dataset(dataset: Dataset, out_dir) -> None:
 
 
 def _read_dataset_ini(ini) -> dict:
-    """{"task", "num_classes"} from dataset.ini; bad input names file and line."""
+    """{"task", "num_classes"} from dataset.ini; an unknown section, key or
+    task, or a num_classes that is not an integer >= 0 (0 infers the count
+    from the labels), names file and line."""
     parser = configparser.ConfigParser()
     try:
         parser.read(ini, encoding="utf-8")
@@ -350,14 +352,22 @@ def _read_dataset_ini(ini) -> dict:
         line = getattr(err, "lineno", None)
         where = f"{ini}:{line}" if line else ini
         raise MeshError(f"{where}: {err.message.splitlines()[0]}") from None
+    for section in parser.sections():
+        if section != "dataset":
+            raise MeshError(f"{ini_where(ini, section)}: unknown section [{section}]")
+        for key in parser.options(section):
+            if key not in ("task", "num_classes"):
+                raise MeshError(f"{ini_where(ini, section, key)}: [dataset] has "
+                                f"no key {key!r}")
+    task = parser.get("dataset", "task", fallback="classification")
+    if task not in TASKS:
+        raise MeshError(f"{ini_where(ini, 'dataset', 'task')}: unknown task "
+                        f"{task!r}; expected one of {TASKS}")
     raw = parser.get("dataset", "num_classes", fallback="0")
-    try:
-        num_classes = int(raw)
-    except ValueError:
+    if not raw.isdecimal():
         raise MeshError(f"{ini_where(ini, 'dataset', 'num_classes')}: num_classes "
-                        f"must be an integer, got {raw!r}") from None
-    return {"task": parser.get("dataset", "task", fallback="classification"),
-            "num_classes": num_classes}
+                        f"must be an integer >= 0, got {raw!r}")
+    return {"task": task, "num_classes": int(raw)}
 
 
 def load_dataset(data_dir) -> Dataset:

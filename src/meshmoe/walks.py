@@ -27,8 +27,7 @@ def walk_length(vertex_count: int) -> int:
     """L = max(2, ceil(0.4 * V)); a walk needs at least an edge's worth."""
     if vertex_count < 2:
         raise WalkError("mesh too small to walk (needs >= 2 vertices)")
-    length = max(2, -((-4 * vertex_count) // 10))
-    return min(length, vertex_count)
+    return max(2, -((-4 * vertex_count) // 10))
 
 
 @dataclass

@@ -109,10 +109,8 @@ def test_permuting_head_permutes_weights(tetrahedron):
     params = init_gate_params(TINY, seed=7)
     weights = gate_forward_mesh(tetrahedron, 2, params, TINY, seed=1).data
     perm = [2, 0, 1]
-    params["head.expert.w"] = Tensor(params["head.expert.w"].data[:, perm],
-                                     requires_grad=True)
-    params["head.expert.b"] = Tensor(params["head.expert.b"].data[perm],
-                                     requires_grad=True)
+    params["head.w"] = Tensor(params["head.w"].data[:, perm], requires_grad=True)
+    params["head.b"] = Tensor(params["head.b"].data[perm], requires_grad=True)
     permuted = gate_forward_mesh(tetrahedron, 2, params, TINY, seed=1).data
     np.testing.assert_allclose(permuted, weights[perm], atol=1e-12)
     assert np.argmax(permuted) == perm.index(np.argmax(weights)) or np.allclose(
@@ -306,8 +304,7 @@ def test_average_pretrained_gates_identities():
 def test_average_fresh_head_differs():
     params_a = init_gate_params(TINY, seed=11)
     merged = average_pretrained_gates([params_a], TINY, seed=1234)
-    assert not np.array_equal(merged["head.expert.w"].data,
-                              params_a["head.expert.w"].data)
+    assert not np.array_equal(merged["head.w"].data, params_a["head.w"].data)
 
 
 def test_average_shape_mismatch_rejected():

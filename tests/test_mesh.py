@@ -371,6 +371,26 @@ def test_load_dataset_rejects_non_integer_num_classes(tmp_path, tetrahedron, tri
         load_dataset(tmp_path / "data")
 
 
+@pytest.mark.parametrize("ini, message", [
+    ("[dataset]\ntask = segmentaton\n", r"dataset\.ini:2: unknown task 'segmentaton'"),
+    ("[dataset]\ntask = classification\nnum_classes = -3\n",
+     r"dataset\.ini:3: num_classes must be an integer >= 0, got '-3'"),
+    ("[dataset]\nnum_clases = 5\n", r"dataset\.ini:2: \[dataset\] has no key 'num_clases'"),
+    ("[dataset]\nnum_classes = 2\n[labels]\n", r"dataset\.ini:3: unknown section \[labels\]"),
+], ids=["task", "negative-num-classes", "unknown-key", "unknown-section"])
+def test_load_dataset_rejects_bad_ini_entry(tmp_path, tetrahedron, triangle, ini, message):
+    _saved_dataset(tmp_path, tetrahedron, triangle)
+    (tmp_path / "data" / "dataset.ini").write_text(ini)
+    with pytest.raises(MeshError, match=message):
+        load_dataset(tmp_path / "data")
+
+
+def test_load_dataset_num_classes_zero_infers_the_count(tmp_path, tetrahedron, triangle):
+    _saved_dataset(tmp_path, tetrahedron, triangle)
+    (tmp_path / "data" / "dataset.ini").write_text("[dataset]\nnum_classes = 0\n")
+    assert load_dataset(tmp_path / "data").num_classes == 2
+
+
 def test_load_dataset_rejects_ini_without_section(tmp_path, tetrahedron, triangle):
     _saved_dataset(tmp_path, tetrahedron, triangle)
     (tmp_path / "data" / "dataset.ini").write_text("num_classes = 2\n")

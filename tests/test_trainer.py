@@ -235,9 +235,9 @@ def reference_diversity(weights, preds, targets):
     total = Tensor(0.0)
     for row, mesh_preds, target in zip(weights, preds, targets):
         for j, p in enumerate(mesh_preds):
-            rows = ad.reshape(p, (-1, p.shape[-1]))
-            picked = ad.gather_rows(ad.clamp(rows, PROB_FLOOR),
-                                    np.reshape(target, -1))
+            rows = ad.clamp(ad.reshape(p, (-1, p.shape[-1])), PROB_FLOOR)
+            picked = ad.stack([ad.slice_index(ad.slice_index(rows, 0, r), 0, int(t))
+                               for r, t in enumerate(np.reshape(target, -1))])
             ce = ad.mul(ad.tmean(ad.log(picked)), Tensor(-1.0))
             total = ad.add(total, ad.mul(ad.slice_index(row, 0, j), ce))
     return ad.div(total, Tensor(float(len(preds))))
@@ -410,6 +410,22 @@ def test_non_finite_loss_aborts():
     gate_opt = Adam(system.gate_params, lr=1e-3)
     with pytest.raises(TrainerError, match="non-finite"):
         train_iteration(system, data.train_meshes[:2], 0.0, gate_opt, {}, seed=0)
+
+
+def test_train_iteration_reaches_every_parameter():
+    """A system built as the CLI builds it, with the dataset's class count
+    on its gate config, holds no tensor that a training step leaves unread."""
+    data = tiny_dataset()
+    experts = build_experts(["walk_rnn", "face_mlp"], num_classes=data.num_classes,
+                            seed=6, hidden=8)
+    system = build_system(experts, gate_config=replace(TINY, num_classes=data.num_classes),
+                          seed=6)
+    gate_opt = Adam(system.gate_params, lr=1e-3)
+    expert_opts = {e.name: Adam(e.params, lr=1e-3) for e in system.experts}
+    train_iteration(system, data.train_meshes[:4], 0.3, gate_opt, expert_opts, seed=2)
+    unread = [name for name, tensor in system_parameters(system).items()
+              if tensor.grad is None]
+    assert not unread
 
 
 def test_train_iteration_is_step_loss_backward_and_adam():
