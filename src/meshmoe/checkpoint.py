@@ -5,11 +5,12 @@ path: `<path> <d0>x<d1>x... <base64>`, where the payload is the raw
 little-endian float64 bytes.  Scalars use the shape token `scalar`.
 Checkpoints, dataset indexes and the CLI's manifests, logs, reports and
 walk listings are written by `atomic_write`: to a temp file that is
-renamed into place.  `ini_where` points errors in the INI files the program
-reads (run configs, dataset.ini) at a file and line.
+renamed into place.  `read_ini` reads the INI files (run configs,
+dataset.ini), and `ini_where` points their errors at a file and line.
 """
 
 import base64
+import configparser
 import os
 import re
 from contextlib import contextmanager
@@ -39,6 +40,37 @@ def ini_where(path, section: str, key: str | None = None) -> str:
             elif inside and re.split("[=:]", text)[0].strip().lower() == key:
                 return f"{path}:{line}"
     return str(path)
+
+
+def read_ini(path, sections: dict, error) -> None:
+    """Set each `key = value` of the INI file at `path` on `sections[<section>]`,
+    as the type of the int, float or str attribute it replaces.  A syntax
+    error, an unknown section ([DEFAULT] too) or key, or a value that does
+    not parse raises `error` with a message that starts 'path:line: '."""
+    # no header can name the section "", so [DEFAULT] is an ordinary section
+    parser = configparser.ConfigParser(default_section="", interpolation=None)
+    try:
+        if not parser.read(path, encoding="utf-8"):
+            raise error(f"{path}: cannot read the file")
+    except configparser.MissingSectionHeaderError as err:
+        raise error(f"{path}:{err.lineno}: file contains no section headers") from None
+    except configparser.ParsingError as err:
+        line, text = err.errors[0]
+        raise error(f"{path}:{line}: not a [section] header or a key = value line: {text}") from None
+    except configparser.Error as err:       # a section or key given twice
+        raise error(f"{path}:{err.lineno}: {err.message.rpartition(']: ')[2]}") from None
+    for section in parser.sections():
+        if section not in sections:
+            raise error(f"{ini_where(path, section)}: unknown section [{section}]")
+        for key, raw in parser.items(section):
+            kind = type(vars(sections[section]).get(key))
+            if kind not in (int, float, str):
+                raise error(f"{ini_where(path, section, key)}: [{section}] has no key {key!r}")
+            try:
+                setattr(sections[section], key, kind(raw))
+            except ValueError:
+                raise error(f"{ini_where(path, section, key)}: [{section}] {key}: "
+                            f"cannot parse {raw!r} as {kind.__name__}") from None
 
 
 def _shape_token(shape) -> str:

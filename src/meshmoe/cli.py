@@ -11,14 +11,14 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
 
-from .autodiff import Tensor
 from .checkpoint import (CheckpointError, atomic_write, copy_into, ini_where,
                          load_checkpoint, save_checkpoint)
-from .config import SECTIONS, ConfigError, RunConfig, config_snapshot, load_config
+from .config import SECTIONS, ConfigError, RunConfig, load_config
 from .experts import build_experts, expert_parameters, train_expert_supervised
 from .gate import (GateConfig, average_pretrained_gates, gate_parameters,
                    init_gate_params, pretrain_imitation)
@@ -48,7 +48,7 @@ def _write_manifest(out_dir, command: str, cfg: RunConfig, inputs: list,
                     outputs: list) -> None:
     manifest = {
         "command": command,
-        "config": config_snapshot(cfg),
+        "config": asdict(cfg),
         "seed": cfg.seed,
         "inputs": {str(p): _sha256(p) for p in inputs if os.path.exists(p)},
         "outputs": [str(p) for p in outputs],
@@ -56,6 +56,13 @@ def _write_manifest(out_dir, command: str, cfg: RunConfig, inputs: list,
     path = os.path.join(out_dir, f"manifest_{command}.json")
     with atomic_write(path) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
+
+
+# what a float setting must be: its test and the words that name it
+_FLOAT_RANGES = {**dict.fromkeys(("gate_lr", "expert_lr", "lr"),
+                                 (lambda v: 0 < v < math.inf, "finite and > 0")),
+                 "tau": (lambda v: 0 < v <= 1, "in (0, 1]"),
+                 "discount": (lambda v: 0 <= v <= 1, "in [0, 1]")}
 
 
 def _resolve_config(args) -> tuple:
@@ -77,9 +84,11 @@ def _resolve_config(args) -> tuple:
     for section in SECTIONS:
         for field, value in asdict(getattr(cfg, section)).items():
             least = 0 if field in ("epochs", "encoder_layers", "decoder_layers") else 1
-            if type(value) is int and value < least:
+            test, rule = ((lambda v: v >= least), f">= {least}") if type(value) is int \
+                else _FLOAT_RANGES.get(field, (lambda v: True, ""))
+            if not test(value):
                 where = given.get((section, field)) or ini_where(args.config, section, field)
-                raise ConfigError(f"{where}: {field} must be >= {least}, got {value}")
+                raise ConfigError(f"{where}: {field} must be {rule}, got {value}")
     # argparse checks a flag's choices; a value from the config file is checked here
     for options, target in _FLAGS.values():
         if "choices" in options and target is not None:
@@ -202,13 +211,11 @@ def _cmd_pretrain_gate(args) -> int:
     imitation_config = GateConfig(num_experts=len(experts),
                                   num_classes=dataset.num_classes,
                                   head_mode="class_imitation", **asdict(cfg.gate))
-    # one shared init per run: averaging weights only makes sense when the
-    # per-expert trainings start from the same point
-    shared = init_gate_params(imitation_config, derive(cfg.seed, "gate-imit"))
     pretrained = []
     for j, expert in enumerate(experts):
-        params = {k: Tensor(v.data.copy(), requires_grad=True)
-                  for k, v in shared.items()}
+        # the same init seed for every expert: averaging weights only makes
+        # sense when the per-expert trainings start from the same point
+        params = init_gate_params(imitation_config, derive(cfg.seed, "gate-imit"))
         history = pretrain_imitation(
             params, imitation_config, expert, dataset.train_meshes,
             epochs=cfg.trainer.epochs, walk_count=cfg.trainer.walks_train,

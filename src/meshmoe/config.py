@@ -1,16 +1,16 @@
 """Run configuration: five dataclass sections mirrored in a key=value file.
 
-The file format is INI-style flat sections ([gate], [experts], [trainer],
-[agent], [data]); values are coerced to the type of the dataclass default.
+The file format is INI-style flat sections ([run] for the seed, [gate],
+[experts], [trainer], [agent], [data]) read by `checkpoint.read_ini`, which
+coerces values to the defaults' types and rejects any other section.
 [gate] and [agent] take their keys and defaults from `GateConfig` and
 `SACConfig`, less the fields the CLI fills in from the dataset and pool.
 Command-line flags override file values which override the defaults.
 """
 
-import configparser
-from dataclasses import asdict, dataclass, field, fields, make_dataclass
+from dataclasses import dataclass, field, fields, make_dataclass
 
-from .checkpoint import ini_where
+from .checkpoint import read_ini
 from .gate import GateConfig
 from .sac import SACConfig
 
@@ -87,38 +87,8 @@ SECTIONS = ("gate", "experts", "trainer", "agent", "data")
 
 
 def load_config(path) -> RunConfig:
-    """Parse a key=value config file; unknown sections or keys are errors."""
-    parser = configparser.ConfigParser()
-    try:
-        read = parser.read(path)
-    except configparser.Error as err:
-        # the message already names the file and the line
-        raise ConfigError(str(err)) from None
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
+    """The defaults, overridden by the config file at `path`."""
     config = RunConfig()
-    for section in parser.sections():
-        if section == "run":
-            target, known = config, {"seed"}
-        elif section in SECTIONS:
-            target = getattr(config, section)
-            known = {f.name for f in fields(target)}
-        else:
-            raise ConfigError(f"{ini_where(path, section)}: "
-                              f"unknown config section [{section}]")
-        for key, raw in parser.items(section):
-            if key not in known:
-                raise ConfigError(f"{ini_where(path, section, key)}: "
-                                  f"[{section}] has no key {key!r}")
-            kind = type(getattr(target, key))   # the default's type
-            try:
-                setattr(target, key, kind(raw))
-            except ValueError:
-                raise ConfigError(f"{ini_where(path, section, key)}: [{section}] {key}: "
-                                  f"cannot parse {raw!r} as {kind.__name__}") from None
+    read_ini(path, {"run": config, **{s: getattr(config, s) for s in SECTIONS}},
+             ConfigError)
     return config
-
-
-def config_snapshot(config: RunConfig) -> dict:
-    """Plain nested dict of every setting, for run manifests."""
-    return asdict(config)

@@ -8,14 +8,13 @@ anything downstream sees them; normalizing replaces the vertices and edge
 lengths only, so connectivity and labels ride along.
 """
 
-import configparser
 import csv
 import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .checkpoint import atomic_write, ini_where
+from .checkpoint import atomic_write, ini_where, read_ini
 from .rng import Rng, derive
 
 
@@ -341,33 +340,24 @@ def save_dataset(dataset: Dataset, out_dir) -> None:
         fh.write(f"[dataset]\ntask = {dataset.task}\nnum_classes = {dataset.num_classes}\n")
 
 
-def _read_dataset_ini(ini) -> dict:
-    """{"task", "num_classes"} from dataset.ini; an unknown section, key or
-    task, or a num_classes that is not an integer >= 0 (0 infers the count
-    from the labels), names file and line."""
-    parser = configparser.ConfigParser()
-    try:
-        parser.read(ini, encoding="utf-8")
-    except configparser.Error as err:
-        line = getattr(err, "lineno", None)
-        where = f"{ini}:{line}" if line else ini
-        raise MeshError(f"{where}: {err.message.splitlines()[0]}") from None
-    for section in parser.sections():
-        if section != "dataset":
-            raise MeshError(f"{ini_where(ini, section)}: unknown section [{section}]")
-        for key in parser.options(section):
-            if key not in ("task", "num_classes"):
-                raise MeshError(f"{ini_where(ini, section, key)}: [dataset] has "
-                                f"no key {key!r}")
-    task = parser.get("dataset", "task", fallback="classification")
-    if task not in TASKS:
+@dataclass
+class DatasetSection:          # dataset.ini's [dataset]
+    task: str = "classification"
+    num_classes: str = "0"     # an integer >= 0; 0 infers the count from the labels
+
+
+def _read_dataset_ini(ini) -> DatasetSection:
+    """[dataset] of the file `ini`; an unknown task, or a num_classes that is
+    not an integer >= 0, names file and line like `read_ini`'s errors."""
+    meta = DatasetSection()
+    read_ini(ini, {"dataset": meta}, MeshError)
+    if meta.task not in TASKS:
         raise MeshError(f"{ini_where(ini, 'dataset', 'task')}: unknown task "
-                        f"{task!r}; expected one of {TASKS}")
-    raw = parser.get("dataset", "num_classes", fallback="0")
-    if not raw.isdecimal():
+                        f"{meta.task!r}; expected one of {TASKS}")
+    if not meta.num_classes.isdecimal():
         raise MeshError(f"{ini_where(ini, 'dataset', 'num_classes')}: num_classes "
-                        f"must be an integer >= 0, got {raw!r}")
-    return {"task": task, "num_classes": int(raw)}
+                        f"must be an integer >= 0, got {meta.num_classes!r}")
+    return meta
 
 
 def load_dataset(data_dir) -> Dataset:
@@ -375,10 +365,8 @@ def load_dataset(data_dir) -> Dataset:
     manifest = os.path.join(data_dir, "manifest.csv")
     if not os.path.exists(manifest):
         raise MeshError(f"{data_dir}: no manifest.csv")
-    meta = {"task": "classification", "num_classes": 0}
     ini = os.path.join(data_dir, "dataset.ini")
-    if os.path.exists(ini):
-        meta = _read_dataset_ini(ini)
+    meta = _read_dataset_ini(ini) if os.path.exists(ini) else DatasetSection()
 
     meshes, train_ids, test_ids = [], [], []
     max_label = -1
@@ -410,6 +398,6 @@ def load_dataset(data_dir) -> Dataset:
                 max_label = max(max_label, int(labels.max(initial=-1)))
             meshes.append(normalize_coordinates(mesh))
             (train_ids if split == "train" else test_ids).append(mesh.mesh_id)
-    num_classes = meta["num_classes"] or (max_label + 1)
-    return Dataset(meshes=meshes, num_classes=num_classes, task=meta["task"],
+    num_classes = int(meta.num_classes) or (max_label + 1)
+    return Dataset(meshes=meshes, num_classes=num_classes, task=meta.task,
                    train_ids=train_ids, test_ids=test_ids)

@@ -412,6 +412,26 @@ def test_integer_setting_below_its_minimum_names_file_and_line(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section, setting, rule", [
+    ("trainer", "gate_lr = -0.5", "finite and > 0"),
+    ("trainer", "expert_lr = inf", "finite and > 0"),
+    ("agent", "lr = -1", "finite and > 0"),
+    ("agent", "tau = 7", "in (0, 1]"),
+    ("agent", "tau = 0", "in (0, 1]"),
+    ("agent", "discount = -3", "in [0, 1]"),
+], ids=["gate_lr", "expert_lr", "agent_lr", "tau_above_one", "tau_zero", "discount"])
+def test_float_setting_out_of_range_names_file_and_line(tmp_path, capsys,
+                                                        section, setting, rule):
+    ini = ini_with(tmp_path, section, setting)
+    line = ini.read_text().splitlines().index(setting) + 1
+    key, value = setting.split(" = ")
+    out = tmp_path / "run"
+    assert run("train", "--config", str(ini), "--out-dir", str(out)) == 1
+    assert capsys.readouterr().err == (
+        f"error: {ini}:{line}: {key} must be {rule}, got {float(value)}\n")
+    assert not out.exists()
+
+
 def test_agent_buffer_below_its_batch_fails(tmp_path, capsys, tiny_config):
     data = str(tmp_path / "data")
     assert run("gen-data", "--config", tiny_config, "--out-dir", str(tmp_path / "gen"),

@@ -2,7 +2,7 @@ from dataclasses import asdict, fields
 
 import pytest
 
-from meshmoe.config import ConfigError, RunConfig, config_snapshot, load_config
+from meshmoe.config import ConfigError, RunConfig, load_config
 from meshmoe.gate import GateConfig
 from meshmoe.sac import SACConfig
 
@@ -18,13 +18,13 @@ def test_defaults_round_trip(tmp_path):
     cfg.seed = 17
     cfg.trainer.epochs = 5
     cfg.agent.lambda_min = -0.5
-    snapshot = config_snapshot(cfg)
+    snapshot = asdict(cfg)
     lines = [f"[run]\nseed = {snapshot.pop('seed')}"]
     for section, values in snapshot.items():
         lines.append(f"[{section}]")
         lines += [f"{key} = {value}" for key, value in values.items()]
     loaded = load_config(write(tmp_path, "\n".join(lines) + "\n"))
-    assert config_snapshot(loaded) == config_snapshot(cfg)
+    assert asdict(loaded) == asdict(cfg)
 
 
 def test_type_coercion(tmp_path):
@@ -48,8 +48,9 @@ lambda_min = -0.25
 
 def test_unknown_section_rejected(tmp_path):
     path = write(tmp_path, "[nonsense]\nx = 1\n")
-    with pytest.raises(ConfigError, match="unknown config section"):
+    with pytest.raises(ConfigError) as exc:
         load_config(path)
+    assert str(exc.value) == path + ":1: unknown section [nonsense]"
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -66,12 +67,14 @@ def test_bad_value_rejected(tmp_path):
 
 @pytest.mark.parametrize("text, message", [
     ("[gate]\nd_model = 8\n\n[nonsense]\nx = 1\n",
-     ":4: unknown config section [nonsense]"),
+     ":4: unknown section [nonsense]"),
     ("[trainer]\nepochs = 3\nepochss = 3\n", ":3: [trainer] has no key 'epochss'"),
     ("[run]\n\nsee = 3\n", ":3: [run] has no key 'see'"),
     ("[agent]\nbatch_size = 8\n[trainer]\n# batch_size = 3\nBatch_Size = ten\n",
      ":5: [trainer] batch_size: cannot parse 'ten' as int"),
-], ids=["section", "key", "run_key", "value"])
+    ("[DEFAULT]\nfoo = 1\n[trainer]\nepochs = 2\n", ":1: unknown section [DEFAULT]"),
+    ("[DEFAULT]\nseed = 5\n", ":1: unknown section [DEFAULT]"),
+], ids=["section", "key", "run_key", "value", "default_key", "default_only"])
 def test_errors_name_file_and_line(tmp_path, text, message):
     path = write(tmp_path, text)
     with pytest.raises(ConfigError) as exc:
@@ -84,15 +87,21 @@ def test_missing_file_rejected(tmp_path):
         load_config(str(tmp_path / "absent.ini"))
 
 
-@pytest.mark.parametrize("text, message", [
-    ("seed = 3\n", "no section headers"),
-    ("[trainer]\nepochs = 3\nepochs = 4\n", "already exists"),
-], ids=["missing_header", "duplicate_key"])
-def test_syntax_errors_become_config_errors(tmp_path, text, message):
+@pytest.mark.parametrize("text, line, message", [
+    ("seed = 3\n", 1, "no section headers"),
+    ("[trainer]\nepochs = 3\nepochs = 4\n", 3, "already exists"),
+    ("[trainer]\nepochs = 3\nepochs\n", 3, r"not a \[section\] header or a key = value line"),
+], ids=["missing_header", "duplicate_key", "neither_header_nor_key"])
+def test_syntax_errors_become_config_errors(tmp_path, text, line, message):
     path = write(tmp_path, text)
     with pytest.raises(ConfigError, match=message) as exc:
         load_config(path)
-    assert "run.ini" in str(exc.value) and "line" in str(exc.value)
+    assert str(exc.value).startswith(f"{path}:{line}: ")
+
+
+def test_percent_sign_is_a_plain_character(tmp_path):
+    cfg = load_config(write(tmp_path, "[agent]\nstatic_lambda = 50%\n"))
+    assert cfg.agent.static_lambda == "50%"
 
 
 def test_expert_specs_split():

@@ -377,7 +377,9 @@ def test_load_dataset_rejects_non_integer_num_classes(tmp_path, tetrahedron, tri
      r"dataset\.ini:3: num_classes must be an integer >= 0, got '-3'"),
     ("[dataset]\nnum_clases = 5\n", r"dataset\.ini:2: \[dataset\] has no key 'num_clases'"),
     ("[dataset]\nnum_classes = 2\n[labels]\n", r"dataset\.ini:3: unknown section \[labels\]"),
-], ids=["task", "negative-num-classes", "unknown-key", "unknown-section"])
+    ("[DEFAULT]\ntask = segmentation\nnum_classes = 7\n",
+     r"dataset\.ini:1: unknown section \[DEFAULT\]"),
+], ids=["task", "negative-num-classes", "unknown-key", "unknown-section", "default-section"])
 def test_load_dataset_rejects_bad_ini_entry(tmp_path, tetrahedron, triangle, ini, message):
     _saved_dataset(tmp_path, tetrahedron, triangle)
     (tmp_path / "data" / "dataset.ini").write_text(ini)
