@@ -1,8 +1,11 @@
-"""Reverse-mode automatic differentiation over float64 numpy arrays.
+"""Reverse-mode automatic differentiation over float64 and float32 numpy arrays.
 
 A float32 array keeps its dtype; every other input becomes float64.  Ops
 follow numpy's promotion, so a graph built only from float32 tensors
-(the inference gate) computes in float32, and a float64 operand promotes.
+(the gate body, in training and inference) computes in float32, and a
+float64 operand promotes.  `astype` casts inside a graph; a gradient is
+stored in its tensor's own dtype, so float32 work reaching a float64 leaf
+lands there as float64.
 
 Each op builds a node holding its output, parent references, and a
 closure that maps the output cotangent to parent cotangent contributions.
@@ -252,6 +255,17 @@ def clamp(a: Tensor, lo: float = -np.inf, hi: float = np.inf) -> Tensor:
 
 
 # --- shape ops -------------------------------------------------------------
+
+def astype(a: Tensor, dtype) -> Tensor:
+    """`a` cast to float32 or float64; the gradient is cast back to a's dtype."""
+    out_data = a.data.astype(dtype)
+
+    def backward(g):
+        if a.requires_grad:
+            _accumulate(a, g)
+
+    return _node(out_data, (a,), backward)
+
 
 def reshape(a: Tensor, shape) -> Tensor:
     out_data = a.data.reshape(shape)

@@ -11,6 +11,7 @@ dataset.ini), and `ini_where` points their errors at a file and line.
 
 import base64
 import configparser
+import io
 import os
 import re
 from contextlib import contextmanager
@@ -44,14 +45,24 @@ def ini_where(path, section: str, key: str | None = None) -> str:
 
 def read_ini(path, sections: dict, error) -> None:
     """Set each `key = value` of the INI file at `path` on `sections[<section>]`,
-    as the type of the int, float or str attribute it replaces.  A syntax
-    error, an unknown section ([DEFAULT] too) or key, or a value that does
-    not parse raises `error` with a message that starts 'path:line: '."""
+    as the type of the int, float or str attribute it replaces.  Bytes that
+    are not UTF-8, a syntax error, an unknown section ([DEFAULT] too) or
+    key, or a value that does not parse raises `error` with a message that
+    starts 'path:line: '."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError:
+        raise error(f"{path}: cannot read the file") from None
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = raw.count(b"\n", 0, err.start) + 1
+        raise error(f"{path}:{line}: not UTF-8 text") from None
     # no header can name the section "", so [DEFAULT] is an ordinary section
     parser = configparser.ConfigParser(default_section="", interpolation=None)
     try:
-        if not parser.read(path, encoding="utf-8"):
-            raise error(f"{path}: cannot read the file")
+        parser.read_file(io.StringIO(text, newline=None), source=str(path))
     except configparser.MissingSectionHeaderError as err:
         raise error(f"{path}:{err.lineno}: file contains no section headers") from None
     except configparser.ParsingError as err:

@@ -89,6 +89,13 @@ def _resolve_config(args) -> tuple:
             if not test(value):
                 where = given.get((section, field)) or ini_where(args.config, section, field)
                 raise ConfigError(f"{where}: {field} must be {rule}, got {value}")
+    # checked here, not by GateConfig, so the error can name a line
+    if cfg.gate.d_model % cfg.gate.heads:
+        where = ini_where(args.config, "gate", "heads")
+        if where == args.config:      # heads is the default: name the d_model line
+            where = ini_where(args.config, "gate", "d_model")
+        raise ConfigError(f"{where}: heads must divide d_model {cfg.gate.d_model}, "
+                          f"got {cfg.gate.heads}")
     # argparse checks a flag's choices; a value from the config file is checked here
     for options, target in _FLAGS.values():
         if "choices" in options and target is not None:

@@ -17,8 +17,10 @@ attention memory is O(chunk * heads * L^2), not O(W * heads * L^2).  The
 bits do not change: `linear` does one GEMM per leading index, layer norm
 reduces per row and attention does its GEMMs per walk, so no walk's
 numbers depend on the others.  With a graph all walks are one chunk.
-The body computes in the dtype of its parameters: float64 in training,
-float32 on the copies `trainer.inference` makes.
+The body computes in the dtype of its parameters: float32 on the casts
+of the float64 masters that `trainer.train_iteration` takes and on the
+copies `trainer.inference` makes, float64 in pre-training and in the
+gradient battery.
 
 Pre-training runs one class-headed gate per expert against that expert's
 prediction vectors with KL(expert || gate); the pre-trained bodies are

@@ -19,6 +19,9 @@ with 32 walks and returns the chosen expert's prediction alone; no
 coefficient involved.  `task_scores` is the one scorer of routed
 predictions, for the reward and for evaluation alike; `step_loss` the one
 builder of L_joint, for training and the gradient battery alike.
+`train_iteration` and `inference` run the gate body in float32; the gate's
+parameters, gradients and Adam moments, the losses and the experts stay
+float64.
 """
 
 import csv
@@ -26,7 +29,7 @@ import io
 
 import numpy as np
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import autodiff as ad
 from . import layers
@@ -257,8 +260,16 @@ def step_loss(system: MoESystem, batch: list, lambda_t: float, seed: int,
 def train_iteration(system: MoESystem, batch: list, lambda_t: float,
                     gate_opt: Adam, expert_opts: dict, seed: int,
                     sim_kind: str = "kld") -> BatchOutcome:
-    """One optimize step on `step_loss`; reward reflects the pre-step model."""
-    l_joint, outcome = step_loss(system, batch, lambda_t, seed, sim_kind)
+    """One optimize step on `step_loss`; reward reflects the pre-step model.
+
+    Mixed precision: the loss reads the gate through `ad.astype` float32
+    casts of its float64 master parameters, so the gate body runs forward
+    and backward in float32 while the masters, their gradients and the
+    Adam moments stay float64.
+    """
+    body = {name: ad.astype(p, np.float32) for name, p in system.gate_params.items()}
+    l_joint, outcome = step_loss(replace(system, gate_params=body), batch, lambda_t,
+                                 seed, sim_kind)
     descend(l_joint, gate_opt, *expert_opts.values())
     return outcome
 

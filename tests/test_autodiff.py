@@ -185,6 +185,29 @@ def test_tensor_keeps_float32_and_a_float64_operand_promotes():
     assert ad.tmean(out).data.dtype == np.float64   # its 1/count scale is float64
 
 
+def test_astype_casts_value_and_dtype():
+    x = Tensor(np.array([[1.0, 1.0 / 3.0, -2.5e-8]]), requires_grad=True)
+    for dtype in (np.float32, np.float64):
+        out = ad.astype(x, dtype)
+        assert out.data.dtype == dtype
+        np.testing.assert_array_equal(out.data, x.data.astype(dtype))
+        assert out._parents == (x,)
+    assert ad.astype(Tensor(x.data), np.float32)._parents == ()   # no grad, no graph
+
+
+def test_astype_gradient_lands_on_a_float64_leaf_as_float64():
+    """A float32 computation on a cast float64 leaf: the leaf's gradient is
+    the float32 cotangent, cast up to float64 and summed over both uses."""
+    x = Tensor(np.array([0.5, -1.25, 3.0]), requires_grad=True)
+    w = Tensor(np.array([1.0, 1.0 / 3.0, 0.1], np.float32))
+    cast = ad.astype(x, np.float32)
+    y = ad.tsum(ad.add(ad.mul(cast, w), cast))
+    assert y.data.dtype == np.float32
+    y.backward()
+    assert x.grad.dtype == np.float64
+    np.testing.assert_array_equal(x.grad, (w.data + np.float32(1.0)).astype(np.float64))
+
+
 def test_backward_requires_scalar():
     x = rand_tensor((3,), 1)
     with pytest.raises(ValueError, match="scalar"):

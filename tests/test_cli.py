@@ -412,6 +412,25 @@ def test_integer_setting_below_its_minimum_names_file_and_line(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, key", [
+    (TINY_INI.replace("heads = 2", "heads = 3"), "heads"),
+    (TINY_INI.replace("heads = 2\n", "").replace("d_model = 8", "d_model = 6"), "d_model"),
+], ids=["heads_line", "default_heads_names_d_model"])
+def test_heads_not_dividing_d_model_names_file_and_line(tmp_path, capsys, text, key):
+    """Checked with the other settings, before GateConfig could reject it
+    without a line; the heads line is named, or d_model's when heads is
+    left at its default."""
+    ini = tmp_path / "heads.ini"
+    ini.write_text(text)
+    line = next(n for n, t in enumerate(text.splitlines(), 1) if t.startswith(key + " = "))
+    d_model, heads = (8, 3) if key == "heads" else (6, 4)
+    out = tmp_path / "run"
+    assert run("train", "--config", str(ini), "--out-dir", str(out)) == 1
+    assert capsys.readouterr().err == (
+        f"error: {ini}:{line}: heads must divide d_model {d_model}, got {heads}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("section, setting, rule", [
     ("trainer", "gate_lr = -0.5", "finite and > 0"),
     ("trainer", "expert_lr = inf", "finite and > 0"),

@@ -99,6 +99,19 @@ def test_syntax_errors_become_config_errors(tmp_path, text, line, message):
     assert str(exc.value).startswith(f"{path}:{line}: ")
 
 
+@pytest.mark.parametrize("raw, line", [
+    (b"[trainer]\nepochs = \xff\n", 2),
+    (b"[trainer]\n# " + b"x" * 10000 + b"\r\nepochs = 3\nbatch_size = \xe9\n", 4),
+], ids=["second_line", "past_a_read_buffer"])
+def test_non_utf8_bytes_name_file_and_line(tmp_path, raw, line):
+    """The line comes from the decoder's byte offset in the whole file."""
+    path = tmp_path / "run.ini"
+    path.write_bytes(raw)
+    with pytest.raises(ConfigError) as exc:
+        load_config(str(path))
+    assert str(exc.value) == f"{path}:{line}: not UTF-8 text"
+
+
 def test_percent_sign_is_a_plain_character(tmp_path):
     cfg = load_config(write(tmp_path, "[agent]\nstatic_lambda = 50%\n"))
     assert cfg.agent.static_lambda == "50%"

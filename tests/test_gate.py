@@ -223,6 +223,29 @@ def test_float32_grad_free_chunks_equal_one_float32_graph_chunk(head_mode):
     assert_chunks_equal_one_graph_chunk(head_mode, np.float32)
 
 
+def test_cast_masters_give_the_rows_and_gradients_of_float32_leaves():
+    """Training's view of the gate, `ad.astype` float32 casts of float64
+    masters, gives the rows of the same graph over float32 leaf copies and
+    master gradients equal to those leaves' gradients cast to float64, bit
+    for bit; two walk lengths make each parameter collect two uses."""
+    ds = generate_classification_set(3, 4, seed=11)
+    masters = init_gate_params(TINY, seed=14)
+    leaves = trainable(masters, np.float32)
+    cast = {name: ad.astype(p, np.float32) for name, p in masters.items()}
+    batch = ds.meshes[:6]
+    assert len({walk_length(m.vertex_count) for m in batch}) >= 2
+    seeds = [40 + i for i in range(len(batch))]
+    mix = Tensor(Rng(3).normal_fill((len(batch), 3)))
+    rows = []
+    for params in (cast, leaves):
+        rows.append(ad.stack(gate_forward_batch(batch, 3, params, TINY, seeds)))
+        ad.tsum(ad.mul(rows[-1], mix)).backward()
+    assert np.array_equal(rows[0].data, rows[1].data)
+    for name, master in masters.items():
+        assert master.grad.dtype == np.float64 and leaves[name].grad.dtype == np.float32
+        assert np.array_equal(master.grad, leaves[name].grad.astype(np.float64)), name
+
+
 def test_inference_rows_equal_trainable_batch_rows(monkeypatch):
     """Each mesh's chunked inference row is its batch row from a float32
     graph, bit for bit, and inference enters `gate_forward_features` once

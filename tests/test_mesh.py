@@ -387,6 +387,13 @@ def test_load_dataset_rejects_bad_ini_entry(tmp_path, tetrahedron, triangle, ini
         load_dataset(tmp_path / "data")
 
 
+def test_load_dataset_rejects_non_utf8_ini(tmp_path, tetrahedron, triangle):
+    _saved_dataset(tmp_path, tetrahedron, triangle)
+    (tmp_path / "data" / "dataset.ini").write_bytes(b"[dataset]\nnum_classes = 2\xff\n")
+    with pytest.raises(MeshError, match=r"dataset\.ini:2: not UTF-8 text$"):
+        load_dataset(tmp_path / "data")
+
+
 def test_load_dataset_num_classes_zero_infers_the_count(tmp_path, tetrahedron, triangle):
     _saved_dataset(tmp_path, tetrahedron, triangle)
     (tmp_path / "data" / "dataset.ini").write_text("[dataset]\nnum_classes = 0\n")

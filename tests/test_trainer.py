@@ -429,7 +429,11 @@ def test_train_iteration_reaches_every_parameter():
 
 
 def test_train_iteration_is_step_loss_backward_and_adam():
-    """The loss the gradient battery checks is the loss a step descends."""
+    """A step descends the float32-body twin of the loss the gradient battery
+    checks: `step_loss` over float32 casts of the float64 gate masters, then
+    backward and Adam on the masters.  The battery finite-differences the
+    float64 loss; `test_mixed_precision_gradient_is_near_the_float64_one`
+    bounds the gap between the two."""
     data = tiny_dataset()
     experts = build_experts(["walk_rnn", "face_mlp", "oracle:1"], num_classes=2,
                             seed=6, hidden=8)
@@ -446,7 +450,9 @@ def test_train_iteration_is_step_loss_backward_and_adam():
 
     outcome = train_iteration(system, batch, 0.3, *optimizers(system), seed=9)
     gate_opt, expert_opts = optimizers(clone)
-    l_joint, expected = step_loss(clone, batch, 0.3, seed=9)
+    view = replace(clone, gate_params={name: ad.astype(p, np.float32)
+                                       for name, p in clone.gate_params.items()})
+    l_joint, expected = step_loss(view, batch, 0.3, seed=9)
     l_joint.backward()
     for opt in (gate_opt, *expert_opts.values()):
         opt.step()
@@ -459,6 +465,33 @@ def test_train_iteration_is_step_loss_backward_and_adam():
     for name, tensor in trained.items():
         assert not np.array_equal(tensor.data, before[name]), name
         np.testing.assert_array_equal(tensor.data, cloned[name].data, err_msg=name)
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+def test_mixed_precision_gradient_is_near_the_float64_one(seed):
+    """The gradient a step descends (`step_loss` through float32 casts of
+    the gate masters) against the float64 gradient the battery checks, on
+    the TINY gate with a walk-RNN and a face-MLP expert: every parameter's
+    ||g_mixed - g_float64|| / ||g_float64|| stays within 1e-5.  Over seeds
+    0-11 the worst ratio measured 1.3e-6 (gate.enc.0.ln1.g at seed 8, one
+    of the two seeds here) and the median 2.4e-7 for gate tensors, 2.6e-7
+    at most for expert tensors; float32's epsilon is 1.2e-7."""
+    data = tiny_dataset()
+    experts = build_experts(["walk_rnn", "face_mlp"], num_classes=2, seed=seed, hidden=8)
+    system = build_system(experts, gate_config=TINY, seed=seed)
+    params = system_parameters(system)
+    cast = {name: ad.astype(p, np.float32) for name, p in system.gate_params.items()}
+    grads = []
+    for view in (system, replace(system, gate_params=cast)):
+        for tensor in params.values():
+            tensor.grad = None
+        step_loss(view, data.train_meshes[:4], 0.3, seed=seed)[0].backward()
+        grads.append({name: tensor.grad for name, tensor in params.items()})
+    exact, mixed = grads
+    ratios = {name: np.linalg.norm(mixed[name] - exact[name]) / np.linalg.norm(exact[name])
+              for name in params}
+    assert all(mixed[name].dtype == np.float64 for name in params)
+    assert 0 < max(ratios.values()) <= 1e-5, max(ratios.items(), key=lambda kv: kv[1])
 
 
 def test_gate_gradient_matches_finite_differences():
@@ -642,8 +675,39 @@ def test_float32_inference_routes_like_the_float64_gate(monkeypatch):
     assert len(rows) == len(data.test_meshes) >= 6
 
 
+def test_gradient_battery_checks_the_float64_gate_body(monkeypatch):
+    """Only a training step casts the gate to float32: the battery's
+    `loss_composite` finite-differences `step_loss` with the gate body in
+    float64, so its tolerance is not spent on float32 rounding."""
+    import meshmoe.gate as gate
+    import meshmoe.trainer as trainer
+    from meshmoe.gradcheck import standard_battery
+    in_step_loss, dtypes = [], set()
+    real_tokens, real_step_loss = gate._walk_tokens, trainer.step_loss
+
+    def recording_tokens(features, params, config):
+        if in_step_loss:
+            dtypes.add(params["embed.w"].data.dtype)
+        return real_tokens(features, params, config)
+
+    def marked_step_loss(*args, **kwargs):
+        in_step_loss.append(True)
+        try:
+            return real_step_loss(*args, **kwargs)
+        finally:
+            in_step_loss.pop()
+
+    monkeypatch.setattr(gate, "_walk_tokens", recording_tokens)
+    monkeypatch.setattr(trainer, "step_loss", marked_step_loss)
+    reports = dict(standard_battery(seed=0))
+    assert reports["loss_composite"].passed, str(reports["loss_composite"])
+    assert dtypes == {np.dtype(np.float64)}
+
+
 def test_training_keeps_every_parameter_gradient_and_moment_float64():
-    """Only inference's gate copies are float32; training stays float64."""
+    """The gate body computes in float32 in training as in inference, but
+    every parameter the step updates, its gradient and its Adam moments
+    stay float64."""
     data = tiny_dataset()
     experts = build_experts(["walk_rnn", "face_mlp"], num_classes=2, seed=6, hidden=8)
     system = build_system(experts, gate_config=TINY, seed=6)
