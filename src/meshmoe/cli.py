@@ -80,29 +80,6 @@ def _resolve_config(args) -> tuple:
             section, field = target
             setattr(cfg if section == "run" else getattr(cfg, section), field, value)
             given[target] = f"--{flag}"
-    # integer settings are sizes and counts: >= 1, or >= 0 for epochs and layer counts
-    for section in SECTIONS:
-        for field, value in asdict(getattr(cfg, section)).items():
-            least = 0 if field in ("epochs", "encoder_layers", "decoder_layers") else 1
-            test, rule = ((lambda v: v >= least), f">= {least}") if type(value) is int \
-                else _FLOAT_RANGES.get(field, (lambda v: True, ""))
-            if not test(value):
-                where = given.get((section, field)) or ini_where(args.config, section, field)
-                raise ConfigError(f"{where}: {field} must be {rule}, got {value}")
-    # checked here, not by GateConfig, so the error can name a line
-    if cfg.gate.d_model % cfg.gate.heads:
-        where = ini_where(args.config, "gate", "heads")
-        if where == args.config:      # heads is the default: name the d_model line
-            where = ini_where(args.config, "gate", "d_model")
-        raise ConfigError(f"{where}: heads must divide d_model {cfg.gate.d_model}, "
-                          f"got {cfg.gate.heads}")
-    # argparse checks a flag's choices; a value from the config file is checked here
-    for options, target in _FLAGS.values():
-        if "choices" in options and target is not None:
-            value = getattr(getattr(cfg, target[0]), target[1])
-            if value not in options["choices"]:
-                raise ConfigError(f"{ini_where(args.config, *target)}: {target[1]} must "
-                                  f"be one of {', '.join(options['choices'])}, got {value!r}")
     if getattr(args, "lambda_range", None) is not None:
         try:
             lo, hi = (float(v) for v in args.lambda_range.split(","))
@@ -111,6 +88,49 @@ def _resolve_config(args) -> tuple:
                 f"--lambda-range wants 'lo,hi', got {args.lambda_range!r}"
             ) from None
         cfg.agent.lambda_min, cfg.agent.lambda_max = lo, hi
+        given[("agent", "lambda_min")] = given[("agent", "lambda_max")] = "--lambda-range"
+
+    def where(section, *fields):
+        """The flag or config line that set the first of `fields` that was set;
+        the config path when none was."""
+        for field in fields:
+            found = given.get((section, field)) or ini_where(args.config, section, field)
+            if found != args.config:
+                return found
+        return args.config
+
+    # integer settings are sizes and counts: >= 1, or >= 0 for epochs and layer counts
+    for section in SECTIONS:
+        for field, value in asdict(getattr(cfg, section)).items():
+            least = 0 if field in ("epochs", "encoder_layers", "decoder_layers") else 1
+            test, rule = ((lambda v: v >= least), f">= {least}") if type(value) is int \
+                else _FLOAT_RANGES.get(field, (lambda v: True, ""))
+            if not test(value):
+                raise ConfigError(f"{where(section, field)}: {field} must be {rule}, "
+                                  f"got {value}")
+    # checked here, not by GateConfig or SACConfig, so the error can name a line
+    gate, agent = cfg.gate, cfg.agent
+    if gate.d_model % gate.heads:
+        raise ConfigError(f"{where('gate', 'heads', 'd_model')}: heads must divide "
+                          f"d_model {gate.d_model}, got {gate.heads}")
+    if agent.lambda_min >= agent.lambda_max:
+        raise ConfigError(f"{where('agent', 'lambda_min', 'lambda_max')}: lambda range "
+                          f"[{agent.lambda_min}, {agent.lambda_max}] is empty")
+    if agent.buffer_capacity < agent.batch_size:
+        raise ConfigError(f"{where('agent', 'buffer_capacity', 'batch_size')}: "
+                          f"buffer_capacity {agent.buffer_capacity} is below "
+                          f"batch_size {agent.batch_size}")
+    try:
+        cfg.static_lambda_value()
+    except ConfigError as err:
+        raise ConfigError(f"{where('agent', 'static_lambda')}: {err}") from None
+    # argparse checks a flag's choices; a value from the config file is checked here
+    for options, target in _FLAGS.values():
+        if "choices" in options and target is not None:
+            value = getattr(getattr(cfg, target[0]), target[1])
+            if value not in options["choices"]:
+                raise ConfigError(f"{ini_where(args.config, *target)}: {target[1]} must "
+                                  f"be one of {', '.join(options['choices'])}, got {value!r}")
     return cfg, inputs
 
 

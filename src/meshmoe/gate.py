@@ -17,10 +17,9 @@ attention memory is O(chunk * heads * L^2), not O(W * heads * L^2).  The
 bits do not change: `linear` does one GEMM per leading index, layer norm
 reduces per row and attention does its GEMMs per walk, so no walk's
 numbers depend on the others.  With a graph all walks are one chunk.
-The body computes in the dtype of its parameters: float32 on the casts
-of the float64 masters that `trainer.train_iteration` takes and on the
-copies `trainer.inference` makes, float64 in pre-training and in the
-gradient battery.
+The body computes in the dtype of its parameters.  Training,
+pre-training and inference run it on `compute_view`, the one float32 view
+of the float64 masters; the gradient battery runs it in float64.
 
 Pre-training runs one class-headed gate per expert against that expert's
 prediction vectors with KL(expert || gate); the pre-trained bodies are
@@ -96,6 +95,14 @@ def init_gate_params(config: GateConfig, seed: int) -> dict:
 def gate_parameters(params: dict) -> dict:
     """Every gate tensor, named gate.<path> as checkpoints store it."""
     return {f"gate.{path}": tensor for path, tensor in params.items()}
+
+
+def compute_view(params: dict, graph: bool = True) -> dict:
+    """The float32 parameters the gate body runs on: `ad.astype` casts whose
+    gradients land on the float64 masters, or with `graph=False` detached
+    copies that build no graph."""
+    return {name: ad.astype(p if graph else Tensor(p.data), np.float32)
+            for name, p in params.items()}
 
 
 def gate_forward_features(features: np.ndarray, params: dict,
@@ -182,7 +189,7 @@ def pretrain_imitation(gate_params: dict, config: GateConfig, expert, meshes: li
                for mesh, row in zip(meshes, predict_batch(expert, meshes, seeds))}
 
     def batch_loss(batch, epoch):
-        return imitation_loss(gate_params, config, batch,
+        return imitation_loss(compute_view(gate_params), config, batch,
                               [targets[m.mesh_id] for m in batch],
                               walk_count, derive(seed, "walks", epoch))
 

@@ -19,9 +19,9 @@ with 32 walks and returns the chosen expert's prediction alone; no
 coefficient involved.  `task_scores` is the one scorer of routed
 predictions, for the reward and for evaluation alike; `step_loss` the one
 builder of L_joint, for training and the gradient battery alike.
-`train_iteration` and `inference` run the gate body in float32; the gate's
-parameters, gradients and Adam moments, the losses and the experts stay
-float64.
+`train_iteration` and `inference` run the gate body on
+`gate.compute_view`; the gate's parameters, gradients and Adam moments,
+the losses and the experts stay float64.
 """
 
 import csv
@@ -37,7 +37,7 @@ from .autodiff import Tensor
 from .checkpoint import atomic_write, copy_into, load_checkpoint, save_checkpoint
 from .experts import (expert_parameters, mesh_cross_entropy, mesh_target,
                       predict_batch, stacked_rows)
-from .gate import (GateConfig, gate_forward_batch, gate_forward_mesh,
+from .gate import (GateConfig, compute_view, gate_forward_batch, gate_forward_mesh,
                    gate_parameters, init_gate_params)
 from .mesh import TASKS
 from .metrics import (edge_accuracy, mean_average_precision,
@@ -260,16 +260,10 @@ def step_loss(system: MoESystem, batch: list, lambda_t: float, seed: int,
 def train_iteration(system: MoESystem, batch: list, lambda_t: float,
                     gate_opt: Adam, expert_opts: dict, seed: int,
                     sim_kind: str = "kld") -> BatchOutcome:
-    """One optimize step on `step_loss`; reward reflects the pre-step model.
-
-    Mixed precision: the loss reads the gate through `ad.astype` float32
-    casts of its float64 master parameters, so the gate body runs forward
-    and backward in float32 while the masters, their gradients and the
-    Adam moments stay float64.
-    """
-    body = {name: ad.astype(p, np.float32) for name, p in system.gate_params.items()}
-    l_joint, outcome = step_loss(replace(system, gate_params=body), batch, lambda_t,
-                                 seed, sim_kind)
+    """One optimize step on `step_loss` over the gate's `compute_view`;
+    reward reflects the pre-step model."""
+    view = replace(system, gate_params=compute_view(system.gate_params))
+    l_joint, outcome = step_loss(view, batch, lambda_t, seed, sim_kind)
     descend(l_joint, gate_opt, *expert_opts.values())
     return outcome
 
@@ -340,16 +334,12 @@ def train_run(system: MoESystem, dataset, agent, epochs: int,
 def inference(system: MoESystem, mesh, seed: int = 0):
     """Route with 32 walks; returns (prediction array, chosen expert index).
 
-    The gate runs on grad-free float32 copies of its parameters, so its
-    forward pass builds no autodiff graph and its body runs in float32; the
-    walk-averaged logits are promoted to float64 by `walk_softmax_rows`'
-    mean.  The routed expert predicts in float64.
+    The gate runs on its grad-free `compute_view`, so it builds no autodiff
+    graph; the routed expert predicts in float64.
     """
-    frozen = {name: Tensor(tensor.data.astype(np.float32))
-              for name, tensor in system.gate_params.items()}
     weights = gate_forward_mesh(
-        mesh, system.walks_infer, frozen, system.gate_config,
-        derive(seed, "gate", mesh.mesh_id))
+        mesh, system.walks_infer, compute_view(system.gate_params, graph=False),
+        system.gate_config, derive(seed, "gate", mesh.mesh_id))
     j = int(np.argmax(weights.data))
     expert = system.experts[j]
     pred = expert.predict(mesh, derive(seed, "expert", expert.name, mesh.mesh_id))

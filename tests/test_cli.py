@@ -460,7 +460,31 @@ def test_agent_buffer_below_its_batch_fails(tmp_path, capsys, tiny_config):
     out = tmp_path / "run"
     assert run("train", "--config", str(ini), "--out-dir", str(out),
                "--data-dir", data) == 1
-    assert capsys.readouterr().err == "error: buffer_capacity 10 is below batch_size 64\n"
+    line = ini.read_text().splitlines().index("buffer_capacity = 10") + 1
+    assert capsys.readouterr().err == (
+        f"error: {ini}:{line}: buffer_capacity 10 is below batch_size 64\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("setting, flags, message", [
+    ("static_lambda = abc", (), "static_lambda must be a number or 'none', got 'abc'"),
+    ("static_lambda = 0", ("--static-lambda", "abc"),
+     "static_lambda must be a number or 'none', got 'abc'"),
+    ("lambda_min = 2", (), "lambda range [2.0, 1.0] is empty"),
+    ("lambda_max = -1", (), "lambda range [-1.0, -1.0] is empty"),
+    ("lambda_min = -3", ("--lambda-range", "0.5,-0.5"), "lambda range [0.5, -0.5] is empty"),
+], ids=["static_lambda", "static_lambda_flag", "lambda_min", "default_min_names_lambda_max",
+        "lambda_range_flag"])
+def test_agent_setting_error_names_its_flag_or_line(tmp_path, capsys, setting, flags,
+                                                    message):
+    """Checked with the other settings, before the agent is built: the flag
+    that set the value is named, else its config line."""
+    ini = ini_with(tmp_path, "agent", setting)
+    line = ini.read_text().splitlines().index(setting) + 1
+    out = tmp_path / "run"
+    assert run("train", "--config", str(ini), "--out-dir", str(out), *flags) == 1
+    where = flags[0] if flags else f"{ini}:{line}"
+    assert capsys.readouterr().err == f"error: {where}: {message}\n"
     assert not out.exists()
 
 

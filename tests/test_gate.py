@@ -11,7 +11,7 @@ from meshmoe import layers
 from meshmoe.autodiff import Tensor
 from meshmoe.experts import build_experts
 from meshmoe.gate import (CHUNK_TOKENS, GateConfig, GateError,
-                          average_pretrained_gates, gate_forward_batch,
+                          average_pretrained_gates, compute_view, gate_forward_batch,
                           gate_forward_features, gate_forward_mesh,
                           init_gate_params, pretrain_imitation)
 from meshmoe.gradcheck import check_gradients
@@ -213,25 +213,25 @@ def assert_chunks_equal_one_graph_chunk(head_mode, dtype):
 
 @pytest.mark.parametrize("head_mode", ["expert_weights", "class_imitation"])
 def test_grad_free_chunks_equal_one_graph_chunk(head_mode):
-    """In float64, as training runs the gate."""
+    """In float64, as the gradient battery runs the gate."""
     assert_chunks_equal_one_graph_chunk(head_mode, np.float64)
 
 
 @pytest.mark.parametrize("head_mode", ["expert_weights", "class_imitation"])
 def test_float32_grad_free_chunks_equal_one_float32_graph_chunk(head_mode):
-    """In float32, as inference runs the gate."""
+    """In float32, as `compute_view(..., graph=False)` runs it at inference."""
     assert_chunks_equal_one_graph_chunk(head_mode, np.float32)
 
 
 def test_cast_masters_give_the_rows_and_gradients_of_float32_leaves():
-    """Training's view of the gate, `ad.astype` float32 casts of float64
+    """Training's view of the gate, `compute_view`'s float32 casts of float64
     masters, gives the rows of the same graph over float32 leaf copies and
     master gradients equal to those leaves' gradients cast to float64, bit
     for bit; two walk lengths make each parameter collect two uses."""
     ds = generate_classification_set(3, 4, seed=11)
     masters = init_gate_params(TINY, seed=14)
     leaves = trainable(masters, np.float32)
-    cast = {name: ad.astype(p, np.float32) for name, p in masters.items()}
+    cast = compute_view(masters)
     batch = ds.meshes[:6]
     assert len({walk_length(m.vertex_count) for m in batch}) >= 2
     seeds = [40 + i for i in range(len(batch))]
@@ -369,7 +369,45 @@ def test_pretrain_imitation_loss_history_is_pinned():
     history = pretrain_imitation(init_gate_params(cfg, seed=6), cfg, expert,
                                  meshes, epochs=2, walk_count=2, batch_size=4,
                                  lr=1e-2, seed=7)
-    assert history == [0.09071023411304757, 0.04172746480388846]
+    assert history == [0.09071021262829192, 0.041727463995065966]
+
+
+def test_pretraining_runs_a_float32_body_on_float64_state(monkeypatch):
+    """Gate pre-training runs the body on `compute_view`'s float32 casts, as
+    training does, while every master, its gradient and its Adam moments
+    stay float64."""
+    import meshmoe.gate as gate
+    import meshmoe.optim as optim
+    from meshmoe.experts import OracleExpert
+    dtypes, optimizers = [], []
+    real_tokens = gate._walk_tokens
+
+    def recording_tokens(features, params, config):
+        dtypes.append(params["embed.w"].data.dtype)
+        return real_tokens(features, params, config)
+
+    class RecordingAdam(optim.Adam):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            optimizers.append(self)
+
+    monkeypatch.setattr(gate, "_walk_tokens", recording_tokens)
+    monkeypatch.setattr(optim, "Adam", RecordingAdam)
+    cfg = GateConfig(num_experts=1, encoder_layers=1, decoder_layers=1,
+                     d_model=8, heads=2, ff_width=16,
+                     head_mode="class_imitation", num_classes=3)
+    params = init_gate_params(cfg, seed=2)
+    meshes = generate_classification_set(3, 4, seed=5).train_meshes[:6]
+    pretrain_imitation(params, cfg, OracleExpert("oracle", 3, specialty_class=0, seed=1),
+                       meshes, epochs=2, walk_count=2, batch_size=3, seed=4)
+    assert dtypes and set(dtypes) == {np.dtype(np.float32)}
+    (opt,) = optimizers
+    assert opt.params is params
+    arrays = []
+    for path, tensor in params.items():
+        arrays += [(path, tensor.data), (path, tensor.grad), (path, opt.m[path]),
+                   (path, opt.v[path])]
+    assert [name for name, a in arrays if a.dtype != np.float64] == []
 
 
 def test_pretrain_requires_imitation_mode():

@@ -12,7 +12,7 @@ from meshmoe import autodiff as ad
 from meshmoe.autodiff import Tensor
 from meshmoe.checkpoint import CheckpointError
 from meshmoe.experts import build_experts
-from meshmoe.gate import GateConfig, gate_forward_mesh
+from meshmoe.gate import GateConfig, compute_view, gate_forward_mesh
 from meshmoe.gradcheck import check_gradients
 from meshmoe.layers import PROB_FLOOR, cross_entropy
 from meshmoe.metrics import mean_instance_accuracy
@@ -450,8 +450,7 @@ def test_train_iteration_is_step_loss_backward_and_adam():
 
     outcome = train_iteration(system, batch, 0.3, *optimizers(system), seed=9)
     gate_opt, expert_opts = optimizers(clone)
-    view = replace(clone, gate_params={name: ad.astype(p, np.float32)
-                                       for name, p in clone.gate_params.items()})
+    view = replace(clone, gate_params=compute_view(clone.gate_params))
     l_joint, expected = step_loss(view, batch, 0.3, seed=9)
     l_joint.backward()
     for opt in (gate_opt, *expert_opts.values()):
@@ -480,7 +479,7 @@ def test_mixed_precision_gradient_is_near_the_float64_one(seed):
     experts = build_experts(["walk_rnn", "face_mlp"], num_classes=2, seed=seed, hidden=8)
     system = build_system(experts, gate_config=TINY, seed=seed)
     params = system_parameters(system)
-    cast = {name: ad.astype(p, np.float32) for name, p in system.gate_params.items()}
+    cast = compute_view(system.gate_params)
     grads = []
     for view in (system, replace(system, gate_params=cast)):
         for tensor in params.values():
@@ -632,6 +631,11 @@ def test_inference_routes_like_the_gate_and_keeps_no_graph(monkeypatch):
                 for name, t in system.gate_params.items()}
     weights = gate_forward_mesh(mesh, system.walks_infer, params32,
                                 system.gate_config, derive(5, "gate", mesh.mesh_id))
+    detached = gate_forward_mesh(mesh, system.walks_infer,
+                                 compute_view(system.gate_params, graph=False),
+                                 system.gate_config, derive(5, "gate", mesh.mesh_id))
+    np.testing.assert_array_equal(detached.data, weights.data)
+    assert detached._parents == () and not detached.requires_grad
     j_ref = int(np.argmax(weights.data))
     expert = system.experts[j_ref]
     pred_ref = expert.predict(mesh, derive(5, "expert", expert.name, mesh.mesh_id))
