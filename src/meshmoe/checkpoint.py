@@ -6,11 +6,10 @@ little-endian float64 bytes.  Scalars use the shape token `scalar`.
 Checkpoints, dataset indexes and the CLI's manifests, logs, reports and
 walk listings are written by `atomic_write`: to a temp file that is
 renamed into place.  `read_ini` reads the INI files (run configs,
-dataset.ini), and `ini_where` points their errors at a file and line.
+dataset.ini) in one pass and returns the `path:line` of each key.
 """
 
 import base64
-import configparser
 import io
 import os
 import re
@@ -27,61 +26,56 @@ class CheckpointError(ValueError):
     pass
 
 
-def ini_where(path, section: str, key: str | None = None) -> str:
-    """'path:line' of `key` inside [section], or of the [section] header
-    when `key` is None; just the path when there is no such line."""
-    inside = False
-    with open(path, encoding="utf-8", errors="replace") as fh:
-        for line, text in enumerate(fh, start=1):
-            header = re.match(r"\[(.+)\]", text.strip())
-            if header:
-                inside = header.group(1) == section
-                if inside and key is None:
-                    return f"{path}:{line}"
-            elif inside and re.split("[=:]", text)[0].strip().lower() == key:
-                return f"{path}:{line}"
-    return str(path)
-
-
-def read_ini(path, sections: dict, error) -> None:
+def read_ini(path, sections: dict, error) -> dict:
     """Set each `key = value` of the INI file at `path` on `sections[<section>]`,
-    as the type of the int, float or str attribute it replaces.  Bytes that
-    are not UTF-8, a syntax error, an unknown section ([DEFAULT] too) or
-    key, or a value that does not parse raises `error` with a message that
-    starts 'path:line: '."""
+    as the type of the int, float or str attribute it replaces; returns
+    {(section, key): 'path:line'} of each key set and header (key None).
+    One pass, in which an indented line is a line of its own: no value spans
+    lines.  Bytes that are not UTF-8, a syntax error, an unknown section
+    ([DEFAULT] too) or key, or a value that does not parse raises `error`
+    with a message that starts 'path:line: '."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError:
         raise error(f"{path}: cannot read the file") from None
     try:
-        text = raw.decode("utf-8")
+        lines = io.StringIO(raw.decode("utf-8"), newline=None)
     except UnicodeDecodeError as err:
-        line = raw.count(b"\n", 0, err.start) + 1
+        line = len(re.split(rb"\r\n?|\n", raw[:err.start]))   # counted as the scan counts
         raise error(f"{path}:{line}: not UTF-8 text") from None
-    # no header can name the section "", so [DEFAULT] is an ordinary section
-    parser = configparser.ConfigParser(default_section="", interpolation=None)
-    try:
-        parser.read_file(io.StringIO(text, newline=None), source=str(path))
-    except configparser.MissingSectionHeaderError as err:
-        raise error(f"{path}:{err.lineno}: file contains no section headers") from None
-    except configparser.ParsingError as err:
-        line, text = err.errors[0]
-        raise error(f"{path}:{line}: not a [section] header or a key = value line: {text}") from None
-    except configparser.Error as err:       # a section or key given twice
-        raise error(f"{path}:{err.lineno}: {err.message.rpartition(']: ')[2]}") from None
-    for section in parser.sections():
-        if section not in sections:
-            raise error(f"{ini_where(path, section)}: unknown section [{section}]")
-        for key, raw in parser.items(section):
+    where, section = {}, None
+    for line, text in enumerate(lines, start=1):
+        here, text = f"{path}:{line}", text.strip()
+        if not text or text[0] in "#;":
+            continue
+        header = re.match(r"\[(.+)\]", text)
+        setting = re.match(r"([^=:]+)[=:](.*)", text)
+        if header:
+            section = header.group(1)
+            if (section, None) in where:
+                raise error(f"{here}: section {section!r} already exists")
+            if section not in sections:
+                raise error(f"{here}: unknown section [{section}]")
+            where[section, None] = here
+        elif section is None:
+            raise error(f"{here}: file contains no section headers")
+        elif not setting:
+            raise error(f"{here}: not a [section] header or a key = value line: {text!r}")
+        else:
+            key, value = setting.group(1).rstrip().lower(), setting.group(2).strip()
+            if (section, key) in where:
+                raise error(f"{here}: option {key!r} in section {section!r} already exists")
             kind = type(vars(sections[section]).get(key))
             if kind not in (int, float, str):
-                raise error(f"{ini_where(path, section, key)}: [{section}] has no key {key!r}")
+                raise error(f"{here}: [{section}] has no key {key!r}")
             try:
-                setattr(sections[section], key, kind(raw))
+                setattr(sections[section], key, kind(value))
             except ValueError:
-                raise error(f"{ini_where(path, section, key)}: [{section}] {key}: "
-                            f"cannot parse {raw!r} as {kind.__name__}") from None
+                raise error(f"{here}: [{section}] {key}: "
+                            f"cannot parse {value!r} as {kind.__name__}") from None
+            where[section, key] = here
+    return where
 
 
 def _shape_token(shape) -> str:

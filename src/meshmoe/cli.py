@@ -14,10 +14,11 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
 
-from .checkpoint import (CheckpointError, atomic_write, copy_into, ini_where,
-                         load_checkpoint, save_checkpoint)
+from .checkpoint import (CheckpointError, atomic_write, copy_into, load_checkpoint,
+                         save_checkpoint)
 from .config import SECTIONS, ConfigError, RunConfig, load_config
 from .experts import build_experts, expert_parameters, train_expert_supervised
 from .gate import (GateConfig, average_pretrained_gates, gate_parameters,
@@ -58,22 +59,38 @@ def _write_manifest(out_dir, command: str, cfg: RunConfig, inputs: list,
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
+@contextmanager
+def _blame(given: dict, section: str, field: str | None = None):
+    """Re-raise a ValueError from inside as a ConfigError prefixed with the
+    flag or config line that set [section] `field`, or the field the error
+    names as its `setting`; a value left at its default keeps the error."""
+    try:
+        yield
+    except ValueError as err:
+        field = getattr(err, "setting", None) or field
+        if field is None or (section, field) not in given:
+            raise
+        raise ConfigError(f"{given[section, field]}: {err}") from None
+
+
 # what a float setting must be: its test and the words that name it
 _FLOAT_RANGES = {**dict.fromkeys(("gate_lr", "expert_lr", "lr"),
                                  (lambda v: 0 < v < math.inf, "finite and > 0")),
+                 **dict.fromkeys(("lambda_min", "lambda_max"), (math.isfinite, "finite")),
                  "tau": (lambda v: 0 < v <= 1, "in (0, 1]"),
                  "discount": (lambda v: 0 <= v <= 1, "in [0, 1]")}
 
 
 def _resolve_config(args) -> tuple:
-    """Defaults <- config file <- command-line flags; returns (cfg, inputs)."""
+    """Defaults <- config file <- command-line flags; returns (cfg, inputs,
+    given), where `given` maps each (section, field) that a flag or the
+    config file set to that flag or its 'path:line'."""
     inputs = []
     if args.config:
-        cfg = load_config(args.config)
+        cfg, given = load_config(args.config)
         inputs.append(args.config)
     else:
-        cfg = RunConfig()
-    given = {}                         # (section, field) -> the flag that set it
+        cfg, given = RunConfig(), {}
     for flag, (_, target) in _FLAGS.items():
         value = getattr(args, flag.replace("-", "_"), None)
         if target is not None and value is not None:
@@ -93,11 +110,8 @@ def _resolve_config(args) -> tuple:
     def where(section, *fields):
         """The flag or config line that set the first of `fields` that was set;
         the config path when none was."""
-        for field in fields:
-            found = given.get((section, field)) or ini_where(args.config, section, field)
-            if found != args.config:
-                return found
-        return args.config
+        return next((given[section, f] for f in fields if (section, f) in given),
+                    args.config)
 
     # integer settings are sizes and counts: >= 1, or >= 0 for epochs and layer counts
     for section in SECTIONS:
@@ -120,18 +134,16 @@ def _resolve_config(args) -> tuple:
         raise ConfigError(f"{where('agent', 'buffer_capacity', 'batch_size')}: "
                           f"buffer_capacity {agent.buffer_capacity} is below "
                           f"batch_size {agent.batch_size}")
-    try:
+    with _blame(given, "agent", "static_lambda"):
         cfg.static_lambda_value()
-    except ConfigError as err:
-        raise ConfigError(f"{where('agent', 'static_lambda')}: {err}") from None
     # argparse checks a flag's choices; a value from the config file is checked here
     for options, target in _FLAGS.values():
         if "choices" in options and target is not None:
             value = getattr(getattr(cfg, target[0]), target[1])
             if value not in options["choices"]:
-                raise ConfigError(f"{ini_where(args.config, *target)}: {target[1]} must "
+                raise ConfigError(f"{where(*target)}: {target[1]} must "
                                   f"be one of {', '.join(options['choices'])}, got {value!r}")
-    return cfg, inputs
+    return cfg, inputs, given
 
 
 def _data_dir(args) -> str:
@@ -139,9 +151,9 @@ def _data_dir(args) -> str:
 
 
 def _dataset_run(args) -> tuple:
-    """(cfg, inputs, out_dir, dataset) of a subcommand that reads a dataset;
-    its config, dataset and named checkpoints are all checked first."""
-    cfg, inputs = _resolve_config(args)
+    """(cfg, inputs, given, out_dir, dataset) of a subcommand that reads a
+    dataset; its config, dataset and named checkpoints are all checked first."""
+    cfg, inputs, given = _resolve_config(args)
     data_dir = _data_dir(args)
     dataset = load_dataset(data_dir)
     inputs += [os.path.join(data_dir, "manifest.csv"),
@@ -151,7 +163,7 @@ def _dataset_run(args) -> tuple:
         path = getattr(args, flag, None)
         if path is not None and not os.path.exists(path):
             raise CheckpointError(f"--{flag.replace('_', '-')}: no checkpoint at {path}")
-    return cfg, inputs, args.out_dir, dataset
+    return cfg, inputs, given, args.out_dir, dataset
 
 
 def _load_if_present(what: str, params: dict, path, inputs: list) -> None:
@@ -163,17 +175,18 @@ def _load_if_present(what: str, params: dict, path, inputs: list) -> None:
         print(f"loaded {what} from {path}")
 
 
-def _build_pool(cfg: RunConfig, dataset) -> list:
+def _build_pool(cfg: RunConfig, dataset, given: dict) -> list:
     """The configured experts, checked against the dataset's task."""
-    experts = build_experts(cfg.expert_specs(), num_classes=dataset.num_classes,
-                            seed=derive(cfg.seed, "experts"),
-                            hidden=cfg.experts.hidden)
+    with _blame(given, "experts", "specs"):
+        experts = build_experts(cfg.expert_specs(), num_classes=dataset.num_classes,
+                                seed=derive(cfg.seed, "experts"),
+                                hidden=cfg.experts.hidden)
     check_pool(experts, dataset.task)
     return experts
 
 
-def _build_full_system(cfg: RunConfig, dataset):
-    experts = _build_pool(cfg, dataset)
+def _build_full_system(cfg: RunConfig, dataset, given: dict):
+    experts = _build_pool(cfg, dataset, given)
     gate_config = GateConfig(num_experts=len(experts), **asdict(cfg.gate))
     system = build_system(experts, task=dataset.task, gate_config=gate_config,
                           seed=derive(cfg.seed, "gate"))
@@ -185,15 +198,16 @@ def _build_full_system(cfg: RunConfig, dataset):
 # -------------------------------------------------------------- subcommands
 
 def _cmd_gen_data(args) -> int:
-    cfg, inputs = _resolve_config(args)
+    cfg, inputs, given = _resolve_config(args)
     data_dir = _data_dir(args)
-    if cfg.data.task == "segmentation":
-        dataset = generate_segmentation_set(per_class=cfg.data.per_class,
-                                            seed=cfg.seed)
-    else:
-        dataset = generate_classification_set(
-            classes=cfg.data.classes, per_class=cfg.data.per_class,
-            seed=cfg.seed, task=cfg.data.task)
+    with _blame(given, "data"):
+        if cfg.data.task == "segmentation":
+            dataset = generate_segmentation_set(per_class=cfg.data.per_class,
+                                                seed=cfg.seed)
+        else:
+            dataset = generate_classification_set(
+                classes=cfg.data.classes, per_class=cfg.data.per_class,
+                seed=cfg.seed, task=cfg.data.task)
     save_dataset(dataset, data_dir)
     _write_manifest(args.out_dir, "gen-data", cfg, inputs,
                     [os.path.join(data_dir, "manifest.csv")])
@@ -204,8 +218,8 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_pretrain_experts(args) -> int:
-    cfg, inputs, out, dataset = _dataset_run(args)
-    experts = _build_pool(cfg, dataset)
+    cfg, inputs, given, out, dataset = _dataset_run(args)
+    experts = _build_pool(cfg, dataset, given)
     ckpt = os.path.join(out, "experts.ckpt")
     losses_csv = os.path.join(out, "pretrain_losses.csv")
     rows = []
@@ -231,8 +245,8 @@ def _cmd_pretrain_experts(args) -> int:
 
 
 def _cmd_pretrain_gate(args) -> int:
-    cfg, inputs, out, dataset = _dataset_run(args)
-    experts = _build_pool(cfg, dataset)
+    cfg, inputs, given, out, dataset = _dataset_run(args)
+    experts = _build_pool(cfg, dataset, given)
     _load_if_present("expert parameters", expert_parameters(experts),
                      args.experts_ckpt or os.path.join(out, "experts.ckpt"), inputs)
     imitation_config = GateConfig(num_experts=len(experts),
@@ -261,8 +275,8 @@ def _cmd_pretrain_gate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cfg, inputs, out, dataset = _dataset_run(args)
-    system = _build_full_system(cfg, dataset)
+    cfg, inputs, given, out, dataset = _dataset_run(args)
+    system = _build_full_system(cfg, dataset, given)
     _load_if_present("expert parameters", expert_parameters(system.experts),
                      args.experts_ckpt or os.path.join(out, "experts.ckpt"), inputs)
     _load_if_present("gate initialization", gate_parameters(system.gate_params),
@@ -298,8 +312,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     args.ckpt = args.ckpt or os.path.join(args.out_dir, "model.ckpt")
-    cfg, inputs, out, dataset = _dataset_run(args)
-    system = _build_full_system(cfg, dataset)
+    cfg, inputs, given, out, dataset = _dataset_run(args)
+    system = _build_full_system(cfg, dataset, given)
     load_system(system, args.ckpt)
     inputs.append(args.ckpt)
 
@@ -334,7 +348,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_dump_walks(args) -> int:
-    cfg, _ = _resolve_config(args)
+    cfg, _, _ = _resolve_config(args)
     mesh = load_off(args.mesh_file)
     walks = extract_walks(mesh, args.count, cfg.seed)
     lines = [f"{mesh.mesh_id} {len(walk)} "
@@ -350,7 +364,7 @@ def _cmd_dump_walks(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    cfg, _ = _resolve_config(args)
+    cfg, _, _ = _resolve_config(args)
     all_passed = True
     for name, report in standard_battery(seed=cfg.seed):
         status = "PASS" if report.passed else "FAIL"

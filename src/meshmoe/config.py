@@ -2,12 +2,14 @@
 
 The file format is INI-style flat sections ([run] for the seed, [gate],
 [experts], [trainer], [agent], [data]) read by `checkpoint.read_ini`, which
-coerces values to the defaults' types and rejects any other section.
+coerces values to the defaults' types, rejects any other section and
+returns each key's `path:line`.
 [gate] and [agent] take their keys and defaults from `GateConfig` and
 `SACConfig`, less the fields the CLI fills in from the dataset and pool.
 Command-line flags override file values which override the defaults.
 """
 
+import math
 from dataclasses import dataclass, field, fields, make_dataclass
 
 from .checkpoint import read_ini
@@ -77,18 +79,20 @@ class RunConfig:
         if raw in ("none", ""):
             return None
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             raise ConfigError(f"static_lambda must be a number or 'none', "
                               f"got {self.agent.static_lambda!r}") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"static_lambda must be finite, got {value}")
+        return value
 
 
 SECTIONS = ("gate", "experts", "trainer", "agent", "data")
 
 
-def load_config(path) -> RunConfig:
-    """The defaults, overridden by the config file at `path`."""
+def load_config(path) -> tuple:
+    """(the defaults overridden by the config file at `path`, read_ini's lines)."""
     config = RunConfig()
-    read_ini(path, {"run": config, **{s: getattr(config, s) for s in SECTIONS}},
-             ConfigError)
-    return config
+    return config, read_ini(path, {"run": config, **{s: getattr(config, s) for s in SECTIONS}},
+                            ConfigError)

@@ -14,12 +14,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .checkpoint import atomic_write, ini_where, read_ini
+from .checkpoint import atomic_write, read_ini
 from .rng import Rng, derive
 
 
 class MeshError(ValueError):
-    pass
+    def __init__(self, message: str, setting: str | None = None):
+        super().__init__(message)
+        self.setting = setting          # the argument at fault, where there is one
 
 
 @dataclass(eq=False)
@@ -348,14 +350,14 @@ class DatasetSection:          # dataset.ini's [dataset]
 
 def _read_dataset_ini(ini) -> DatasetSection:
     """[dataset] of the file `ini`; an unknown task, or a num_classes that is
-    not an integer >= 0, names file and line like `read_ini`'s errors."""
+    not an integer >= 0 (never a default), names the line `read_ini` read."""
     meta = DatasetSection()
-    read_ini(ini, {"dataset": meta}, MeshError)
+    where = read_ini(ini, {"dataset": meta}, MeshError)
     if meta.task not in TASKS:
-        raise MeshError(f"{ini_where(ini, 'dataset', 'task')}: unknown task "
+        raise MeshError(f"{where['dataset', 'task']}: unknown task "
                         f"{meta.task!r}; expected one of {TASKS}")
     if not meta.num_classes.isdecimal():
-        raise MeshError(f"{ini_where(ini, 'dataset', 'num_classes')}: num_classes "
+        raise MeshError(f"{where['dataset', 'num_classes']}: num_classes "
                         f"must be an integer >= 0, got {meta.num_classes!r}")
     return meta
 

@@ -48,6 +48,8 @@ class SACConfig:
     hidden: int = 64
 
     def __post_init__(self):
+        if not math.isfinite(self.lambda_min) or not math.isfinite(self.lambda_max):
+            raise ValueError(f"lambda range [{self.lambda_min}, {self.lambda_max}] is not finite")
         if self.lambda_min >= self.lambda_max:
             raise ValueError(f"lambda range [{self.lambda_min}, {self.lambda_max}] is empty")
         if self.state_dim < 1:

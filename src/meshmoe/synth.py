@@ -217,13 +217,15 @@ def jitter_vertices(verts: np.ndarray, seed: int, axial_only: bool = False) -> n
 
 def generate_classification_set(classes: int, per_class: int, seed: int,
                                 task: str = "classification") -> Dataset:
-    """Balanced classed shapes with jitter; 80/20 per-class split."""
+    """Balanced classed shapes with jitter; 80/20 per-class split.  A bad
+    count raises MeshError with the argument's name as its `setting`."""
     if classes < 2:
-        raise MeshError("need at least 2 classes")
+        raise MeshError("need at least 2 classes", setting="classes")
     if classes > MAX_CLASSES:
-        raise MeshError(f"unsupported class count {classes} (max {MAX_CLASSES})")
+        raise MeshError(f"unsupported class count {classes} (max {MAX_CLASSES})",
+                        setting="classes")
     if per_class < 4:
-        raise MeshError("need at least 4 meshes per class")
+        raise MeshError("need at least 4 meshes per class", setting="per_class")
     meshes = []
     for cls in range(classes):
         family, builder, z_stretch = _FAMILIES[cls]
@@ -254,7 +256,7 @@ def segment_labels(verts: np.ndarray, edges: np.ndarray, num_segments: int):
 def generate_segmentation_set(per_class: int, seed: int) -> Dataset:
     """Cylinders cut into 2-4 axial bands; labels assigned pre-jitter."""
     if per_class < 4:
-        raise MeshError("need at least 4 meshes per segment count")
+        raise MeshError("need at least 4 meshes per segment count", setting="per_class")
     meshes = []
     probe = build_mesh(*cylinder(12, 7), mesh_id="probe")
     for idx, num_segments in enumerate((2, 3, 4)):

@@ -473,8 +473,16 @@ def test_agent_buffer_below_its_batch_fails(tmp_path, capsys, tiny_config):
     ("lambda_min = 2", (), "lambda range [2.0, 1.0] is empty"),
     ("lambda_max = -1", (), "lambda range [-1.0, -1.0] is empty"),
     ("lambda_min = -3", ("--lambda-range", "0.5,-0.5"), "lambda range [0.5, -0.5] is empty"),
+    ("lambda_min = -3", ("--lambda-range", "nan,1"), "lambda_min must be finite, got nan"),
+    ("lambda_min = -3", ("--lambda-range=-inf,1",), "lambda_min must be finite, got -inf"),
+    ("static_lambda = 0", ("--static-lambda", "inf"), "static_lambda must be finite, got inf"),
+    ("static_lambda = 0", ("--static-lambda", "nan"), "static_lambda must be finite, got nan"),
+    ("lambda_min = -inf", (), "lambda_min must be finite, got -inf"),
+    ("lambda_max = nan", (), "lambda_max must be finite, got nan"),
+    ("static_lambda = inf", (), "static_lambda must be finite, got inf"),
 ], ids=["static_lambda", "static_lambda_flag", "lambda_min", "default_min_names_lambda_max",
-        "lambda_range_flag"])
+        "lambda_range_flag", "nan_range_flag", "minus_inf_range_flag", "inf_static_flag",
+        "nan_static_flag", "minus_inf_lambda_min", "nan_lambda_max", "inf_static_lambda"])
 def test_agent_setting_error_names_its_flag_or_line(tmp_path, capsys, setting, flags,
                                                     message):
     """Checked with the other settings, before the agent is built: the flag
@@ -483,8 +491,48 @@ def test_agent_setting_error_names_its_flag_or_line(tmp_path, capsys, setting, f
     line = ini.read_text().splitlines().index(setting) + 1
     out = tmp_path / "run"
     assert run("train", "--config", str(ini), "--out-dir", str(out), *flags) == 1
-    where = flags[0] if flags else f"{ini}:{line}"
+    where = flags[0].partition("=")[0] if flags else f"{ini}:{line}"
     assert capsys.readouterr().err == f"error: {where}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, section, setting, flags, blamed, message", [
+    ("gen-data", "data", "classes = 3", ("--classes", "1"), "--classes",
+     "need at least 2 classes"),
+    ("gen-data", "data", "classes = 3", ("--classes", "11"), "--classes",
+     "unsupported class count 11 (max 10)"),
+    ("gen-data", "data", "per_class = 4", ("--per-class", "2"), "--per-class",
+     "need at least 4 meshes per class"),
+    ("gen-data", "data", "classes = 1", (), None, "need at least 2 classes"),
+    ("gen-data", "data", "classes = 11", (), None, "unsupported class count 11 (max 10)"),
+    ("gen-data", "data", "per_class = 2", (), None, "need at least 4 meshes per class"),
+    ("gen-data", "data", "per_class = 2", ("--task", "segmentation"), None,
+     "need at least 4 meshes per segment count"),
+    ("train", "experts", "specs = oracle:0", ("--experts", "nope"), "--experts",
+     "unknown expert spec: nope"),
+    ("train", "experts", "specs = nope", (), None, "unknown expert spec: nope"),
+    ("train", "experts", "specs = ,", (), None, "no expert specs configured"),
+    ("train", "experts", "specs = oracle:0,oracle:5", (), None,
+     "expert spec oracle:5: specialty class 5 is out of range for 2 classes"),
+], ids=["classes_flag_low", "classes_flag_high", "per_class_flag", "classes_line_low",
+        "classes_line_high", "per_class_line", "segments_per_class_line", "experts_flag",
+        "specs_line", "empty_specs_line", "oracle_class_line"])
+def test_generator_and_pool_errors_name_the_flag_or_line_at_fault(
+        tmp_path, capsys, tiny_config, command, section, setting, flags, blamed, message):
+    """The generators and `build_experts` check their own arguments; the CLI
+    only prefixes the flag or config line of the value at fault (`blamed`,
+    or the line of `setting` when None)."""
+    data = str(tmp_path / "data")
+    if command == "train":
+        assert run("gen-data", "--config", tiny_config, "--out-dir", str(tmp_path / "gen"),
+                   "--data-dir", data) == 0
+        capsys.readouterr()
+    ini = ini_with(tmp_path, section, setting)
+    line = ini.read_text().splitlines().index(setting) + 1
+    out = tmp_path / "run"
+    assert run(command, "--config", str(ini), "--out-dir", str(out), "--data-dir", data,
+               *flags) == 1
+    assert capsys.readouterr().err == f"error: {blamed or f'{ini}:{line}'}: {message}\n"
     assert not out.exists()
 
 

@@ -1,5 +1,7 @@
 """Actor-critic coefficient agent: replay, targets, squashing, convergence."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,6 +37,14 @@ def test_config_validation():
         SACConfig(state_dim=2, lambda_min=1.0, lambda_max=-1.0)
     with pytest.raises(ValueError, match="state_dim"):
         SACConfig(state_dim=0)
+
+
+@pytest.mark.parametrize("lo, hi", [(math.nan, 1.0), (-1.0, math.nan), (-math.inf, 1.0),
+                                    (-1.0, math.inf), (-math.inf, math.inf)])
+def test_config_rejects_a_non_finite_lambda_range(lo, hi):
+    """`lo >= hi` is False when either end is nan, so finiteness has its own check."""
+    with pytest.raises(ValueError, match=r"lambda range \[.*\] is not finite"):
+        SACConfig(state_dim=2, lambda_min=lo, lambda_max=hi)
 
 
 def test_config_rejects_a_buffer_smaller_than_its_batch():

@@ -680,9 +680,10 @@ def test_float32_inference_routes_like_the_float64_gate(monkeypatch):
 
 
 def test_gradient_battery_checks_the_float64_gate_body(monkeypatch):
-    """Only a training step casts the gate to float32: the battery's
-    `loss_composite` finite-differences `step_loss` with the gate body in
-    float64, so its tolerance is not spent on float32 rounding."""
+    """Training, pre-training and inference cast the gate to float32 through
+    `compute_view`, but the battery does not: its `loss_composite`
+    finite-differences `step_loss` with the gate body in float64, so its
+    tolerance is not spent on float32 rounding."""
     import meshmoe.gate as gate
     import meshmoe.trainer as trainer
     from meshmoe.gradcheck import standard_battery
