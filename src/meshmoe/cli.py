@@ -349,6 +349,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_dump_walks(args) -> int:
     cfg, _, _ = _resolve_config(args)
+    if args.count < 1:
+        raise ConfigError(f"--count: count must be >= 1, got {args.count}")
     mesh = load_off(args.mesh_file)
     walks = extract_walks(mesh, args.count, cfg.seed)
     lines = [f"{mesh.mesh_id} {len(walk)} "
@@ -429,8 +431,22 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads `--flag -1,1` as `--flag=-1,1`: argparse alone takes a value that
+    starts with '-' for an option, unless it reads like -1 or -0.5."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = list(sys.argv[1:] if args is None else args)
+        for i in range(len(args) - 2, -1, -1):
+            flag, value = args[i][2:], args[i + 1]
+            if args[i][:2] == "--" and flag in _FLAGS and "action" not in _FLAGS[flag][0] \
+                    and value[:1] == "-" and value[:2] != "--":
+                args[i:i + 2] = [f"--{flag}={value}"]
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="meshmoe",
         description="walk-routed mixture of mesh experts")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -23,7 +23,8 @@ from .autodiff import Tensor
 from .mesh import Mesh
 from .optim import fit
 from .rng import Rng, derive
-from .walks import WALK_CHANNELS, extract_walks, walk_features, walk_softmax_rows
+# unused here: perfbench/spans.py wraps `extract_walks` in this module by name
+from .walks import WALK_CHANNELS, extract_walks, walk_batch, walk_softmax_rows
 
 
 class ExpertError(ValueError):
@@ -216,9 +217,7 @@ def predict_batch(expert, meshes: list, seeds: list) -> list:
         h = layers.gru_forward(Tensor(walks), expert.params, "gru", expert.hidden)
         return layers.linear(h, expert.params["head.w"], expert.params["head.b"])
 
-    features = [walk_features(mesh, extract_walks(mesh, expert.walk_count, seed))
-                for mesh, seed in zip(meshes, seeds)]
-    return walk_softmax_rows(features, run)
+    return walk_softmax_rows(walk_batch(meshes, expert.walk_count, seeds), run)
 
 
 def make_expert(spec: str, name: str, num_classes: int, seed: int, hidden: int = 32):

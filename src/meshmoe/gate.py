@@ -36,7 +36,8 @@ from .autodiff import Tensor
 from .experts import predict_batch
 from .optim import fit
 from .rng import derive
-from .walks import WALK_CHANNELS, extract_walks, walk_features, walk_softmax_rows
+# unused here: perfbench/spans.py wraps `extract_walks` in this module by name
+from .walks import WALK_CHANNELS, extract_walks, walk_batch, walk_softmax_rows
 
 CHUNK_TOKENS = 512  # walk positions per grad-free body chunk
 
@@ -151,10 +152,8 @@ def gate_forward_batch(meshes: list, walk_count: int, params: dict,
     """
     if len(meshes) != len(seeds):
         raise GateError(f"{len(meshes)} meshes but {len(seeds)} seeds")
-    features = [walk_features(mesh, extract_walks(mesh, walk_count, seed))
-                for mesh, seed in zip(meshes, seeds)]
-    return walk_softmax_rows(
-        features, lambda walks: gate_forward_features(walks, params, config))
+    return walk_softmax_rows(walk_batch(meshes, walk_count, seeds),
+                             lambda walks: gate_forward_features(walks, params, config))
 
 
 def gate_forward_mesh(mesh, walk_count: int, params: dict, config: GateConfig,

@@ -44,6 +44,33 @@ def derive(*keys) -> int:
     return h
 
 
+def _mix64_rows(z: np.ndarray) -> np.ndarray:
+    """`mix64` of every word of a uint64 array, in place; returns `z`."""
+    z ^= z >> 30
+    z *= _M1
+    z ^= z >> 27
+    z *= _M2
+    z ^= z >> 31
+    return z
+
+
+def derive_range(keys: list, count: int) -> np.ndarray:
+    """(len(keys), count) uint64: word [i, k] is derive(*keys[i], k).
+
+    Only the last fold reads k, so every k comes from one vector pass.
+    """
+    z = np.array([derive(*key) for key in keys], np.uint64)[:, None]
+    z = z ^ np.arange(count, dtype=np.uint64)
+    z *= _FNV_PRIME
+    return _mix64_rows(z)
+
+
+def stream_words(seeds: np.ndarray, n: int) -> np.ndarray:
+    """(n, len(seeds)) uint64: column i holds Rng(seeds[i]).fill_u64(n)."""
+    z = np.arange(1, n + 1, dtype=np.uint64)[:, None] * np.uint64(GOLDEN)
+    return _mix64_rows(z + np.asarray(seeds, dtype=np.uint64))
+
+
 class Rng:
     """Stateful view over the counter stream starting at `seed`."""
 
@@ -63,12 +90,7 @@ class Rng:
         self.count += n
         z *= GOLDEN
         z += self.seed
-        z ^= z >> 30
-        z *= _M1
-        z ^= z >> 27
-        z *= _M2
-        z ^= z >> 31
-        return z
+        return _mix64_rows(z)
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
         u = (self.next_u64() >> 11) * 2.0**-53

@@ -11,7 +11,7 @@ import re
 
 import pytest
 
-from meshmoe.cli import _FLAGS, build_parser, main
+from meshmoe.cli import _FLAGS, _resolve_config, build_parser, main
 from meshmoe.config import RunConfig
 from meshmoe.mesh import load_off
 
@@ -287,6 +287,33 @@ def test_dump_walks_deterministic(tmp_path, tiny_config, capsys):
     assert not list(tmp_path.glob("*.tmp"))
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_dump_walks_count_below_one_names_the_flag(tmp_path, tiny_config, capsys, count):
+    out = str(tmp_path / "run")
+    assert run("gen-data", "--config", tiny_config, "--out-dir", out) == 0
+    data = os.path.join(out, "data")
+    off = os.path.join(data, sorted(n for n in os.listdir(data) if n.endswith(".off"))[0])
+    capsys.readouterr()
+    assert run("dump-walks", "--mesh-file", off, "--count", count) == 1
+    assert capsys.readouterr().err == f"error: --count: count must be >= 1, got {count}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("train", "--lambda-range", "-1,1"),
+    ("train", "--lambda-range", "-0.5,-0.25", "--seed", "-3"),
+    ("train", "--static-lambda", "-1e-3", "--lambda-range", "-2,-1"),
+    ("dump-walks", "--mesh-file", "-m.off", "--count", "-3"),
+], ids=["default_range", "negative_range", "exponent", "dump_walks"])
+def test_a_value_that_starts_with_a_minus_may_follow_its_flag(argv):
+    """`--flag -1,1` parses as `--flag=-1,1`; argparse alone exits 2 on it,
+    taking `-1,1` for an option."""
+    joined = [argv[0]] + [f"{flag}={value}" for flag, value in zip(argv[1::2], argv[2::2])]
+    spaced, equals = build_parser().parse_args(argv), build_parser().parse_args(joined)
+    assert vars(spaced) == vars(equals)
+    if argv[0] == "train":
+        assert _resolve_config(spaced)[0] == _resolve_config(equals)[0]
+
+
 def test_bad_lambda_range_fails(tmp_path, tiny_config, capsys):
     out = str(tmp_path / "run")
     assert run("gen-data", "--config", tiny_config, "--out-dir", out) == 0
@@ -558,7 +585,7 @@ def test_pool_that_does_not_fit_the_task_fails_before_predicting(
     predicted = []
     for cls in (experts.FaceMlpExpert, experts.EdgeSegmenterExpert):
         monkeypatch.setattr(cls, "predict", lambda self, *a: predicted.append(self))
-    monkeypatch.setattr(experts, "extract_walks", lambda *a: predicted.append(a))
+    monkeypatch.setattr(experts, "walk_batch", lambda *a: predicted.append(a))
     command, *flags = argv
     assert run(command, "--config", str(ini), "--out-dir", out, *flags) == 1
     assert capsys.readouterr().err == f"error: {message}\n"

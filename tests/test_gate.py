@@ -17,7 +17,8 @@ from meshmoe.gate import (CHUNK_TOKENS, GateConfig, GateError,
 from meshmoe.gradcheck import check_gradients
 from meshmoe.rng import Rng, derive
 from meshmoe.synth import generate_classification_set
-from meshmoe.walks import extract_walk, walk_features, walk_length
+from meshmoe.walks import walk_features, walk_length
+from walk_reference import extract_walk
 
 TINY = GateConfig(num_experts=3, encoder_layers=2, decoder_layers=2,
                   d_model=8, heads=2, ff_width=16)

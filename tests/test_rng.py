@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from meshmoe.rng import MASK64, Rng, derive, mix64
+from meshmoe.rng import MASK64, Rng, derive, derive_range, mix64, stream_words
 
 
 def test_same_seed_same_stream():
@@ -99,3 +99,20 @@ def test_derive_rejects_other_types():
 def test_randbelow_rejects_nonpositive():
     with pytest.raises(ValueError):
         Rng(0).randbelow(0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 13, 0x9E3779B97F4A7C15, MASK64])
+def test_derive_range_is_derive_with_each_last_key(seed):
+    folds = derive_range([(seed, "walk"), (seed,), (seed, "walk", 3)], 1000)
+    assert folds.dtype == np.uint64 and folds.shape == (3, 1000)
+    assert folds[0].tolist() == [derive(seed, "walk", k) for k in range(1000)]
+    assert folds[1].tolist() == [derive(seed, k) for k in range(1000)]
+    assert folds[2].tolist() == [derive(seed, "walk", 3, k) for k in range(1000)]
+
+
+def test_stream_words_are_each_seeds_fill():
+    seeds = [0, 1, MASK64, derive(4, "walk", 2)]
+    words = stream_words(np.array(seeds, dtype=np.uint64), 37)
+    assert words.shape == (37, 4)
+    for column, seed in zip(words.T, seeds):
+        assert column.tolist() == Rng(seed).fill_u64(37).tolist()
