@@ -17,6 +17,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import asdict
 
+from .blas import blas_name, blas_pinned, blas_threads
 from .checkpoint import (CheckpointError, atomic_write, copy_into, load_checkpoint,
                          save_checkpoint)
 from .config import SECTIONS, ConfigError, RunConfig, load_config
@@ -51,6 +52,8 @@ def _write_manifest(out_dir, command: str, cfg: RunConfig, inputs: list,
         "command": command,
         "config": asdict(cfg),
         "seed": cfg.seed,
+        "blas": blas_name(),
+        "blas_threads": blas_threads(),
         "inputs": {str(p): _sha256(p) for p in inputs if os.path.exists(p)},
         "outputs": [str(p) for p in outputs],
     }
@@ -433,15 +436,22 @@ _COMMANDS = {
 
 class _Parser(argparse.ArgumentParser):
     """Reads `--flag -1,1` as `--flag=-1,1`: argparse alone takes a value that
-    starts with '-' for an option, unless it reads like -1 or -0.5."""
+    starts with '-' for an option, unless it reads like -1 or -0.5.  `--flag`
+    may be any prefix that names one of this parser's flags, as argparse
+    allows."""
 
     def parse_known_args(self, args=None, namespace=None):
         args = list(sys.argv[1:] if args is None else args)
+        actions = self._option_string_actions
         for i in range(len(args) - 2, -1, -1):
-            flag, value = args[i][2:], args[i + 1]
-            if args[i][:2] == "--" and flag in _FLAGS and "action" not in _FLAGS[flag][0] \
-                    and value[:1] == "-" and value[:2] != "--":
-                args[i:i + 2] = [f"--{flag}={value}"]
+            flag, value = args[i], args[i + 1]
+            if flag[:2] != "--" or value[:1] != "-" or value[:2] == "--":
+                continue
+            if flag not in actions:
+                flags = [f for f in actions if f.startswith(flag)]
+                flag = flags[0] if len(flags) == 1 else None
+            if flag and actions[flag].nargs is None:
+                args[i:i + 2] = [f"{flag}={value}"]
         return super().parse_known_args(args, namespace)
 
 
@@ -461,7 +471,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # one BLAS thread: large-K GEMM sums depend on the thread count
+        with blas_pinned(1):
+            return args.func(args)
     except _ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

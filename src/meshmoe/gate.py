@@ -16,7 +16,11 @@ max(1, CHUNK_TOKENS // L) walks and the head over all walks at once, so
 attention memory is O(chunk * heads * L^2), not O(W * heads * L^2).  The
 bits do not change: `linear` does one GEMM per leading index, layer norm
 reduces per row and attention does its GEMMs per walk, so no walk's
-numbers depend on the others.  With a graph all walks are one chunk.
+numbers depend on the others.  The chunks run on the CPUs BLAS leaves
+idle: n = min(chunks, usable CPUs // BLAS threads) threads, the caller
+among them, and thread k runs chunks k, k + n, ...; when the BLAS thread
+count is unknown the caller runs them all.  With a graph all walks are
+one chunk.
 The body computes in the dtype of its parameters.  Training,
 pre-training and inference run it on `compute_view`, the one float32 view
 of the float64 masters; the gradient battery runs it in float64.
@@ -26,6 +30,8 @@ prediction vectors with KL(expert || gate); the pre-trained bodies are
 averaged to initialize the real gate, whose expert head starts fresh.
 """
 
+import os
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,6 +39,7 @@ import numpy as np
 from . import autodiff as ad
 from . import layers
 from .autodiff import Tensor
+from .blas import blas_threads
 from .experts import predict_batch
 from .optim import fit
 from .rng import derive
@@ -111,18 +118,60 @@ def gate_forward_features(features: np.ndarray, params: dict,
     """Logits for a (W, L, 4) walk-feature batch; returns (W, out_dim).
 
     With no trainable parameter the body runs over chunks of
-    max(1, CHUNK_TOKENS // L) walks; otherwise all W walks are one chunk.
+    max(1, CHUNK_TOKENS // L) walks, spread over `_chunk_workers` threads;
+    otherwise all W walks are one chunk.
     """
     if features.ndim != 3 or features.shape[-1] != WALK_CHANNELS or len(features) == 0:
         raise GateError(f"expected (W, L, {WALK_CHANNELS}) features, got {features.shape}")
     w_count, length, _ = features.shape
-    chunk = w_count
-    if not any(p.requires_grad for p in params.values()):
+    if any(p.requires_grad for p in params.values()):
+        token = _walk_tokens(features, params, config)
+    else:
         chunk = max(1, CHUNK_TOKENS // length)
-    tokens = [_walk_tokens(features[i:i + chunk], params, config)
-              for i in range(0, w_count, chunk)]
-    token = tokens[0] if len(tokens) == 1 else Tensor(np.concatenate([t.data for t in tokens]))
+        chunks = [features[i:i + chunk] for i in range(0, w_count, chunk)]
+        token = Tensor(np.concatenate(_on_idle_cpus(
+            lambda walks: _walk_tokens(walks, params, config).data, chunks)))
     return layers.linear(token, params["head.w"], params["head.b"])
+
+
+def _chunk_workers(chunks: int) -> int:
+    """Threads for `chunks` grad-free chunks: as many as the usable CPUs hold
+    beside BLAS's own threads, or 1 when the BLAS count is unknown."""
+    threads = blas_threads()
+    if not threads or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return max(1, min(chunks, len(os.sched_getaffinity(0)) // threads))
+
+
+def _on_idle_cpus(fn, items: list) -> list:
+    """[fn(item) for item in items], shared by the calling thread and up to
+    `_chunk_workers - 1` helper threads that end before the call returns.
+    Worker k runs items k, k + workers, ... into their own slots, so the
+    order of the results is fixed.  Once an item raises, no worker starts
+    another, and the error of the lowest failing index is raised."""
+    workers = _chunk_workers(len(items))
+    results, errors = [None] * len(items), {}
+
+    def work(k):
+        for i in range(k, len(items), workers):
+            if errors:
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:  # re-raised in the caller below
+                errors[i] = exc
+
+    helpers = [threading.Thread(target=work, args=(k,)) for k in range(1, workers)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work(0)
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def _walk_tokens(features: np.ndarray, params: dict, config: GateConfig) -> Tensor:

@@ -314,6 +314,26 @@ def test_a_value_that_starts_with_a_minus_may_follow_its_flag(argv):
         assert _resolve_config(spaced)[0] == _resolve_config(equals)[0]
 
 
+@pytest.mark.parametrize("argv, full", [
+    (("train", "--lambda", "-1,1"), ("train", "--lambda-range=-1,1")),
+    (("train", "--static", "-1e-3", "--se", "-3"),
+     ("train", "--static-lambda=-1e-3", "--seed=-3")),
+    (("dump-walks", "--mesh", "-m.off", "--cou", "-3"),
+     ("dump-walks", "--mesh-file=-m.off", "--count=-3")),
+], ids=["lambda", "static_and_seed", "dump_walks"])
+def test_a_flag_prefix_takes_a_value_that_starts_with_a_minus(argv, full):
+    """An unambiguous prefix names its flag, as argparse allows."""
+    assert vars(build_parser().parse_args(argv)) == vars(build_parser().parse_args(full))
+
+
+def test_an_ambiguous_flag_prefix_exits_two(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(["train", "--l", "-1,1"])
+    assert exit_info.value.code == 2
+    assert "ambiguous option: --l could match --lambda-range, --loss-sim" \
+        in capsys.readouterr().err
+
+
 def test_bad_lambda_range_fails(tmp_path, tiny_config, capsys):
     out = str(tmp_path / "run")
     assert run("gen-data", "--config", tiny_config, "--out-dir", out) == 0

@@ -1,6 +1,8 @@
 """Gate: shape contracts, determinism, aggregation, averaging, permutation,
 grad-free chunking."""
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -222,6 +224,83 @@ def test_grad_free_chunks_equal_one_graph_chunk(head_mode):
 def test_float32_grad_free_chunks_equal_one_float32_graph_chunk(head_mode):
     """In float32, as `compute_view(..., graph=False)` runs it at inference."""
     assert_chunks_equal_one_graph_chunk(head_mode, np.float32)
+
+
+def chunk_threads(monkeypatch, cpus: int, blas, meet=False, fail=False):
+    """Pin the worker rule's inputs: `cpus` usable CPUs and `blas` BLAS
+    threads (None: unknown).  Returns the idents of the threads that run
+    each chunk.  With `meet`, each thread's first chunk waits until two
+    threads hold one, so both surely work; with `fail`, a helper's chunk
+    raises."""
+    import meshmoe.gate as gate
+    monkeypatch.setattr(gate.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(gate, "blas_threads", lambda: blas)
+    real, idents, seen = gate._walk_tokens, [], threading.local()
+    barrier = threading.Barrier(2, timeout=30)
+
+    def recording(*args):
+        idents.append(threading.get_ident())
+        if meet and not getattr(seen, "met", False):
+            seen.met = True
+            barrier.wait()
+        if fail and threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("chunk failed in a helper")
+        return real(*args)
+
+    monkeypatch.setattr(gate, "_walk_tokens", recording)
+    return idents
+
+
+@pytest.mark.parametrize("walks, length", [(3, 257), (7, 256)])
+def test_two_chunk_workers_give_the_rows_of_one(monkeypatch, walks, length):
+    """Chunks of 1 walk at L=257 and of 2 walks at L=256, the last of 1."""
+    chunk = max(1, CHUNK_TOKENS // length)
+    assert (chunk, walks % chunk) in ((1, 0), (2, 1))
+    features = Rng(5).normal_fill((walks, length, 4))
+    params = frozen(init_gate_params(TINY, seed=8))
+    idents = chunk_threads(monkeypatch, cpus=1, blas=1)
+    one = gate_forward_features(features, params, TINY)
+    assert len(set(idents)) == 1
+    idents = chunk_threads(monkeypatch, cpus=2, blas=1, meet=True)
+    two = gate_forward_features(features, params, TINY)
+    assert len(set(idents)) == 2 and len(idents) == -(-walks // chunk)
+    assert one.data.dtype == two.data.dtype == np.float32
+    assert np.array_equal(one.data, two.data)
+
+
+def test_a_helper_chunk_error_reaches_the_caller_and_no_thread_is_left(monkeypatch):
+    features = Rng(5).normal_fill((4, 257, 4))
+    params = frozen(init_gate_params(TINY, seed=8))
+    before = threading.active_count()
+    chunk_threads(monkeypatch, cpus=2, blas=1, meet=True, fail=True)
+    with pytest.raises(RuntimeError, match="chunk failed in a helper"):
+        gate_forward_features(features, params, TINY)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("cpus, blas", [(2, 2), (3, 2), (4, None), (1, 1)])
+def test_chunks_run_on_one_thread_when_no_cpu_is_idle(monkeypatch, cpus, blas):
+    """BLAS threads x 2 workers would exceed the usable CPUs, or the BLAS
+    count is unknown."""
+    features = Rng(5).normal_fill((4, 257, 4))
+    idents = chunk_threads(monkeypatch, cpus, blas)
+    gate_forward_features(features, frozen(init_gate_params(TINY, seed=8)), TINY)
+    assert idents == [threading.get_ident()] * 4
+
+
+def test_many_chunk_workers_run_each_item_once_into_its_own_slot(monkeypatch):
+    """More workers than cores, switching threads as often as the
+    interpreter allows: every item still runs once, into its own slot."""
+    import meshmoe.gate as gate
+    monkeypatch.setattr(gate, "_chunk_workers", lambda chunks: 8)
+    calls, interval = [], sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = gate._on_idle_cpus(lambda i: calls.append(i) or i * i, list(range(500)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [i * i for i in range(500)]
+    assert sorted(calls) == list(range(500))
 
 
 def test_cast_masters_give_the_rows_and_gradients_of_float32_leaves():
