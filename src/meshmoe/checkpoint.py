@@ -6,7 +6,8 @@ little-endian float64 bytes.  Scalars use the shape token `scalar`.
 Checkpoints, dataset indexes and the CLI's manifests, logs, reports and
 walk listings are written by `atomic_write`: to a temp file that is
 renamed into place.  `read_ini` reads the INI files (run configs,
-dataset.ini) in one pass and returns the `path:line` of each key.
+dataset.ini) in one pass and returns the `path:line` of each key; the
+classes it fills check their values with `must`.
 """
 
 import base64
@@ -24,6 +25,26 @@ HEADER = "MME-CKPT v1"
 
 class CheckpointError(ValueError):
     pass
+
+
+def blamed(err: ValueError, setting) -> ValueError:
+    """`err` naming as its `setting` the field, or tuple of fields, at fault."""
+    err.setting = setting
+    return err
+
+
+def must(section, setting, ok: bool, rule: str, error=ValueError) -> None:
+    """Unless `ok`, raise `error('<field> must <rule>, got <value>')` for
+    field `setting` of `section` (of a tuple, the first), `blamed` on it."""
+    if not ok:
+        name = setting if isinstance(setting, str) else setting[0]
+        raise blamed(error(f"{name} must {rule}, got {getattr(section, name)}"), setting)
+
+
+def at_least(section, error=ValueError, **least) -> None:
+    """`must` for each named integer field: at least its value in `least`."""
+    for name, low in least.items():
+        must(section, name, getattr(section, name) >= low, f"be >= {low}", error)
 
 
 def read_ini(path, sections: dict, error) -> dict:

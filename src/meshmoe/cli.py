@@ -11,24 +11,22 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 from .blas import blas_name, blas_pinned, blas_threads
 from .checkpoint import (CheckpointError, atomic_write, copy_into, load_checkpoint,
                          save_checkpoint)
 from .config import SECTIONS, ConfigError, RunConfig, load_config
 from .experts import build_experts, expert_parameters, train_expert_supervised
-from .gate import (GateConfig, average_pretrained_gates, gate_parameters,
-                   init_gate_params, pretrain_imitation)
+from .gate import average_pretrained_gates, gate_parameters, init_gate_params, pretrain_imitation
 from .gradcheck import standard_battery
 from .mesh import TASKS, load_dataset, load_off, save_dataset
 from .optim import OptimError
 from .rng import derive
-from .sac import SACConfig, SacLambdaAgent, StaticLambdaAgent
+from .sac import SacLambdaAgent, StaticLambdaAgent
 from .synth import generate_classification_set, generate_segmentation_set
 from .trainer import (SIM_KINDS, TrainerError, build_system, check_pool,
                       evaluate_ensemble, inference, load_system, save_system,
@@ -66,22 +64,17 @@ def _write_manifest(out_dir, command: str, cfg: RunConfig, inputs: list,
 def _blame(given: dict, section: str, field: str | None = None):
     """Re-raise a ValueError from inside as a ConfigError prefixed with the
     flag or config line that set [section] `field`, or the field the error
-    names as its `setting`; a value left at its default keeps the error."""
+    names as its `setting` (of a tuple of fields, the first that a flag or
+    line set); a value left at its default keeps the error."""
     try:
         yield
     except ValueError as err:
-        field = getattr(err, "setting", None) or field
-        if field is None or (section, field) not in given:
+        setting = getattr(err, "setting", None) or field
+        names = (setting,) if isinstance(setting, str) else setting or ()
+        at = next((given[section, name] for name in names if (section, name) in given), None)
+        if at is None:
             raise
-        raise ConfigError(f"{given[section, field]}: {err}") from None
-
-
-# what a float setting must be: its test and the words that name it
-_FLOAT_RANGES = {**dict.fromkeys(("gate_lr", "expert_lr", "lr"),
-                                 (lambda v: 0 < v < math.inf, "finite and > 0")),
-                 **dict.fromkeys(("lambda_min", "lambda_max"), (math.isfinite, "finite")),
-                 "tau": (lambda v: 0 < v <= 1, "in (0, 1]"),
-                 "discount": (lambda v: 0 <= v <= 1, "in [0, 1]")}
+        raise ConfigError(f"{at}: {err}") from None
 
 
 def _resolve_config(args) -> tuple:
@@ -110,33 +103,10 @@ def _resolve_config(args) -> tuple:
         cfg.agent.lambda_min, cfg.agent.lambda_max = lo, hi
         given[("agent", "lambda_min")] = given[("agent", "lambda_max")] = "--lambda-range"
 
-    def where(section, *fields):
-        """The flag or config line that set the first of `fields` that was set;
-        the config path when none was."""
-        return next((given[section, f] for f in fields if (section, f) in given),
-                    args.config)
-
-    # integer settings are sizes and counts: >= 1, or >= 0 for epochs and layer counts
+    # each section checks its fields when built: build each again, as set
     for section in SECTIONS:
-        for field, value in asdict(getattr(cfg, section)).items():
-            least = 0 if field in ("epochs", "encoder_layers", "decoder_layers") else 1
-            test, rule = ((lambda v: v >= least), f">= {least}") if type(value) is int \
-                else _FLOAT_RANGES.get(field, (lambda v: True, ""))
-            if not test(value):
-                raise ConfigError(f"{where(section, field)}: {field} must be {rule}, "
-                                  f"got {value}")
-    # checked here, not by GateConfig or SACConfig, so the error can name a line
-    gate, agent = cfg.gate, cfg.agent
-    if gate.d_model % gate.heads:
-        raise ConfigError(f"{where('gate', 'heads', 'd_model')}: heads must divide "
-                          f"d_model {gate.d_model}, got {gate.heads}")
-    if agent.lambda_min >= agent.lambda_max:
-        raise ConfigError(f"{where('agent', 'lambda_min', 'lambda_max')}: lambda range "
-                          f"[{agent.lambda_min}, {agent.lambda_max}] is empty")
-    if agent.buffer_capacity < agent.batch_size:
-        raise ConfigError(f"{where('agent', 'buffer_capacity', 'batch_size')}: "
-                          f"buffer_capacity {agent.buffer_capacity} is below "
-                          f"batch_size {agent.batch_size}")
+        with _blame(given, section):
+            replace(getattr(cfg, section))
     with _blame(given, "agent", "static_lambda"):
         cfg.static_lambda_value()
     # argparse checks a flag's choices; a value from the config file is checked here
@@ -144,7 +114,7 @@ def _resolve_config(args) -> tuple:
         if "choices" in options and target is not None:
             value = getattr(getattr(cfg, target[0]), target[1])
             if value not in options["choices"]:
-                raise ConfigError(f"{where(*target)}: {target[1]} must "
+                raise ConfigError(f"{given[target]}: {target[1]} must "
                                   f"be one of {', '.join(options['choices'])}, got {value!r}")
     return cfg, inputs, given
 
@@ -190,7 +160,7 @@ def _build_pool(cfg: RunConfig, dataset, given: dict) -> list:
 
 def _build_full_system(cfg: RunConfig, dataset, given: dict):
     experts = _build_pool(cfg, dataset, given)
-    gate_config = GateConfig(num_experts=len(experts), **asdict(cfg.gate))
+    gate_config = cfg.gate.build(num_experts=len(experts))
     system = build_system(experts, task=dataset.task, gate_config=gate_config,
                           seed=derive(cfg.seed, "gate"))
     system.walks_train = cfg.trainer.walks_train
@@ -252,9 +222,8 @@ def _cmd_pretrain_gate(args) -> int:
     experts = _build_pool(cfg, dataset, given)
     _load_if_present("expert parameters", expert_parameters(experts),
                      args.experts_ckpt or os.path.join(out, "experts.ckpt"), inputs)
-    imitation_config = GateConfig(num_experts=len(experts),
-                                  num_classes=dataset.num_classes,
-                                  head_mode="class_imitation", **asdict(cfg.gate))
+    imitation_config = cfg.gate.build(num_experts=len(experts), num_classes=dataset.num_classes,
+                                      head_mode="class_imitation")
     pretrained = []
     for j, expert in enumerate(experts):
         # the same init seed for every expert: averaging weights only makes
@@ -290,10 +259,8 @@ def _cmd_train(args) -> int:
         agent = StaticLambdaAgent(static)
         print(f"static lambda = {static}")
     else:
-        agent_fields = asdict(cfg.agent)
-        del agent_fields["static_lambda"]
-        sac_config = SACConfig(state_dim=len(system.experts), **agent_fields)
-        agent = SacLambdaAgent(sac_config, seed=derive(cfg.seed, "agent"))
+        agent = SacLambdaAgent(cfg.agent.build(state_dim=len(system.experts)),
+                               seed=derive(cfg.seed, "agent"))
 
     log_csv = os.path.join(out, "train_log.csv")
     history = train_run(

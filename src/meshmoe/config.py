@@ -7,12 +7,14 @@ returns each key's `path:line`.
 [gate] and [agent] take their keys and defaults from `GateConfig` and
 `SACConfig`, less the fields the CLI fills in from the dataset and pool.
 Command-line flags override file values which override the defaults.
+Building a section checks its fields ([gate] and [agent] by building a
+`GateConfig` or `SACConfig`); the CLI builds each again once it is set.
 """
 
 import math
 from dataclasses import dataclass, field, fields, make_dataclass
 
-from .checkpoint import read_ini
+from .checkpoint import at_least, must, read_ini
 from .gate import GateConfig
 from .sac import SACConfig
 
@@ -21,17 +23,24 @@ class ConfigError(ValueError):
     pass
 
 
-def _section(name: str, source, supplied: set, extra=()):
-    """Dataclass of `source`'s fields and defaults, less those in `supplied`."""
-    return make_dataclass(name, [(f.name, f.type, field(default=f.default))
-                                 for f in fields(source) if f.name not in supplied]
-                          + list(extra))
+def _section(name: str, source, supplied: dict, extra=()):
+    """Dataclass of `source`'s fields and defaults, less those in `supplied`.
+    Its `build(**others)` makes the `source` of its values and `others`;
+    building a section checks its values by a `build` with `supplied`'s."""
+    own = [f for f in fields(source) if f.name not in supplied]
+
+    def build(self, **others):
+        return source(**others, **{f.name: getattr(self, f.name) for f in own})
+    return make_dataclass(name, [(f.name, f.type, field(default=f.default)) for f in own]
+                          + list(extra),
+                          namespace={"build": build,
+                                     "__post_init__": lambda self: build(self, **supplied)})
 
 
 GateSection = _section("GateSection", GateConfig,
-                       {"num_experts", "head_mode", "num_classes"})
+                       {"num_experts": 1, "head_mode": "expert_weights", "num_classes": 0})
 # static_lambda "none" -> SAC agent, else a float
-AgentSection = _section("AgentSection", SACConfig, {"state_dim"},
+AgentSection = _section("AgentSection", SACConfig, {"state_dim": 1},
                         [("static_lambda", str, field(default="none"))])
 
 
@@ -39,6 +48,9 @@ AgentSection = _section("AgentSection", SACConfig, {"state_dim"},
 class ExpertsSection:
     specs: str = "oracle:0,oracle:1,oracle:2"
     hidden: int = 32
+
+    def __post_init__(self):
+        at_least(self, ConfigError, hidden=1)
 
 
 @dataclass
@@ -51,12 +63,21 @@ class TrainerSection:
     walks_train: int = 8
     walks_infer: int = 32
 
+    def __post_init__(self):
+        at_least(self, ConfigError, epochs=0, batch_size=1)
+        for name in ("gate_lr", "expert_lr"):
+            must(self, name, 0 < getattr(self, name) < math.inf, "be finite and > 0", ConfigError)
+        at_least(self, ConfigError, walks_train=1, walks_infer=1)
+
 
 @dataclass
 class DataSection:
     task: str = "classification"
     classes: int = 3
     per_class: int = 20
+
+    def __post_init__(self):
+        at_least(self, ConfigError, classes=1, per_class=1)
 
 
 @dataclass

@@ -40,6 +40,7 @@ from . import autodiff as ad
 from . import layers
 from .autodiff import Tensor
 from .blas import blas_threads
+from .checkpoint import at_least, must
 from .experts import predict_batch
 from .optim import fit
 from .rng import derive
@@ -65,13 +66,12 @@ class GateConfig:
     num_classes: int = 0
 
     def __post_init__(self):
-        if self.num_experts < 1:
-            raise GateError("need at least one expert")
-        if self.d_model % self.heads != 0:
-            raise GateError(f"d_model {self.d_model} must divide evenly into "
-                            f"{self.heads} heads")
+        at_least(self, GateError, num_experts=1, encoder_layers=0, decoder_layers=0,
+                 d_model=1, heads=1, ff_width=1, num_classes=0)
         if self.head_mode not in ("expert_weights", "class_imitation"):
             raise GateError(f"unknown head_mode: {self.head_mode}")
+        must(self, ("heads", "d_model"), self.d_model % self.heads == 0,
+             f"divide d_model {self.d_model}", GateError)
         if self.head_mode == "class_imitation" and self.num_classes < 2:
             raise GateError("class_imitation mode needs num_classes >= 2")
 

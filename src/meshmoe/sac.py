@@ -16,6 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from . import layers
 from .autodiff import Tensor
+from .checkpoint import at_least, blamed, must
 from .optim import Adam, descend
 from .rng import Rng, derive
 
@@ -48,15 +49,20 @@ class SACConfig:
     hidden: int = 64
 
     def __post_init__(self):
-        if not math.isfinite(self.lambda_min) or not math.isfinite(self.lambda_max):
-            raise ValueError(f"lambda range [{self.lambda_min}, {self.lambda_max}] is not finite")
+        at_least(self, state_dim=1)
+        must(self, "discount", 0 <= self.discount <= 1, "be in [0, 1]")
+        must(self, "tau", 0 < self.tau <= 1, "be in (0, 1]")
+        must(self, "lr", 0 < self.lr < math.inf, "be finite and > 0")
+        at_least(self, buffer_capacity=1, batch_size=1)
+        for name in ("lambda_min", "lambda_max"):
+            must(self, name, math.isfinite(getattr(self, name)), "be finite")
+        at_least(self, hidden=1)
         if self.lambda_min >= self.lambda_max:
-            raise ValueError(f"lambda range [{self.lambda_min}, {self.lambda_max}] is empty")
-        if self.state_dim < 1:
-            raise ValueError("state_dim must be >= 1")
+            raise blamed(ValueError(f"lambda range [{self.lambda_min}, {self.lambda_max}] "
+                                    f"is empty"), ("lambda_min", "lambda_max"))
         if self.buffer_capacity < self.batch_size:
-            raise ValueError(f"buffer_capacity {self.buffer_capacity} is below "
-                             f"batch_size {self.batch_size}")
+            raise blamed(ValueError(f"buffer_capacity {self.buffer_capacity} is below batch_size "
+                                    f"{self.batch_size}"), ("buffer_capacity", "batch_size"))
 
     @property
     def mid(self) -> float:

@@ -32,7 +32,7 @@ from . import autodiff as ad
 from .mesh import Mesh
 from .rng import derive_range, stream_words
 
-WALK_CHANNELS = 4  # xyz + jump flag, as `walk_features` builds them
+WALK_CHANNELS = 4  # xyz + jump flag, as `_features` builds them
 
 # Mesh -> its padded neighbor table; building the tables on every call made
 # a train_experts benchmark step about 4 % slower (2-core x86-64, one thread)
@@ -162,14 +162,6 @@ def extract_walks(mesh: Mesh, count: int, seed: int) -> list:
     """`count` independent walks, each on its own derived stream."""
     indices, flags = _walk_lanes([mesh], count, [seed])[0]
     return [Walk(i, f) for i, f in zip(indices.tolist(), flags.tolist())]
-
-
-def walk_features(mesh: Mesh, walks: list) -> np.ndarray:
-    """(W, L, WALK_CHANNELS) features of same-length walks: xyz plus jump flag."""
-    lengths = {len(w) for w in walks}
-    if len(lengths) != 1:
-        raise WalkError(f"walks have mixed lengths: {sorted(lengths)}")
-    return _features(mesh, [w.vertex_indices for w in walks], [w.jump_flags for w in walks])
 
 
 def walk_softmax_rows(features: list, run) -> list:

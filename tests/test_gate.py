@@ -19,8 +19,8 @@ from meshmoe.gate import (CHUNK_TOKENS, GateConfig, GateError,
 from meshmoe.gradcheck import check_gradients
 from meshmoe.rng import Rng, derive
 from meshmoe.synth import generate_classification_set
-from meshmoe.walks import walk_features, walk_length
-from walk_reference import extract_walk
+from meshmoe.walks import walk_length
+from walk_reference import extract_walk, walk_features
 
 TINY = GateConfig(num_experts=3, encoder_layers=2, decoder_layers=2,
                   d_model=8, heads=2, ff_width=16)
@@ -33,7 +33,7 @@ def gate_forward_walk(mesh, walk, params, config):
 
 
 def test_config_validation():
-    with pytest.raises(GateError, match="divide evenly"):
+    with pytest.raises(GateError, match="heads must divide d_model"):
         GateConfig(num_experts=2, d_model=10, heads=4)
     with pytest.raises(GateError, match="head_mode"):
         GateConfig(num_experts=2, head_mode="blend")

@@ -12,9 +12,9 @@ from meshmoe.autodiff import Tensor
 from meshmoe.mesh import build_mesh, mesh_from_edges, normalize_coordinates
 from meshmoe.rng import MASK64, derive
 from meshmoe.synth import MAX_CLASSES, generate_classification_set, generate_segmentation_set
-from meshmoe.walks import (WalkError, extract_walks, pick_below, walk_batch,
-                           walk_features, walk_length, walk_softmax_rows)
-from walk_reference import extract_walk, reference_walks
+from meshmoe.walks import (WalkError, extract_walks, pick_below, walk_batch, walk_length,
+                           walk_softmax_rows)
+from walk_reference import extract_walk, reference_walks, walk_features
 
 
 def make_path_mesh():

@@ -1,9 +1,12 @@
-"""The per-walk walker that `meshmoe.walks` batches: the reference its
-tests compare with, position by position in plain Python.
+"""The per-walk walker that `meshmoe.walks` batches, and the features it
+builds: the references its tests compare with, position by position in
+plain Python.
 
 `start` and `length` override the random start and the 40% length rule;
 fixtures use them to pin down specific walks.
 """
+
+import numpy as np
 
 from meshmoe.mesh import Mesh
 from meshmoe.rng import Rng, derive
@@ -42,3 +45,12 @@ def extract_walk(mesh: Mesh, seed: int, start: int | None = None,
 def reference_walks(mesh: Mesh, count: int, seed: int) -> list:
     """`count` walks, walk k on Rng(derive(seed, "walk", k)), one at a time."""
     return [extract_walk(mesh, derive(seed, "walk", k)) for k in range(count)]
+
+
+def walk_features(mesh: Mesh, walks: list) -> np.ndarray:
+    """(W, L, WALK_CHANNELS) features of same-length walks: xyz plus jump flag."""
+    lengths = {len(w) for w in walks}
+    if len(lengths) != 1:
+        raise WalkError(f"walks have mixed lengths: {sorted(lengths)}")
+    return np.array([[[*mesh.vertices[v], flag] for v, flag in zip(w.vertex_indices, w.jump_flags)]
+                     for w in walks], dtype=np.float64)
