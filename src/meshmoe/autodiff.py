@@ -14,8 +14,8 @@ topological order (iteratively, so deep recurrent chains cannot blow the
 recursion limit), freeing interior gradients and saved arrays once used;
 leaf gradients stay, and a second backward raises.  Broadcasting follows
 numpy; gradients are summed back over broadcast axes.  A tensor's first
-gradient contribution is stored as a copy and later ones are added in
-place.  No op reads global mutable state.  Fused layer ops with
+gradient contribution is stored as a copy, unless the op computed it
+for that parent alone, and later ones are added in place.  No op reads global mutable state.  Fused layer ops with
 hand-written backward passes (linear, layer norm, attention) live in
 `layers`, build their nodes with `_node` and `_accumulate`, and share
 softmax's `_exp_rows` forward and `_softmax_grad` backward.
@@ -94,14 +94,18 @@ def _topological_order(root: Tensor) -> list:
     return order
 
 
-def _accumulate(tensor: Tensor, grad: np.ndarray) -> None:
+def _accumulate(tensor: Tensor, grad: np.ndarray, owned: bool = False) -> None:
     # The first contribution is copied: it may be a view of the output
-    # cotangent that other parents receive too (add, reshape, ...).
-    if tensor.grad is None:
+    # cotangent that other parents receive too (add, reshape, ...).  An
+    # `owned` array, computed for this parent alone, is stored as it is
+    # when its dtype and shape already match.
+    if tensor.grad is not None:
+        tensor.grad += grad
+    elif owned and grad.dtype == tensor.data.dtype and grad.shape == tensor.data.shape:
+        tensor.grad = grad
+    else:
         tensor.grad = np.empty_like(tensor.data)
         tensor.grad[...] = grad
-    else:
-        tensor.grad += grad
 
 
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
@@ -204,7 +208,7 @@ def relu(a: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            _accumulate(a, g * (a.data > 0.0))
+            _accumulate(a, g * (a.data > 0.0), owned=True)
 
     return _node(out_data, (a,), backward)
 

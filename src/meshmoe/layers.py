@@ -67,7 +67,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     def backward(g):
         rows = g.reshape(-1, g.shape[-1])
         if x.requires_grad:
-            ad._accumulate(x, (rows @ w.data.T).reshape(x.data.shape))
+            ad._accumulate(x, (rows @ w.data.T).reshape(x.data.shape), owned=True)
         if w.requires_grad:
             ad._accumulate(w, x.data.reshape(-1, x.data.shape[-1]).T @ rows)
         if b is not None and b.requires_grad:
@@ -94,7 +94,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
             g_hat -= mean_g
             g_hat -= normed * mean_gx
             g_hat *= inv
-            ad._accumulate(x, g_hat)
+            ad._accumulate(x, g_hat, owned=True)
         if gain.requires_grad:
             ad._accumulate(gain, (rows * normed.reshape(rows.shape)).sum(axis=0))
         if bias.requires_grad:
@@ -157,13 +157,13 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     def backward(g):
         gh = _heads(g, heads)
         if v.requires_grad:
-            ad._accumulate(v, _merged(np.swapaxes(probs, -1, -2) @ gh))
+            ad._accumulate(v, _merged(np.swapaxes(probs, -1, -2) @ gh), owned=True)
         d_scores = ad._softmax_grad(gh @ np.swapaxes(vh, -1, -2), probs)
         d_scores *= scale
         if q.requires_grad:
-            ad._accumulate(q, _merged(d_scores @ kh))
+            ad._accumulate(q, _merged(d_scores @ kh), owned=True)
         if k.requires_grad:
-            ad._accumulate(k, _merged(np.swapaxes(d_scores, -1, -2) @ qh))
+            ad._accumulate(k, _merged(np.swapaxes(d_scores, -1, -2) @ qh), owned=True)
 
     return ad._node(out_data, (q, k, v), backward)
 
@@ -213,10 +213,10 @@ def query_attention(q: Tensor, memory: Tensor, wk: Tensor, wv: Tensor, vb: Tenso
         if memory.requires_grad:
             d_memory = np.swapaxes(probs, -1, -2) @ d_pooled
             d_memory += np.swapaxes(d_scores, -1, -2) @ folded
-            ad._accumulate(memory, d_memory)
+            ad._accumulate(memory, d_memory, owned=True)
         d_folded = (d_scores @ memory.data).reshape(*batch, heads, lq, d)
         if q.requires_grad:
-            ad._accumulate(q, _merged(d_folded @ wkh))
+            ad._accumulate(q, _merged(d_folded @ wkh), owned=True)
         if wk.requires_grad:
             ad._accumulate(wk, weight_grad(d_folded, qh))
 

@@ -7,6 +7,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from numpy.lib.array_utils import byte_bounds
 
 from meshmoe import autodiff as ad
 from meshmoe.autodiff import Tensor
@@ -426,6 +427,34 @@ def test_train_iteration_reaches_every_parameter():
     unread = [name for name, tensor in system_parameters(system).items()
               if tensor.grad is None]
     assert not unread
+
+
+def test_no_two_gradients_share_memory(monkeypatch):
+    """Fused ops hand their fresh input gradients over without a copy.  A
+    gradient stored that way must still belong to one tensor alone, or a
+    later in-place add to it would reach another tensor: every array any
+    tensor holds as `.grad` during a step's backward is its own."""
+    held = {}
+
+    def recording(tensor, grad, owned=False):
+        accumulate(tensor, grad, owned)
+        held[id(tensor)] = (tensor, tensor.grad)
+
+    accumulate = ad._accumulate
+    monkeypatch.setattr(ad, "_accumulate", recording)
+    data = tiny_dataset()
+    experts = build_experts(["walk_rnn", "face_mlp"], num_classes=2, seed=6, hidden=8)
+    system = build_system(experts, gate_config=TINY, seed=6)
+    view = replace(system, gate_params=compute_view(system.gate_params))
+    l_joint, _ = step_loss(view, data.train_meshes[:4], 0.3, seed=2)
+    l_joint.backward()
+    assert all(id(t) in held for t in system_parameters(system).values())
+    # pairs whose byte ranges overlap, then the exact test on those alone
+    grads = sorted(((byte_bounds(g), g) for _, g in held.values()), key=lambda p: p[0])
+    shared = [(i, k) for i, ((_, end), g) in enumerate(grads)
+              for k in range(i + 1, len(grads)) if grads[k][0][0] < end
+              and np.shares_memory(g, grads[k][1])]
+    assert len(grads) > 100 and shared == []
 
 
 def test_train_iteration_is_step_loss_backward_and_adam():
