@@ -14,11 +14,12 @@ topological order (iteratively, so deep recurrent chains cannot blow the
 recursion limit), freeing interior gradients and saved arrays once used;
 leaf gradients stay, and a second backward raises.  Broadcasting follows
 numpy; gradients are summed back over broadcast axes.  A tensor's first
-gradient contribution is stored as a copy, unless the op computed it
-for that parent alone, and later ones are added in place.  No op reads global mutable state.  Fused layer ops with
-hand-written backward passes (linear, layer norm, attention) live in
-`layers`, build their nodes with `_node` and `_accumulate`, and share
-softmax's `_exp_rows` forward and `_softmax_grad` backward.
+gradient contribution is stored as a copy, unless the op computed it for
+that parent alone, and later ones are added in place.  No op reads global
+mutable state.  Fused layer ops with hand-written backward passes
+(linear, layer norm, attention) live in `layers`, build their nodes with
+`_node` and `_accumulate`, and share softmax's `_exp_rows` forward and
+`_softmax_grad` backward.
 """
 
 import numpy as np

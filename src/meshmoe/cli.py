@@ -200,13 +200,14 @@ def _cmd_pretrain_experts(args) -> int:
         if not expert.trainable:
             print(f"{expert.name}: not trainable, skipped")
             continue
+        # zero epochs skip the fit, as `train` does
         history = train_expert_supervised(
             expert, dataset.train_meshes, epochs=cfg.trainer.epochs,
             batch_size=cfg.trainer.batch_size, lr=cfg.trainer.expert_lr,
-            seed=derive(cfg.seed, "pretrain", expert.name))
+            seed=derive(cfg.seed, "pretrain", expert.name)) if cfg.trainer.epochs else []
         rows += [[expert.name, e, loss] for e, loss in enumerate(history)]
         print(f"{expert.name}: loss {history[0]:.4f} -> {history[-1]:.4f} "
-              f"over {len(history)} epochs")
+              f"over {len(history)} epochs" if history else f"{expert.name}: 0 epochs")
     save_checkpoint(expert_parameters(experts), ckpt)
     with atomic_write(losses_csv) as fh:
         writer = csv.writer(fh)
@@ -233,10 +234,10 @@ def _cmd_pretrain_gate(args) -> int:
             params, imitation_config, expert, dataset.train_meshes,
             epochs=cfg.trainer.epochs, walk_count=cfg.trainer.walks_train,
             batch_size=cfg.trainer.batch_size, lr=cfg.trainer.gate_lr,
-            seed=derive(cfg.seed, "imit", j))
+            seed=derive(cfg.seed, "imit", j)) if cfg.trainer.epochs else []
         pretrained.append(params)
-        print(f"imitated {expert.name}: loss {history[0]:.4f} -> "
-              f"{history[-1]:.4f}")
+        print(f"imitated {expert.name}: loss {history[0]:.4f} -> {history[-1]:.4f}"
+              if history else f"imitated {expert.name}: 0 epochs")
     averaged = average_pretrained_gates(pretrained, imitation_config,
                                         derive(cfg.seed, "gate"))
     ckpt = os.path.join(out, "gate_init.ckpt")
@@ -319,10 +320,9 @@ def _cmd_eval(args) -> int:
 
 def _cmd_dump_walks(args) -> int:
     cfg, _, _ = _resolve_config(args)
-    if args.count < 1:
-        raise ConfigError(f"--count: count must be >= 1, got {args.count}")
     mesh = load_off(args.mesh_file)
-    walks = extract_walks(mesh, args.count, cfg.seed)
+    with _blame({("walks", "count"): "--count"}, "walks"):
+        walks = extract_walks(mesh, args.count, cfg.seed)
     lines = [f"{mesh.mesh_id} {len(walk)} "
              + " ".join(str(v) for v in walk.vertex_indices)
              for walk in walks]

@@ -7,6 +7,11 @@ experts for controlled routing tests.  Classification experts return a
 row-softmax matrix.  Oracles are frozen and per-mesh seeded: the same mesh
 always draws the same prediction regardless of training step.
 
+`predict_batch` gives a batch's predictions as one (N, C) tensor of rows
+plus each mesh's row count: a trainable expert's `rows` runs once over the
+batch (the walk-RNN once per walk length), and its `predict` is the
+one-mesh case.
+
 A mesh's geometry is fixed once it is built, so the face and edge
 experts' input arrays are built once per `Mesh` object, on first use, and
 shared read-only by every expert and every later step.
@@ -56,8 +61,8 @@ def face_normals(mesh: Mesh):
 class WalkRnnExpert:
     """GRU over 8 walks; per-walk class logits are averaged, then softmaxed.
 
-    `predict_batch` runs all walks of one walk length through one fused
-    `layers.gru_forward` node; `predict` is its one-mesh case.
+    `rows` runs all walks of one walk length through one fused
+    `layers.gru_forward` node, through `walk_softmax_rows` as the gate does.
     """
 
     kind = "walk_rnn"
@@ -75,12 +80,21 @@ class WalkRnnExpert:
                                               derive(seed, name, "head"))
         self.params["head.b"] = layers.zeros((num_classes,))
 
+    def rows(self, meshes: list, seeds: list) -> tuple:
+        def run(walks):
+            h = layers.gru_forward(Tensor(walks), self.params, "gru", self.hidden)
+            return layers.linear(h, self.params["head.w"], self.params["head.b"])
+
+        rows = walk_softmax_rows(walk_batch(meshes, self.walk_count, seeds), run)
+        return ad.stack(rows), [1] * len(meshes)
+
     def predict(self, mesh: Mesh, seed: int) -> Tensor:
-        return predict_batch(self, [mesh], [seed])[0]
+        return ad.reshape(self.rows([mesh], [seed])[0], (self.num_classes,))
 
 
 class _Perceptron:
-    """Two relu layers over a mesh's (N, `width`) input rows, then a head."""
+    """Two relu layers over every mesh's (N_i, `width`) input rows, run once
+    over the batch's concatenated rows, then a head."""
 
     trainable = True
     per_edge = False
@@ -97,17 +111,27 @@ class _Perceptron:
             "head.b": layers.zeros((num_classes,)),
         }
 
-    def _hidden(self, mesh: Mesh, build) -> Tensor:
-        """(N, hidden) activations of the rows `build(mesh)` makes."""
-        x = Tensor(_mesh_input(mesh, self.kind, build))
+    def _hidden(self, meshes: list, build) -> tuple:
+        """(sum N_i, hidden) activations of the rows `build(mesh)` makes for
+        every mesh, and each N_i."""
+        for mesh in meshes:
+            if getattr(mesh, f"{self.unit}_count") == 0:
+                raise ExpertError(f"{mesh.mesh_id}: {self.unit} expert needs {self.unit}s")
+        inputs = [_mesh_input(mesh, self.kind, build) for mesh in meshes]
+        x = Tensor(np.concatenate(inputs))
         h = ad.relu(layers.linear(x, self.params["mlp.w1"], self.params["mlp.b1"]))
-        return ad.relu(layers.linear(h, self.params["mlp.w2"], self.params["mlp.b2"]))
+        h = ad.relu(layers.linear(h, self.params["mlp.w2"], self.params["mlp.b2"]))
+        return h, [len(rows) for rows in inputs]
+
+    def _head(self, h: Tensor) -> Tensor:
+        return ad.softmax(layers.linear(h, self.params["head.w"], self.params["head.b"]))
 
 
 class FaceMlpExpert(_Perceptron):
     """Mean-pooled 2-layer perceptron over per-face (centroid, normal, area)."""
 
     kind = "face_mlp"
+    unit = "face"
     width = 7
 
     @staticmethod
@@ -116,19 +140,19 @@ class FaceMlpExpert(_Perceptron):
         normals, areas = face_normals(mesh)
         return np.concatenate([centroids, normals, areas], axis=1)
 
+    def rows(self, meshes: list, seeds: list | None = None) -> tuple:
+        h, counts = self._hidden(meshes, self.face_features)
+        return self._head(layers.segment_mean(h, counts)), [1] * len(meshes)
+
     def predict(self, mesh: Mesh, seed: int | None = None) -> Tensor:
-        if mesh.face_count == 0:
-            raise ExpertError(f"{mesh.mesh_id}: face expert needs faces")
-        pooled = ad.tmean(self._hidden(mesh, self.face_features), axis=0)
-        logits = layers.linear(ad.reshape(pooled, (1, -1)),
-                               self.params["head.w"], self.params["head.b"])
-        return ad.softmax(ad.reshape(logits, (self.num_classes,)))
+        return ad.reshape(self.rows([mesh])[0], (self.num_classes,))
 
 
 class EdgeSegmenterExpert(_Perceptron):
     """Per-edge perceptron over (length, dihedral proxy, midpoint height)."""
 
     kind = "edge_seg"
+    unit = "edge"
     width = 3
     per_edge = True
 
@@ -148,12 +172,12 @@ class EdgeSegmenterExpert(_Perceptron):
         features[:, 2] = midpoints[:, 2]
         return features
 
+    def rows(self, meshes: list, seeds: list | None = None) -> tuple:
+        h, counts = self._hidden(meshes, self.edge_features)
+        return self._head(h), counts                     # (sum E_i, S) rows
+
     def predict(self, mesh: Mesh, seed: int | None = None) -> Tensor:
-        if mesh.edge_count == 0:
-            raise ExpertError(f"{mesh.mesh_id}: edge expert needs edges")
-        h = self._hidden(mesh, self.edge_features)
-        logits = layers.linear(h, self.params["head.w"], self.params["head.b"])
-        return ad.softmax(logits)                        # (E, S) rows
+        return self.rows([mesh])[0]
 
 
 class OracleExpert:
@@ -202,22 +226,18 @@ class OracleExpert:
         return Tensor(probs)
 
 
-def predict_batch(expert, meshes: list, seeds: list) -> list:
-    """Each mesh's prediction, in input order; mesh i draws from `seeds[i]`.
-
-    A walk-RNN runs once per walk length over the stacked walks, through
-    `walk_softmax_rows` as the gate does; other experts mesh by mesh.
+def predict_batch(expert, meshes: list, seeds: list) -> tuple:
+    """Every mesh's prediction rows as one (N, C) tensor, in input order, and
+    each mesh's row count (1 for a class vector, E_i for per-edge rows);
+    mesh i draws from `seeds[i]`.  A trainable expert runs once over the
+    batch, an oracle mesh by mesh.
     """
     if len(meshes) != len(seeds):
         raise ExpertError(f"{len(meshes)} meshes but {len(seeds)} seeds")
-    if not isinstance(expert, WalkRnnExpert):
-        return [expert.predict(mesh, seed) for mesh, seed in zip(meshes, seeds)]
-
-    def run(walks):
-        h = layers.gru_forward(Tensor(walks), expert.params, "gru", expert.hidden)
-        return layers.linear(h, expert.params["head.w"], expert.params["head.b"])
-
-    return walk_softmax_rows(walk_batch(meshes, expert.walk_count, seeds), run)
+    if expert.trainable:
+        return expert.rows(meshes, seeds)
+    return (Tensor(np.stack([expert.predict(mesh, seed).data
+                             for mesh, seed in zip(meshes, seeds)])), [1] * len(meshes))
 
 
 def make_expert(spec: str, name: str, num_classes: int, seed: int, hidden: int = 32):
@@ -257,13 +277,18 @@ def mesh_target(mesh: Mesh, per_edge: bool):
     return target
 
 
-def stacked_rows(expert_predictions: list):
-    """Every expert's probability rows as one (J, N, C) tensor, plus the
-    constant (N, B) matrix that averages each mesh's rows.
+def mesh_average(counts: list) -> Tensor:
+    """The constant (N, B) matrix that averages each mesh's rows, given each
+    mesh's row count: a row weighs 1 / (rows in its mesh), so a mesh counts
+    once whatever its edge count."""
+    return Tensor(np.repeat(np.eye(len(counts)) / counts, counts, axis=0))
 
-    A (C,) class vector is one row and an (E_i, S) edge matrix is E_i rows;
-    each row is weighted by 1 / (rows in its mesh), so a mesh counts once
-    whatever its edge count.
+
+def stacked_rows(expert_predictions: list):
+    """`expert_predictions[i][j]`, expert j's prediction for mesh i, as one
+    (J, N, C) tensor of rows, plus its `mesh_average`.
+
+    A (C,) class vector is one row and an (E_i, S) edge matrix is E_i rows.
     """
     num_experts = len(expert_predictions[0])
     if any(len(preds) != num_experts for preds in expert_predictions):
@@ -271,14 +296,13 @@ def stacked_rows(expert_predictions: list):
     counts = [int(np.prod(preds[0].shape[:-1])) for preds in expert_predictions]
     rows = ad.stack([ad.reshape(ad.concat(list(column)), (-1, column[0].shape[-1]))
                      for column in zip(*expert_predictions)])
-    average = np.repeat(np.eye(len(counts)) / counts, counts, axis=0)
-    return rows, Tensor(average)
+    return rows, mesh_average(counts)
 
 
-def mesh_cross_entropy(expert_predictions: list, targets: list) -> Tensor:
-    """(J, B) cross-entropy of expert j on mesh i (`expert_predictions[i][j]`),
-    one over the stacked rows, then each mesh's rows averaged."""
-    rows, average = stacked_rows(expert_predictions)
+def mesh_cross_entropy(rows: Tensor, average: Tensor, targets: list) -> Tensor:
+    """(J, B) cross-entropy of every expert on every mesh, from the (J, N, C)
+    rows and their (N, B) `average`: one over all rows, then each mesh's
+    rows averaged.  `targets[i]` is mesh i's `mesh_target`."""
     target_rows = np.concatenate([np.reshape(t, -1) for t in targets])
     ce = layers.cross_entropy(rows, np.broadcast_to(target_rows, rows.shape[:-1]))
     return ad.matmul(ce, average)
@@ -293,10 +317,11 @@ def train_expert_supervised(expert, meshes: list, epochs: int = 10,
         raise ExpertError(f"{expert.name} is not trainable")
 
     def batch_loss(batch, epoch):
-        preds = predict_batch(expert, batch, [derive(seed, "walks", epoch, m.mesh_id)
-                                              for m in batch])
+        rows, counts = predict_batch(expert, batch, [derive(seed, "walks", epoch, m.mesh_id)
+                                                     for m in batch])
         targets = [mesh_target(mesh, expert.per_edge) for mesh in batch]
-        return ad.tmean(mesh_cross_entropy([[pred] for pred in preds], targets))
+        return ad.tmean(mesh_cross_entropy(ad.reshape(rows, (1, *rows.shape)),
+                                           mesh_average(counts), targets))
 
     return fit(expert.params, meshes, batch_loss, epochs, batch_size, lr, seed)
 

@@ -233,8 +233,8 @@ def pretrain_imitation(gate_params: dict, config: GateConfig, expert, meshes: li
         raise GateError(f"expert {expert.name} predicts per-edge rows, which gate "
                         f"imitation (one class vector per mesh) cannot match")
     seeds = [derive(seed, "target", mesh.mesh_id) for mesh in meshes]
-    targets = {mesh.mesh_id: row.data
-               for mesh, row in zip(meshes, predict_batch(expert, meshes, seeds))}
+    targets = dict(zip((mesh.mesh_id for mesh in meshes),
+                       predict_batch(expert, meshes, seeds)[0].data))
 
     def batch_loss(batch, epoch):
         return imitation_loss(compute_view(gate_params), config, batch,

@@ -1,13 +1,13 @@
 """Differentiable layers: linear, layer norm, attention, GRU, losses.
 
 Shapes use trailing (sequence, feature) axes so batch axes broadcast.
-`linear`, `layer_norm`, `multi_head_attention`, `query_attention` and
-`gru_forward` are fused: each is one autodiff node with a hand-written
-backward, so a self-attention block adds 12 graph nodes and keeps one
-(heads, Lq, Lk) probability buffer alive (a grad-free call keeps none and
-never normalises it), and a GRU over L steps is one node that keeps
-h_prev, z, r, r * h_prev and n for each step.  A
-cross-attention block adds 10 nodes: `query_attention` folds the key
+`linear`, `segment_mean`, `layer_norm`, `multi_head_attention`,
+`query_attention` and `gru_forward` are fused: each is one autodiff node
+with a hand-written backward, so a self-attention block adds 12 graph
+nodes and keeps one (heads, Lq, Lk) probability buffer alive (a
+grad-free call keeps none and never normalises it), and a GRU over L
+steps is one node that keeps h_prev, z, r, r * h_prev and n for each
+step.  A cross-attention block adds 10 nodes: `query_attention` folds the key
 projection into its short query and projects the pooled memory, so it
 keeps no (..., Lk, d) key or value array.
 A 2-D weight under a batched input gets its gradient from one GEMM over
@@ -74,6 +74,22 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
             ad._accumulate(b, rows.sum(axis=0))
 
     return ad._node(out_data, (x, w) if b is None else (x, w, b), backward)
+
+
+def segment_mean(x: Tensor, counts: list) -> Tensor:
+    """(len(counts), d) means of x's consecutive (counts[i], d) row blocks,
+    as one node.  Each block is summed on its own, as `tmean` would sum it."""
+    bounds = np.cumsum([0, *counts])
+    scale = 1.0 / np.array(counts)[:, None]
+    out_data = np.stack([x.data[lo:hi].sum(axis=0)
+                         for lo, hi in zip(bounds[:-1], bounds[1:])])
+    out_data *= scale
+
+    def backward(g):
+        if x.requires_grad:
+            ad._accumulate(x, np.repeat(g * scale, counts, axis=0), owned=True)
+
+    return ad._node(out_data, (x,), backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:

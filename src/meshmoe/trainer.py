@@ -1,8 +1,9 @@
 """Mixture-of-experts training environment.
 
 Each iteration runs the gate and every expert on a mesh batch (the gate
-and each walk-RNN once per walk length), routes each mesh to its
-argmax-weight expert, and optimizes a joint objective
+and each walk-RNN once per walk length, the other trainable experts once
+over the batch), routes each mesh to its argmax-weight expert, and
+optimizes a joint objective
 
     L_joint = lambda_t * L_sim + L_div
 
@@ -10,16 +11,16 @@ where L_sim sums pairwise divergences between expert predictions (pushing
 experts together for lambda > 0, apart for lambda < 0) and L_div is the
 gate-weighted cross-entropy of every expert.  Both losses work on one
 (J, N, C) stack of every expert's probability rows (a class vector is one
-row, an edge matrix one row per edge): L_sim is one broadcast divergence
-over all ordered expert pairs, L_div pre-training's cross-entropy, and a
-constant (N, B) matrix averages each mesh's rows.  The batch-mean gate
-weights form the agent's state s_t and the batch's task metric its reward
-r_t; the agent answers with the next coefficient lambda.  Inference routes
-with 32 walks and returns the chosen expert's prediction alone; no
-coefficient involved.  `task_scores` is the one scorer of routed
-predictions, for the reward and for evaluation alike; `step_loss` the one
-builder of L_joint, for training and the gradient battery alike.
-`train_iteration` and `inference` run the gate body on
+row, an edge matrix one row per edge), built once per step: L_sim is one
+broadcast divergence over all ordered expert pairs, L_div pre-training's
+cross-entropy, and a constant (N, B) matrix averages each mesh's rows.
+The batch-mean gate weights form the agent's state s_t and the batch's
+task metric its reward r_t; the agent answers with the next coefficient
+lambda.  Inference routes with 32 walks and returns the chosen expert's
+prediction alone; no coefficient involved.  `task_scores` is the one
+scorer of routed predictions, for the reward and for evaluation alike;
+`step_loss` the one builder of L_joint, for training and the gradient
+battery alike.  `train_iteration` and `inference` run the gate body on
 `gate.compute_view`; the gate's parameters, gradients and Adam moments,
 the losses and the experts stay float64.
 """
@@ -35,8 +36,8 @@ from . import autodiff as ad
 from . import layers
 from .autodiff import Tensor
 from .checkpoint import atomic_write, copy_into, load_checkpoint, save_checkpoint
-from .experts import (expert_parameters, mesh_cross_entropy, mesh_target,
-                      predict_batch, stacked_rows)
+from .experts import (expert_parameters, mesh_average, mesh_cross_entropy,
+                      mesh_target, predict_batch, stacked_rows)
 from .gate import (GateConfig, compute_view, gate_forward_batch, gate_forward_mesh,
                    gate_parameters, init_gate_params)
 from .mesh import TASKS
@@ -119,7 +120,13 @@ def expert_chooser(per_mesh_weights: np.ndarray, expert_predictions: list):
 
 
 def similarity_loss(expert_predictions: list, kind: str = "kld") -> Tensor:
-    """Batch-mean sum of divergences over ordered expert pairs.
+    """`stack_similarity` of expert j's prediction for mesh i, `[i][j]`."""
+    return stack_similarity(*stacked_rows(expert_predictions), kind)
+
+
+def stack_similarity(rows: Tensor, average: Tensor, kind: str = "kld") -> Tensor:
+    """Batch-mean sum of divergences over ordered expert pairs, from every
+    expert's (J, N, C) rows and their (N, B) `mesh_average`.
 
     All pairs come from one broadcast of the (J, 1, N, C) rows against the
     (1, J, N, C) rows, with the j == w diagonal masked out.  Zero when all
@@ -128,13 +135,9 @@ def similarity_loss(expert_predictions: list, kind: str = "kld") -> Tensor:
     """
     if kind not in SIM_KINDS:
         raise TrainerError(f"unknown similarity kind {kind!r}; expected {SIM_KINDS}")
-    if kind == "none" or not expert_predictions:
+    num_experts, num_rows, num_classes = rows.shape
+    if kind == "none" or num_experts < 2:
         return Tensor(0.0)
-    num_experts = len(expert_predictions[0])
-    if num_experts < 2:
-        return Tensor(0.0)
-    rows, average = stacked_rows(expert_predictions)
-    _, num_rows, num_classes = rows.shape
     p = ad.reshape(rows, (num_experts, 1, num_rows, num_classes))
     q = ad.reshape(rows, (1, num_experts, num_rows, num_classes))
     if kind == "kld":
@@ -151,12 +154,28 @@ def similarity_loss(expert_predictions: list, kind: str = "kld") -> Tensor:
     per_mesh = ad.matmul(per_row, average)                      # (J, J, B)
     off_diagonal = Tensor((1.0 - np.eye(num_experts))[:, :, None])
     total = ad.tsum(ad.mul(per_mesh, off_diagonal))
-    return ad.div(total, Tensor(float(len(expert_predictions))))
+    return ad.div(total, Tensor(float(average.shape[1])))
 
 
 def diversity_loss(gate_weight_rows: list, expert_predictions: list,
                    targets: list) -> Tensor:
-    """Batch-mean of gate-weighted expert cross-entropies.
+    """`stack_diversity` of expert j's prediction for mesh i, `[i][j]`, once
+    each mesh's pieces are checked to agree."""
+    if not (len(gate_weight_rows) == len(expert_predictions) == len(targets)):
+        raise TrainerError("batch pieces disagree in length")
+    for weights, preds, target in zip(gate_weight_rows, expert_predictions, targets):
+        if weights.shape != (len(preds),):
+            raise TrainerError(f"gate row shape {weights.shape} vs {len(preds)} experts")
+        if np.shape(target) != preds[0].shape[:-1]:
+            raise TrainerError(
+                f"target shape {np.shape(target)} vs prediction rows {preds[0].shape[:-1]}")
+    return stack_diversity(gate_weight_rows, *stacked_rows(expert_predictions), targets)
+
+
+def stack_diversity(gate_weight_rows: list, rows: Tensor, average: Tensor,
+                    targets: list) -> Tensor:
+    """Batch-mean of gate-weighted expert cross-entropies, from every
+    expert's (J, N, C) rows and their (N, B) `mesh_average`.
 
     `gate_weight_rows[i]` is the (J,) gate output for mesh i (kept in the
     graph so the gate learns which expert is cheap to trust).  One
@@ -165,16 +184,7 @@ def diversity_loss(gate_weight_rows: list, expert_predictions: list,
     then over meshes, and divided by B last, so one-hot gate rows give
     exactly the batch mean of the chosen expert's cross-entropy.
     """
-    if not (len(gate_weight_rows) == len(expert_predictions) == len(targets)):
-        raise TrainerError("batch pieces disagree in length")
-    for weights, preds, target in zip(gate_weight_rows, expert_predictions, targets):
-        if weights.shape != (len(preds),):
-            raise TrainerError(
-                f"gate row shape {weights.shape} vs {len(preds)} experts")
-        if np.shape(target) != preds[0].shape[:-1]:
-            raise TrainerError(f"target shape {np.shape(target)} vs "
-                               f"prediction rows {preds[0].shape[:-1]}")
-    per_mesh = mesh_cross_entropy(expert_predictions, targets)     # (J, B)
+    per_mesh = mesh_cross_entropy(rows, average, targets)          # (J, B)
     weighted = ad.mul(ad.stack(gate_weight_rows, axis=1), per_mesh)
     total = ad.tsum(ad.tsum(weighted, axis=0))
     return ad.div(total, Tensor(float(len(targets))))
@@ -212,16 +222,15 @@ def task_scores(task: str, meshes: list, predictions: list) -> dict:
 
 
 def batch_reward(task: str, meshes: list, chosen_predictions: list) -> float:
-    """The routed predictions' reward metric: the first of `task_scores`."""
-    scores = task_scores(task, meshes, [p.data for p in chosen_predictions])
-    return next(iter(scores.values()))
+    """The routed prediction arrays' reward metric: the first of `task_scores`."""
+    return next(iter(task_scores(task, meshes, chosen_predictions).values()))
 
 
-def _expert_predictions(experts: list, meshes: list, seed: int) -> list:
-    """`[i][j]`: expert j's prediction for mesh i, from `predict_batch`."""
+def _expert_rows(experts: list, meshes: list, seed: int) -> tuple:
+    """The experts' `predict_batch` rows as one (J, N, C) stack, and the row counts."""
     columns = [predict_batch(e, meshes, [derive(seed, "expert", e.name, m.mesh_id)
                                          for m in meshes]) for e in experts]
-    return [list(row) for row in zip(*columns)]
+    return ad.stack([rows for rows, _ in columns]), columns[0][1]
 
 
 def step_loss(system: MoESystem, batch: list, lambda_t: float, seed: int,
@@ -229,8 +238,9 @@ def step_loss(system: MoESystem, batch: list, lambda_t: float, seed: int,
     """The joint loss of one training step and what it hands the agent.
 
     The gate and each walk-RNN expert run once per walk length in the
-    batch (`gate_forward_batch`, `predict_batch`); each mesh's row equals
-    its one-mesh row.  Every other expert predicts mesh by mesh.  Returns
+    batch, every other trainable expert once.  Both losses read one
+    (J, N, C) stack of the experts' rows and one `mesh_average`; the
+    chooser and the reward read each mesh's slice of the stack.  Returns
     (L_joint, BatchOutcome); the reward scores the current parameters.
     """
     if not batch:
@@ -238,14 +248,18 @@ def step_loss(system: MoESystem, batch: list, lambda_t: float, seed: int,
     gate_rows = gate_forward_batch(
         batch, system.walks_train, system.gate_params, system.gate_config,
         [derive(seed, "gate", mesh.mesh_id) for mesh in batch])
-    predictions = _expert_predictions(system.experts, batch, seed)
+    rows, counts = _expert_rows(system.experts, batch, seed)
+    per_edge = system.task == "segmentation"
+    predictions = [piece if per_edge else piece[:, 0]           # (J, E_i, S) or (J, C)
+                   for piece in np.split(rows.data, np.cumsum(counts)[:-1], axis=1)]
     per_mesh_weights = np.stack([row.data for row in gate_rows])
     chosen, picked = expert_chooser(per_mesh_weights, predictions)
     reward = batch_reward(system.task, batch, picked)
 
-    targets = [mesh_target(mesh, system.task == "segmentation") for mesh in batch]
-    l_sim = similarity_loss(predictions, sim_kind)
-    l_div = diversity_loss(gate_rows, predictions, targets)
+    targets = [mesh_target(mesh, per_edge) for mesh in batch]
+    average = mesh_average(counts)
+    l_sim = stack_similarity(rows, average, sim_kind)
+    l_div = stack_diversity(gate_rows, rows, average, targets)
     l_joint = joint_loss(l_sim, l_div, lambda_t)
     values = (float(l_sim.data), float(l_div.data), float(l_joint.data))
     if not np.isfinite(values[2]):
@@ -368,8 +382,8 @@ def evaluate_classification(system: MoESystem, meshes: list, seed: int = 0) -> d
 
 def evaluate_ensemble(system: MoESystem, meshes: list, seed: int = 0) -> dict:
     """Hard-voting baseline over all experts, bypassing the gate."""
-    predicted = hard_voting_ensemble(np.asarray([
-        [p.data for p in row] for row in _expert_predictions(system.experts, meshes, seed)]))
+    rows, _ = _expert_rows(system.experts, meshes, seed)
+    predicted = hard_voting_ensemble(np.swapaxes(rows.data, 0, 1))
     truth = [m.class_label for m in meshes]
     return {"accuracy": mean_instance_accuracy(predicted.tolist(), truth),
             "predicted": predicted.tolist()}

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .checkpoint import blamed
 from .mesh import Mesh
 from .rng import derive_range, stream_words
 
@@ -85,7 +86,7 @@ def _neighbor_table(mesh: Mesh) -> np.ndarray:
 def _walk_lanes(meshes: list, count: int, seeds: list) -> list:
     """Each mesh's (W, L) int64 vertex indices and (W, L) bool jump flags."""
     if count < 1:
-        raise WalkError("walk count must be >= 1")
+        raise blamed(WalkError(f"count must be >= 1, got {count}"), "count")
     if len(meshes) != len(seeds):
         raise WalkError(f"{len(meshes)} meshes but {len(seeds)} seeds")
     if not meshes:

@@ -14,7 +14,8 @@ from meshmoe.autodiff import Tensor
 from meshmoe.experts import (EdgeSegmenterExpert, ExpertError, FaceMlpExpert,
                              OracleExpert, WalkRnnExpert, build_experts,
                              face_normals, make_expert, mesh_cross_entropy,
-                             mesh_target, predict_batch, train_expert_supervised)
+                             mesh_target, predict_batch, stacked_rows,
+                             train_expert_supervised)
 from meshmoe.gate import GateConfig
 from meshmoe.mesh import build_mesh, mesh_from_edges
 from meshmoe.optim import Adam
@@ -82,11 +83,10 @@ def test_batched_walk_rnn_rows_equal_one_mesh_predict():
     assert len({walk_length(m.vertex_count) for m in meshes}) == 5
     for expert in build_experts(["walk_rnn", "walk_rnn"], 5, seed=3):
         seeds = [derive(8, expert.name, m.mesh_id) for m in meshes]
-        rows = predict_batch(expert, meshes, seeds)
-        assert len(rows) == len(meshes)
-        for row, mesh, seed in zip(rows, meshes, seeds):
-            assert row.shape == (5,)
-            assert np.array_equal(row.data, expert.predict(mesh, seed).data)
+        rows, counts = predict_batch(expert, meshes, seeds)
+        assert rows.shape == (len(meshes), 5) and counts == [1] * len(meshes)
+        for row, mesh, seed in zip(rows.data, meshes, seeds):
+            assert np.array_equal(row, expert.predict(mesh, seed).data)
 
 
 def test_batched_gru_gradients_match_the_per_mesh_sum():
@@ -100,15 +100,54 @@ def test_batched_gru_gradients_match_the_per_mesh_sum():
     def gradients(rows):
         for tensor in expert.params.values():
             tensor.grad = None
-        ad.tsum(ad.mul(ad.stack(rows), weights)).backward()
+        ad.tsum(ad.mul(rows, weights)).backward()
         return {name: tensor.grad for name, tensor in expert.params.items()}
 
-    batched = gradients(predict_batch(expert, meshes, seeds))
-    per_mesh = gradients([expert.predict(m, s) for m, s in zip(meshes, seeds)])
+    batched = gradients(predict_batch(expert, meshes, seeds)[0])
+    per_mesh = gradients(ad.stack([expert.predict(m, s) for m, s in zip(meshes, seeds)]))
     assert batched.keys() == per_mesh.keys()
     for name, grad in batched.items():
         assert grad.shape == per_mesh[name].shape
         assert np.allclose(grad, per_mesh[name], rtol=1e-12, atol=0.0), name
+
+
+# ------------------------------------------------ batched perceptrons
+
+def mixed_sizes():
+    """Ten family meshes of five face and edge counts, interleaved, then two
+    segmentation meshes."""
+    return mixed_lengths() + generate_segmentation_set(4, seed=11).meshes[:2]
+
+
+def test_batched_edge_seg_rows_equal_one_mesh_predict():
+    """Every GEMM of the edge segmenter has a row per edge, alone or in a
+    batch, and a row's bits do not depend on how many rows share its GEMM."""
+    meshes = mixed_sizes()
+    expert = EdgeSegmenterExpert("e", 3, seed=4)
+    rows, counts = predict_batch(expert, meshes, [0] * len(meshes))
+    assert counts == [m.edge_count for m in meshes] and len(set(counts)) > 4
+    assert rows.shape == (sum(counts), 3)
+    bounds = np.cumsum([0, *counts])
+    for mesh, lo, hi in zip(meshes, bounds[:-1], bounds[1:]):
+        assert np.array_equal(rows.data[lo:hi], expert.predict(mesh).data), mesh.mesh_id
+
+
+def test_batched_face_mlp_rows_equal_one_mesh_predict_to_rounding():
+    """The face rows and each mesh's pooled row are bit-equal in and out of a
+    batch, but the head multiplies one pooled row per mesh: numpy takes a
+    single row through a matrix-vector product, whose rounding differs
+    from a row of a matrix product.  So one-mesh `predict` agrees to an
+    ulp or so, and a mesh's row is bit-equal in every batch of two or more."""
+    meshes = mixed_sizes()[:10]
+    assert len({m.face_count for m in meshes}) == 5
+    expert = FaceMlpExpert("f", 5, seed=4)
+    rows, counts = predict_batch(expert, meshes, [0] * len(meshes))
+    assert rows.shape == (len(meshes), 5) and counts == [1] * len(meshes)
+    for k in range(0, len(meshes), 2):
+        pair, _ = predict_batch(expert, meshes[k:k + 2], [0, 0])
+        assert np.array_equal(pair.data, rows.data[k:k + 2])
+    for mesh, row in zip(meshes, rows.data):
+        np.testing.assert_allclose(row, expert.predict(mesh).data, rtol=1e-15, atol=0)
 
 
 def test_predict_batch_rejects_mismatched_seeds():
@@ -204,23 +243,27 @@ def test_imitation_targets_equal_one_mesh_predict(monkeypatch):
 @pytest.mark.parametrize("specs", [["walk_rnn", "face_mlp", "face_mlp"],
                                    ["edge_seg", "edge_seg"]],
                          ids=["face_mlp", "edge_seg"])
-def test_train_iteration_predicts_per_mesh_experts_once_per_mesh(specs, monkeypatch):
-    """Face and edge experts keep their per-mesh `predict` calls (their
-    bits and their benchmark spans); the walk-RNN never calls `predict`."""
+def test_train_iteration_runs_each_expert_once_per_batch(specs, monkeypatch):
+    """A training step runs every trainable expert once over the whole
+    batch (`rows`) and never calls the one-mesh `predict`."""
     from meshmoe.trainer import train_iteration
     data = (generate_segmentation_set(per_class=4, seed=6) if "edge_seg" in specs
             else generate_classification_set(5, 4, seed=11))
     system, gate_opt, opts = _iteration_system(specs, data)
     calls = []
     for cls in (WalkRnnExpert, FaceMlpExpert, EdgeSegmenterExpert):
-        def counting(self, mesh, seed=None, real=cls.predict):
-            calls.append(self.name)
+        def predicting(self, mesh, seed=None, real=cls.predict):
+            calls.append(("predict", self.name))
             return real(self, mesh, seed)
-        monkeypatch.setattr(cls, "predict", counting)
+
+        def batched(self, meshes, seeds, real=cls.rows):
+            calls.append(("rows", self.name, len(meshes)))
+            return real(self, meshes, seeds)
+        monkeypatch.setattr(cls, "predict", predicting)
+        monkeypatch.setattr(cls, "rows", batched)
     batch = data.train_meshes[:5]
     train_iteration(system, batch, 0.5, gate_opt, opts, seed=4)
-    assert sorted(calls) == sorted(e.name for e in system.experts
-                                   if e.kind != "walk_rnn" for _ in batch)
+    assert calls == [("rows", e.name, len(batch)) for e in system.experts]
 
 
 def test_face_mlp_output_contract(tetrahedron):
@@ -513,7 +556,7 @@ def test_one_target_rule_dispatches_on_the_row_layout(tetrahedron):
     assert mesh_target(tetrahedron, per_edge=True) is tetrahedron.edge_labels
     for expert in (FaceMlpExpert("f", 3, seed=1), EdgeSegmenterExpert("e", 2, seed=1)):
         pred, target = expert.predict(tetrahedron), mesh_target(tetrahedron, expert.per_edge)
-        ce = mesh_cross_entropy([[pred]], [target])
+        ce = mesh_cross_entropy(*stacked_rows([[pred]]), [target])
         assert ce.shape == (1, 1)
         rows = np.reshape(pred.data, (-1, pred.shape[-1]))
         picked = rows[np.arange(len(rows)), np.reshape(target, -1)]

@@ -449,7 +449,7 @@ def test_pretrain_imitation_loss_history_is_pinned():
     history = pretrain_imitation(init_gate_params(cfg, seed=6), cfg, expert,
                                  meshes, epochs=2, walk_count=2, batch_size=4,
                                  lr=1e-2, seed=7)
-    assert history == [0.09071021262829192, 0.041727463995065966]
+    assert history == [0.09071021262829192, 0.04172746399506595]
 
 
 def test_pretraining_runs_a_float32_body_on_float64_state(monkeypatch):

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.lib.array_utils import byte_bounds
 
-from meshmoe import autodiff as ad
+from meshmoe import autodiff as ad, trainer
 from meshmoe.autodiff import Tensor
 from meshmoe.checkpoint import CheckpointError
 from meshmoe.experts import build_experts
-from meshmoe.gate import GateConfig, compute_view, gate_forward_mesh
+from meshmoe.experts import mesh_average
+from meshmoe.gate import GateConfig, compute_view, gate_forward_batch, gate_forward_mesh
 from meshmoe.gradcheck import check_gradients
 from meshmoe.layers import PROB_FLOOR, cross_entropy
 from meshmoe.metrics import mean_instance_accuracy
@@ -26,7 +27,8 @@ from meshmoe.trainer import (BatchOutcome, MoESystem, TrainerError,
                              evaluate_classification, evaluate_ensemble,
                              expert_chooser, hard_voting_ensemble, inference,
                              joint_loss, load_system, save_system,
-                             similarity_loss, step_loss, system_parameters,
+                             similarity_loss, stack_diversity, stack_similarity,
+                             step_loss, system_parameters,
                              task_scores, train_iteration, train_run)
 from meshmoe.walks import walk_length
 
@@ -314,6 +316,81 @@ def test_losses_build_no_per_pair_subgraphs():
     assert max(counts[0]) <= 2 * 16 * num_experts
 
 
+@pytest.mark.parametrize("task", ["classification", "segmentation"])
+@pytest.mark.parametrize("kind", ["kld", "mse", "cosine"])
+def test_stack_fed_losses_equal_the_list_wrappers(task, kind):
+    """`step_loss` feeds both losses one (J, N, C) stack; the list-taking
+    wrappers stack the same rows themselves.  Values and gradients agree to
+    the bit."""
+    preds, weights, targets = loss_batch(task)
+    counts = [int(np.prod(p[0].shape[:-1])) for p in preds]
+    width = preds[0][0].shape[-1]
+    stack = Tensor(np.stack([np.concatenate([np.reshape(p[j].data, (-1, width)) for p in preds])
+                             for j in range(3)]), requires_grad=True)
+    listed = [p for mesh_preds in preds for p in mesh_preds]
+
+    def run(loss_fn, leaves):
+        for leaf in leaves + weights:
+            leaf.grad = None
+        loss = loss_fn()
+        loss.backward()
+        return loss.data, [leaf.grad for leaf in leaves + weights]
+
+    for stacked, wrapped in [
+            (lambda: stack_similarity(stack, mesh_average(counts), kind),
+             lambda: similarity_loss(preds, kind)),
+            (lambda: stack_diversity(weights, stack, mesh_average(counts), targets),
+             lambda: diversity_loss(weights, preds, targets))]:
+        got, got_grads = run(stacked, [stack])
+        want, want_grads = run(wrapped, listed)
+        assert got.tobytes() == want.tobytes()
+        bounds = np.cumsum([0, *counts])
+        per_mesh = [g.reshape(p[0].shape) for p, lo, hi in zip(preds, bounds[:-1], bounds[1:])
+                    for g in got_grads[0][:, lo:hi]]
+        raw = [None if g is None else g.tobytes() for g in per_mesh + got_grads[1:]]
+        assert raw == [None if g is None else g.tobytes() for g in want_grads]
+
+
+@pytest.mark.parametrize("specs, task", [(["face_mlp"] * 3, "classification"),
+                                         (["edge_seg"] * 2, "segmentation")],
+                         ids=["face_mlp", "edge_seg"])
+def test_step_loss_graph_past_the_gate_does_not_grow_with_the_batch(specs, task,
+                                                                    monkeypatch):
+    """Past the gate's per-mesh rows, a step builds a fixed number of nodes:
+    each perceptron expert runs once over the batch and both losses read
+    one stack of their rows.  One reshape per (mesh, expert) made it grow
+    with B, and mesh-by-mesh experts added a subgraph per mesh."""
+    data = (generate_segmentation_set(per_class=11, seed=3) if task == "segmentation"
+            else generate_classification_set(classes=4, per_class=8, seed=3))
+    experts = build_experts(specs, num_classes=data.num_classes, seed=6, hidden=8)
+    system = build_system(experts, task=task, gate_config=replace(
+        TINY, num_experts=len(specs)), seed=6)
+
+    def reachable(roots):
+        seen, stack = {id(r) for r in roots}, list(roots)
+        while stack:
+            for parent in stack.pop()._parents:
+                if id(parent) not in seen:
+                    seen.add(id(parent))
+                    stack.append(parent)
+        return seen
+
+    gate_rows = []
+
+    def recording(*args):
+        gate_rows[:] = gate_forward_batch(*args)
+        return gate_rows
+
+    monkeypatch.setattr(trainer, "gate_forward_batch", recording)
+    counts = []
+    for batch in (16, 32):
+        meshes = data.meshes[:batch]
+        assert len(meshes) == batch
+        l_joint, _ = step_loss(system, meshes, 0.3, seed=2)
+        counts.append(len(reachable([l_joint]) - reachable(gate_rows)))
+    assert counts[0] == counts[1] <= 15 * len(specs) + 35
+
+
 @given(ls=st.floats(-100, 100), ld=st.floats(-100, 100))
 @settings(deadline=None, max_examples=60)
 def test_joint_zero_lambda_is_div_bit_exact(ls, ld):
@@ -380,7 +457,7 @@ def test_all_correct_batch_scores_one():
     # force routing to the specialist for every mesh
     weights = np.tile(np.array([[1.0, 0.0]]), (len(class0), 1))
     _, picked = expert_chooser(weights, preds)
-    assert batch_reward("classification", class0, picked) == 1.0
+    assert batch_reward("classification", class0, [p.data for p in picked]) == 1.0
 
 
 @pytest.mark.parametrize("task, spec, metrics", [
@@ -401,7 +478,7 @@ def test_batch_reward_is_first_task_score(task, spec, metrics):
     _, picked = expert_chooser(weights, preds)
     scores = task_scores(task, batch, [p.data for p in picked])
     assert list(scores) == metrics
-    assert batch_reward(task, batch, picked) == scores[metrics[0]]
+    assert batch_reward(task, batch, [p.data for p in picked]) == scores[metrics[0]]
 
 
 def test_non_finite_loss_aborts():
@@ -651,7 +728,6 @@ def test_inference_contract():
 
 
 def test_inference_routes_like_the_gate_and_keeps_no_graph(monkeypatch):
-    import meshmoe.trainer as trainer
     data = tiny_dataset()
     system = oracle_system()
     mesh = data.test_meshes[1]
@@ -687,7 +763,6 @@ def test_inference_routes_like_the_gate_and_keeps_no_graph(monkeypatch):
 def test_float32_inference_routes_like_the_float64_gate(monkeypatch):
     """On a gen-data test split the float32 inference rows pick the float64
     gate's expert and lie within 1e-5 of its rows."""
-    import meshmoe.trainer as trainer
     data = generate_classification_set(classes=3, per_class=8, seed=21)
     config = GateConfig(num_experts=3, encoder_layers=2, decoder_layers=2,
                         d_model=32, heads=4, ff_width=64)
@@ -714,7 +789,6 @@ def test_gradient_battery_checks_the_float64_gate_body(monkeypatch):
     finite-differences `step_loss` with the gate body in float64, so its
     tolerance is not spent on float32 rounding."""
     import meshmoe.gate as gate
-    import meshmoe.trainer as trainer
     from meshmoe.gradcheck import standard_battery
     in_step_loss, dtypes = [], set()
     real_tokens, real_step_loss = gate._walk_tokens, trainer.step_loss

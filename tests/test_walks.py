@@ -275,7 +275,7 @@ def test_extract_walks_hands_out_python_ints_and_bools(tetrahedron):
 
 
 def test_walk_batch_checks_its_arguments(tetrahedron):
-    with pytest.raises(WalkError, match="walk count must be >= 1"):
+    with pytest.raises(WalkError, match="count must be >= 1, got 0"):
         walk_batch([tetrahedron], 0, [1])
     with pytest.raises(WalkError, match="2 meshes but 1 seeds"):
         walk_batch([tetrahedron, tetrahedron], 2, [1])
