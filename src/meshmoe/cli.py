@@ -29,7 +29,7 @@ from .rng import derive
 from .sac import SacLambdaAgent, StaticLambdaAgent
 from .synth import generate_classification_set, generate_segmentation_set
 from .trainer import (SIM_KINDS, TrainerError, build_system, check_pool,
-                      evaluate_ensemble, inference, load_system, save_system,
+                      evaluate_ensemble, load_system, route, save_system,
                       task_scores, train_run)
 from .walks import extract_walks
 
@@ -297,8 +297,7 @@ def _cmd_eval(args) -> int:
                                "segmentation has no ensemble mode")
         scores = {"accuracy": evaluate_ensemble(system, meshes, seed=seed)["accuracy"]}
     else:
-        predictions = [inference(system, mesh, seed)[0] for mesh in meshes]
-        scores = task_scores(dataset.task, meshes, predictions)
+        scores = task_scores(dataset.task, meshes, route(system, meshes, seed)[0])
 
     report = os.path.join(out, "report.csv")
     old = ""

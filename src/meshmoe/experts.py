@@ -232,6 +232,8 @@ def predict_batch(expert, meshes: list, seeds: list) -> tuple:
     mesh i draws from `seeds[i]`.  A trainable expert runs once over the
     batch, an oracle mesh by mesh.
     """
+    if not meshes:
+        raise ExpertError("no meshes to predict")
     if len(meshes) != len(seeds):
         raise ExpertError(f"{len(meshes)} meshes but {len(seeds)} seeds")
     if expert.trainable:

@@ -19,9 +19,7 @@ from .rng import Rng, derive
 
 
 class MeshError(ValueError):
-    def __init__(self, message: str, setting: str | None = None):
-        super().__init__(message)
-        self.setting = setting          # the argument at fault, where there is one
+    pass
 
 
 @dataclass(eq=False)

@@ -18,6 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from .checkpoint import blamed
 from .mesh import Dataset, MeshError, build_mesh, normalize_coordinates, split_dataset
 from .rng import Rng, derive
 
@@ -220,12 +221,12 @@ def generate_classification_set(classes: int, per_class: int, seed: int,
     """Balanced classed shapes with jitter; 80/20 per-class split.  A bad
     count raises MeshError with the argument's name as its `setting`."""
     if classes < 2:
-        raise MeshError("need at least 2 classes", setting="classes")
+        raise blamed(MeshError("need at least 2 classes"), "classes")
     if classes > MAX_CLASSES:
-        raise MeshError(f"unsupported class count {classes} (max {MAX_CLASSES})",
-                        setting="classes")
+        raise blamed(MeshError(f"unsupported class count {classes} (max {MAX_CLASSES})"),
+                     "classes")
     if per_class < 4:
-        raise MeshError("need at least 4 meshes per class", setting="per_class")
+        raise blamed(MeshError("need at least 4 meshes per class"), "per_class")
     meshes = []
     for cls in range(classes):
         family, builder, z_stretch = _FAMILIES[cls]
@@ -256,7 +257,7 @@ def segment_labels(verts: np.ndarray, edges: np.ndarray, num_segments: int):
 def generate_segmentation_set(per_class: int, seed: int) -> Dataset:
     """Cylinders cut into 2-4 axial bands; labels assigned pre-jitter."""
     if per_class < 4:
-        raise MeshError("need at least 4 meshes per segment count", setting="per_class")
+        raise blamed(MeshError("need at least 4 meshes per segment count"), "per_class")
     meshes = []
     probe = build_mesh(*cylinder(12, 7), mesh_id="probe")
     for idx, num_segments in enumerate((2, 3, 4)):

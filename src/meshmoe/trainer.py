@@ -16,13 +16,14 @@ broadcast divergence over all ordered expert pairs, L_div pre-training's
 cross-entropy, and a constant (N, B) matrix averages each mesh's rows.
 The batch-mean gate weights form the agent's state s_t and the batch's
 task metric its reward r_t; the agent answers with the next coefficient
-lambda.  Inference routes with 32 walks and returns the chosen expert's
-prediction alone; no coefficient involved.  `task_scores` is the one
-scorer of routed predictions, for the reward and for evaluation alike;
-`step_loss` the one builder of L_joint, for training and the gradient
-battery alike.  `train_iteration` and `inference` run the gate body on
-`gate.compute_view`; the gate's parameters, gradients and Adam moments,
-the losses and the experts stay float64.
+lambda.  One routing path, `_routed`, serves training and `route`, which
+runs it over a split with 32 walks (so inference runs every expert);
+`inference` is its one-mesh case.  `task_scores` is the one scorer of
+routed predictions, for the reward and for evaluation alike; `step_loss`
+the one builder of L_joint, for training and the gradient battery alike.
+`train_iteration` and `route` run the gate body on `gate.compute_view`;
+the gate's parameters, gradients and Adam moments, the losses and the
+experts stay float64.
 """
 
 import csv
@@ -38,6 +39,7 @@ from .autodiff import Tensor
 from .checkpoint import atomic_write, copy_into, load_checkpoint, save_checkpoint
 from .experts import (expert_parameters, mesh_average, mesh_cross_entropy,
                       mesh_target, predict_batch, stacked_rows)
+# unused here: perfbench/spans.py wraps `gate_forward_mesh` in this module by name
 from .gate import (GateConfig, compute_view, gate_forward_batch, gate_forward_mesh,
                    gate_parameters, init_gate_params)
 from .mesh import TASKS
@@ -233,30 +235,40 @@ def _expert_rows(experts: list, meshes: list, seed: int) -> tuple:
     return ad.stack([rows for rows, _ in columns]), columns[0][1]
 
 
+def _routed(system: MoESystem, meshes: list, walk_count: int, gate_params: dict,
+            seed: int) -> tuple:
+    """The one routing path: the gate's rows on `walk_count` walks of each
+    mesh, every expert's (J, N, C) rows and row counts, the (B, J) weights,
+    and the chooser's expert index and prediction array for each mesh."""
+    gate_rows = gate_forward_batch(
+        meshes, walk_count, gate_params, system.gate_config,
+        [derive(seed, "gate", mesh.mesh_id) for mesh in meshes])
+    rows, counts = _expert_rows(system.experts, meshes, seed)
+    per_edge = system.task == "segmentation"
+    predictions = [piece if per_edge else piece[:, 0]           # (J, E_i, S) or (J, C)
+                   for piece in np.split(rows.data, np.cumsum(counts)[:-1], axis=1)]
+    per_mesh_weights = np.stack([row.data for row in gate_rows])
+    chosen, picked = expert_chooser(per_mesh_weights, predictions)
+    return gate_rows, rows, counts, per_mesh_weights, chosen, picked
+
+
 def step_loss(system: MoESystem, batch: list, lambda_t: float, seed: int,
               sim_kind: str = "kld") -> tuple[Tensor, BatchOutcome]:
     """The joint loss of one training step and what it hands the agent.
 
-    The gate and each walk-RNN expert run once per walk length in the
-    batch, every other trainable expert once.  Both losses read one
+    `_routed` runs the gate and each walk-RNN expert once per walk length
+    in the batch, every other trainable expert once.  Both losses read one
     (J, N, C) stack of the experts' rows and one `mesh_average`; the
     chooser and the reward read each mesh's slice of the stack.  Returns
     (L_joint, BatchOutcome); the reward scores the current parameters.
     """
     if not batch:
         raise TrainerError("empty batch")
-    gate_rows = gate_forward_batch(
-        batch, system.walks_train, system.gate_params, system.gate_config,
-        [derive(seed, "gate", mesh.mesh_id) for mesh in batch])
-    rows, counts = _expert_rows(system.experts, batch, seed)
-    per_edge = system.task == "segmentation"
-    predictions = [piece if per_edge else piece[:, 0]           # (J, E_i, S) or (J, C)
-                   for piece in np.split(rows.data, np.cumsum(counts)[:-1], axis=1)]
-    per_mesh_weights = np.stack([row.data for row in gate_rows])
-    chosen, picked = expert_chooser(per_mesh_weights, predictions)
+    gate_rows, rows, counts, per_mesh_weights, chosen, picked = _routed(
+        system, batch, system.walks_train, system.gate_params, seed)
     reward = batch_reward(system.task, batch, picked)
 
-    targets = [mesh_target(mesh, per_edge) for mesh in batch]
+    targets = [mesh_target(mesh, system.task == "segmentation") for mesh in batch]
     average = mesh_average(counts)
     l_sim = stack_similarity(rows, average, sim_kind)
     l_div = stack_diversity(gate_rows, rows, average, targets)
@@ -345,19 +357,18 @@ def train_run(system: MoESystem, dataset, agent, epochs: int,
     return history
 
 
-def inference(system: MoESystem, mesh, seed: int = 0):
-    """Route with 32 walks; returns (prediction array, chosen expert index).
+def route(system: MoESystem, meshes: list, seed: int = 0) -> tuple:
+    """`_routed` with `walks_infer` walks on the gate's grad-free `compute_view`:
+    (each mesh's chosen prediction array, each mesh's chosen expert index)."""
+    *_, chosen, picked = _routed(system, meshes, system.walks_infer,
+                                 compute_view(system.gate_params, graph=False), seed)
+    return picked, chosen
 
-    The gate runs on its grad-free `compute_view`, so it builds no autodiff
-    graph; the routed expert predicts in float64.
-    """
-    weights = gate_forward_mesh(
-        mesh, system.walks_infer, compute_view(system.gate_params, graph=False),
-        system.gate_config, derive(seed, "gate", mesh.mesh_id))
-    j = int(np.argmax(weights.data))
-    expert = system.experts[j]
-    pred = expert.predict(mesh, derive(seed, "expert", expert.name, mesh.mesh_id))
-    return np.asarray(pred.data), j
+
+def inference(system: MoESystem, mesh, seed: int = 0):
+    """`route` of one mesh: (prediction array, chosen expert index)."""
+    predictions, chosen = route(system, [mesh], seed)
+    return predictions[0], chosen[0]
 
 
 def hard_voting_ensemble(expert_predictions: np.ndarray) -> np.ndarray:
@@ -372,11 +383,10 @@ def hard_voting_ensemble(expert_predictions: np.ndarray) -> np.ndarray:
 
 
 def evaluate_classification(system: MoESystem, meshes: list, seed: int = 0) -> dict:
-    routed = [inference(system, mesh, seed) for mesh in meshes]
-    predictions = [pred for pred, _ in routed]
+    predictions, chosen = route(system, meshes, seed)
     return {"accuracy": task_scores("classification", meshes, predictions)["accuracy"],
             "predicted": [int(np.argmax(pred)) for pred in predictions],
-            "chosen": [j for _, j in routed],
+            "chosen": chosen,
             "truth": [m.class_label for m in meshes]}
 
 

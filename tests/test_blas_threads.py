@@ -22,11 +22,11 @@ sphere = normalize_coordinates(build_mesh(*synth.icosphere(2), mesh_id="sphere",
 config = GateConfig(num_experts=3, encoder_layers=2, decoder_layers=2)
 system = trainer.build_system(build_experts(["face_mlp"] * 3, num_classes=3, seed=1),
                               gate_config=config, seed=2)
-rows, route = [], trainer.gate_forward_mesh
-trainer.gate_forward_mesh = lambda *a, **k: rows.append(route(*a, **k)) or rows[-1]
+rows, gate_rows = [], trainer.gate_forward_batch
+trainer.gate_forward_batch = lambda *a, **k: rows.append(gate_rows(*a, **k)) or rows[-1]
 for mesh in data.test_meshes + [sphere]:
     pred, j = trainer.inference(system, mesh, seed=3)
-    print(mesh.mesh_id, j, rows[-1].data.tobytes().hex(), pred.tobytes().hex())
+    print(mesh.mesh_id, j, rows[-1][0].data.tobytes().hex(), pred.tobytes().hex())
 """
 
 

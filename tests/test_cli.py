@@ -790,3 +790,38 @@ def test_segmentation_pipeline(tmp_path):
     # hard voting is undefined for per-edge labels
     assert run("eval", "--config", str(ini), "--out-dir", out,
                "--ensemble") == 1
+
+
+@pytest.mark.parametrize("data, specs, argv, kept", [
+    ("classification", "oracle:0,oracle:1", ("eval",), "train"),
+    ("segmentation", "edge_seg", ("eval",), "train"),
+    ("retrieval", "oracle:0,oracle:1", ("eval",), "train"),
+    ("classification", "oracle:0,oracle:1", ("eval", "--ensemble"), "train"),
+    ("classification", "oracle:0,oracle:1", ("pretrain-gate",), "test"),
+], ids=["eval_classification", "eval_segmentation", "eval_retrieval", "eval_ensemble",
+        "pretrain_gate"])
+def test_an_empty_split_fails_and_leaves_the_report(tmp_path, capsys, data, specs,
+                                                    argv, kept):
+    """A split with no meshes fails loudly, not with a nan or 0 score: every
+    mesh moves to the `kept` split, and the command reads the other one."""
+    ini = tmp_path / "run.ini"
+    ini.write_text(TINY_INI.replace("classes = 2", f"task = {data}\nclasses = 2")
+                   .replace("specs = oracle:0,oracle:1", f"specs = {specs}"))
+    out = str(tmp_path / "run")
+    assert run("gen-data", "--config", str(ini), "--out-dir", out) == 0
+    assert run("train", "--config", str(ini), "--out-dir", out,
+               "--static-lambda", "0") == 0
+    assert run("eval", "--config", str(ini), "--out-dir", out) == 0
+    manifest = os.path.join(out, "data", "manifest.csv")
+    with open(manifest, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    with open(manifest, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([rows[0]] + [row[:3] + [kept] for row in rows[1:]])
+    report = os.path.join(out, "report.csv")
+    with open(report, "rb") as fh:
+        before = fh.read()
+    capsys.readouterr()
+    assert run(*argv, "--config", str(ini), "--out-dir", out) == 1
+    assert capsys.readouterr().err == "error: no meshes to predict\n"
+    with open(report, "rb") as fh:
+        assert fh.read() == before

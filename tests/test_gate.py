@@ -342,17 +342,18 @@ def test_inference_rows_equal_trainable_batch_rows(monkeypatch):
                                    trainable(system.gate_params, np.float32), TINY, seeds)
 
     rows, calls = [], []
-    real_mesh, real_features = trainer.gate_forward_mesh, gate.gate_forward_features
+    real_batch, real_features = trainer.gate_forward_batch, gate.gate_forward_features
 
-    def recording_mesh(*args, **kwargs):
-        rows.append(real_mesh(*args, **kwargs))
-        return rows[-1]
+    def recording_batch(*args, **kwargs):
+        out = real_batch(*args, **kwargs)
+        rows.extend(out)
+        return out
 
     def counting_features(features, *args, **kwargs):
         calls.append(features.shape)
         return real_features(features, *args, **kwargs)
 
-    monkeypatch.setattr(trainer, "gate_forward_mesh", recording_mesh)
+    monkeypatch.setattr(trainer, "gate_forward_batch", recording_batch)
     monkeypatch.setattr(gate, "gate_forward_features", counting_features)
     for k, mesh in enumerate(ds.meshes):
         _, j = trainer.inference(system, mesh, seed=4)

@@ -26,7 +26,7 @@ from meshmoe.trainer import (BatchOutcome, MoESystem, TrainerError,
                              batch_reward, build_system, diversity_loss,
                              evaluate_classification, evaluate_ensemble,
                              expert_chooser, hard_voting_ensemble, inference,
-                             joint_loss, load_system, save_system,
+                             joint_loss, load_system, route, save_system,
                              similarity_loss, stack_diversity, stack_similarity,
                              step_loss, system_parameters,
                              task_scores, train_iteration, train_run)
@@ -748,10 +748,11 @@ def test_inference_routes_like_the_gate_and_keeps_no_graph(monkeypatch):
     outputs = []
 
     def recording(*args, **kwargs):
-        outputs.append(gate_forward_mesh(*args, **kwargs))
-        return outputs[-1]
+        out = gate_forward_batch(*args, **kwargs)
+        outputs.extend(out)
+        return out
 
-    monkeypatch.setattr(trainer, "gate_forward_mesh", recording)
+    monkeypatch.setattr(trainer, "gate_forward_batch", recording)
     pred, j = inference(system, mesh, seed=5)
     assert j == j_ref
     np.testing.assert_array_equal(pred, pred_ref.data)
@@ -770,10 +771,11 @@ def test_float32_inference_routes_like_the_float64_gate(monkeypatch):
     rows = []
 
     def recording(*args, **kwargs):
-        rows.append(gate_forward_mesh(*args, **kwargs))
-        return rows[-1]
+        out = gate_forward_batch(*args, **kwargs)
+        rows.extend(out)
+        return out
 
-    monkeypatch.setattr(trainer, "gate_forward_mesh", recording)
+    monkeypatch.setattr(trainer, "gate_forward_batch", recording)
     for mesh in data.test_meshes:
         _, j = inference(system, mesh, seed=4)
         row64 = gate_forward_mesh(mesh, system.walks_infer, system.gate_params,
@@ -839,6 +841,60 @@ def test_evaluation_helpers_run():
     assert len(ev["predicted"]) == len(data.test_ids)
     ens = evaluate_ensemble(system, data.test_meshes, seed=2)
     assert 0.0 <= ens["accuracy"] <= 1.0
+
+
+def test_route_picks_like_per_mesh_inference_over_a_split(monkeypatch):
+    """One `route` over a split picks each mesh's expert as per-mesh
+    inference does, from bit-equal gate rows.  One mesh's prediction is its
+    expert's `predict`, bit for bit.  Over the split, face_mlp's head is one
+    GEMM over every mesh's pooled row, and its one-row case a GEMV that may
+    round differently, so there the predictions agree within 1e-15."""
+    data = generate_classification_set(classes=3, per_class=4, seed=17)
+    config = replace(TINY, num_experts=3)
+    experts = build_experts(["oracle:0", "face_mlp", "walk_rnn"], num_classes=3, seed=5)
+    picked = set()
+    for gate_seed in (0, 3, 4):          # an untrained gate favours one expert per seed
+        system = build_system(experts, gate_config=config, seed=gate_seed)
+        rows = []
+
+        def recording(*args, **kwargs):
+            out = gate_forward_batch(*args, **kwargs)
+            rows.append(out)
+            return out
+
+        monkeypatch.setattr(trainer, "gate_forward_batch", recording)
+        predictions, chosen = route(system, data.meshes, seed=6)
+        monkeypatch.undo()
+        assert len(rows) == 1
+        view = compute_view(system.gate_params, graph=False)
+        for mesh, row, pred, j in zip(data.meshes, rows[0], predictions, chosen):
+            reference = gate_forward_mesh(mesh, system.walks_infer, view, config,
+                                          derive(6, "gate", mesh.mesh_id)).data
+            assert np.array_equal(row.data, reference)
+            assert j == int(np.argmax(reference))
+            expert = system.experts[j]
+            expected = expert.predict(mesh, derive(6, "expert", expert.name,
+                                                   mesh.mesh_id)).data
+            one, j_one = inference(system, mesh, seed=6)
+            assert j_one == j and one.tobytes() == expected.tobytes()
+            assert np.max(np.abs(pred - expected)) <= 1e-15
+        picked.update(chosen)
+    assert picked == {0, 1, 2}
+
+
+def test_evaluation_builds_one_gate_view_per_split(monkeypatch):
+    data = tiny_dataset()
+    system = oracle_system()
+    views = []
+
+    def counting(*args, **kwargs):
+        views.append(args)
+        return compute_view(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "compute_view", counting)
+    ev = evaluate_classification(system, data.meshes, seed=2)
+    assert len(ev["chosen"]) == len(data.meshes) > 1
+    assert len(views) == 1
 
 
 def test_ensemble_votes_equal_per_mesh_predictions():
