@@ -9,10 +9,11 @@ lands there as float64.
 
 Each op builds a node holding its output, parent references, and a
 closure that maps the output cotangent to parent cotangent contributions.
-`backward` seeds a scalar with 1 and walks the graph in reverse
-topological order (iteratively, so deep recurrent chains cannot blow the
-recursion limit), freeing interior gradients and saved arrays once used;
-leaf gradients stay, and a second backward raises.  Broadcasting follows
+`backward` seeds a scalar with 1, or `backprop` any root with a given
+cotangent, and walks the graph in reverse topological order
+(iteratively, so deep recurrent chains cannot blow the recursion limit),
+freeing interior gradients and saved arrays once used; leaf gradients
+stay, and a second backward raises.  Broadcasting follows
 numpy; gradients are summed back over broadcast axes.  A tensor's first
 gradient contribution is stored as a copy, unless the op computed it for
 that parent alone, and later ones are added in place.  No op reads global
@@ -61,13 +62,19 @@ class Tensor:
         closure has run (`.data` stays), so a later backward through it raises."""
         if self.data.shape != ():
             raise ValueError("backward needs a scalar loss")
-        order = _topological_order(self)
-        self.grad = np.ones((), dtype=np.float64)
-        while order:
-            node = order.pop()
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-                node.grad, node._parents, node._backward = None, (), _released
+        backprop(self, np.ones((), dtype=np.float64))
+
+
+def backprop(root: Tensor, grad: np.ndarray) -> None:
+    """`Tensor.backward` from a root of any shape, seeded with the cotangent
+    `grad`, which becomes root's `.grad`."""
+    order = _topological_order(root)
+    root.grad = grad
+    while order:
+        node = order.pop()
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+            node.grad, node._parents, node._backward = None, (), _released
 
 
 def _released(grad) -> None:

@@ -19,8 +19,14 @@ reduces per row and attention does its GEMMs per walk, so no walk's
 numbers depend on the others.  The chunks run on the CPUs BLAS leaves
 idle: n = min(chunks, usable CPUs // BLAS threads) threads, the caller
 among them, and thread k runs chunks k, k + n, ...; when the BLAS thread
-count is unknown the caller runs them all.  With a graph all walks are
-one chunk.
+count is unknown the caller runs them all.  With a graph all walks of a
+walk-length group are one chunk, and a batch whose groups average at
+least SHARD_FLOATS W * L * d_model floats runs as two shards on the same
+threads: its meshes, longest walk first (ties by position), are cut where
+an encoder block's multiply-adds, W * L * 2d (2d + ff_width + L), are
+closest to half, and each shard builds its graph over its own leaves.
+The rows keep their bits; each parameter's gradient is shard 0's plus
+shard 1's, in that order, whatever the thread count.
 The body computes in the dtype of its parameters.  Training,
 pre-training and inference run it on `compute_view`, the one float32 view
 of the float64 masters; the gradient battery runs it in float64.
@@ -48,6 +54,7 @@ from .rng import derive
 from .walks import WALK_CHANNELS, extract_walks, walk_batch, walk_softmax_rows
 
 CHUNK_TOKENS = 512  # walk positions per grad-free body chunk
+SHARD_FLOATS = 64 * CHUNK_TOKENS  # mean W * L * d_model of a sharded batch's groups
 
 
 class GateError(ValueError):
@@ -198,11 +205,74 @@ def gate_forward_batch(meshes: list, walk_count: int, params: dict,
     """GateWeights of each mesh, shape (J,) each, in input order.
 
     Mesh i draws `walk_count` walks from `seeds[i]`; see `walk_softmax_rows`.
+    A graph batch over the shard rule runs as two shards (`_shard_rows`).
     """
     if len(meshes) != len(seeds):
         raise GateError(f"{len(meshes)} meshes but {len(seeds)} seeds")
-    return walk_softmax_rows(walk_batch(meshes, walk_count, seeds),
+    features = walk_batch(meshes, walk_count, seeds)
+    shards = _shards(features, params, config)
+    if shards:
+        return _shard_rows(features, shards, params, config)
+    return walk_softmax_rows(features,
                              lambda walks: gate_forward_features(walks, params, config))
+
+
+def _shards(features: list, params: dict, config: GateConfig) -> list | None:
+    """Two lists of mesh indices, or None below the shard rule: a graph
+    batch of two or more meshes whose walk-length groups average at least
+    SHARD_FLOATS W * L * d_model floats.  Meshes are ordered longest walk
+    first, ties by position, and cut where the shards' work is closest to
+    half; a mesh's work is an encoder block's multiply-adds over its walks,
+    W * L * 2d (2d + ff_width + L): projections, feed-forward, attention."""
+    lengths = [walks.shape[1] for walks in features]
+    tokens = sum(walks.shape[0] * walks.shape[1] for walks in features)
+    if (len(features) < 2 or not any(p.requires_grad for p in params.values())
+            or tokens * config.d_model < SHARD_FLOATS * len(set(lengths))):
+        return None
+    order = sorted(range(len(features)), key=lambda i: -lengths[i])
+    width = 2 * config.d_model + config.ff_width
+    work = np.cumsum([len(features[i]) * lengths[i] * (width + lengths[i]) for i in order])
+    cut = 1 + int(np.argmin(np.abs(2 * work[:-1] - work[-1])))
+    return [order[:cut], order[cut:]]
+
+
+def _shard_rows(features: list, shards: list, params: dict, config: GateConfig) -> list:
+    """Each mesh's row from one boundary node over the shards' (n_s, J) rows.
+
+    Each shard builds its `walk_softmax_rows` graph over its own leaves,
+    which share `params`' arrays; the forwards, and in backward the shards'
+    `ad.backprop` from their slices of the cotangent, run on `_on_idle_cpus`.
+    Each parameter then gets shard 0's gradient plus shard 1's, once.
+    """
+    leaves = [{name: Tensor(p.data, requires_grad=p.requires_grad)
+               for name, p in params.items()} for _ in shards]
+
+    def forward(k):
+        # `_walk_tokens`, not `gate_forward_features`: perfbench wraps that
+        # name with a tracer that keeps one span stack, and this may run on
+        # a helper thread
+        own = leaves[k]
+        return ad.stack(walk_softmax_rows(
+            [features[i] for i in shards[k]],
+            lambda walks: layers.linear(_walk_tokens(walks, own, config),
+                                        own["head.w"], own["head.b"])))
+
+    roots = _on_idle_cpus(forward, [0, 1])
+
+    def backward(g):
+        _on_idle_cpus(lambda k: ad.backprop(roots[k], g[shards[k]]), [0, 1])
+        for name, p in params.items():
+            if p.requires_grad:
+                grad = leaves[0][name].grad
+                grad += leaves[1][name].grad
+                ad._accumulate(p, grad, owned=True)
+
+    positions = np.argsort(np.concatenate(shards))
+    rows = np.concatenate([root.data for root in roots])[positions]
+    # the shard leaves are other tensors, so `params` are parents too: a
+    # backward reaches them, after this node has added their gradients
+    boundary = ad._node(rows, (*roots, *params.values()), backward)
+    return [ad.slice_index(boundary, 0, i) for i in range(len(features))]
 
 
 def gate_forward_mesh(mesh, walk_count: int, params: dict, config: GateConfig,

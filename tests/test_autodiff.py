@@ -236,6 +236,25 @@ def test_second_backward_through_released_graph_raises():
         ad.tsum(ad.add(y, x)).backward()     # a new graph reaching released y
 
 
+def test_backprop_from_a_non_scalar_root_equals_backward_of_its_weighted_sum():
+    """`backprop(root, g)` gives the leaf gradients of `tsum(root * g)`'s
+    backward bit for bit, and releases the graph as backward does."""
+    g = Rng(5).normal_fill((4, 3))
+    grads = []
+    for weighted in (False, True):
+        x, w = rand_tensor((4, 5), 3), rand_tensor((5, 3), 4)
+        root = ad.softmax(ad.tanh(layers.linear(x, w)))
+        if weighted:
+            ad.tsum(ad.mul(root, Tensor(g))).backward()
+        else:
+            ad.backprop(root, g.copy())
+            with pytest.raises(ValueError, match="backward already ran"):
+                ad.backprop(root, g.copy())
+        grads.append((x.grad, w.grad))
+    for ours, theirs in zip(*grads):
+        assert np.array_equal(ours, theirs)
+
+
 def graph_bytes(root: Tensor) -> int:
     """Bytes of the distinct arrays behind the data of every node reachable
     from `root` (a view counts its base once)."""

@@ -1,9 +1,10 @@
 """Gate: shape contracts, determinism, aggregation, averaging, permutation,
-grad-free chunking."""
+grad-free chunking, two shards per graph batch."""
 
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -496,3 +497,143 @@ def test_pretrain_requires_imitation_mode():
     with pytest.raises(GateError, match="class_imitation"):
         pretrain_imitation(init_gate_params(TINY, 0), TINY,
                            OracleExpert("o", 3, 0), [], epochs=1)
+
+
+# --- two shards per graph batch over the shard rule --------------------------
+
+WIDE = GateConfig(num_experts=3, encoder_layers=1, decoder_layers=1,
+                  d_model=64, heads=4, ff_width=32)
+
+
+def shard_batch():
+    """Eight meshes in two walk-length groups (L = 17 and 11, four each):
+    at 16 walks their groups average 57,344 W * L * d_model floats, at 4
+    walks 14,336, so 16 walks cross the shard rule and 4 stay below it."""
+    import meshmoe.gate as gate
+    meshes = generate_classification_set(3, 4, seed=11).meshes[:8]
+    lengths = [walk_length(mesh.vertex_count) for mesh in meshes]
+    groups = {length: lengths.count(length) for length in lengths}
+    assert groups == {17: 4, 11: 4}
+    floats = {walks: sum(walks * length * n * WIDE.d_model for length, n in groups.items())
+              / len(groups) for walks in (4, 16)}
+    assert floats[4] < gate.SHARD_FLOATS <= floats[16]
+    return meshes, [50 + i for i in range(len(meshes))]
+
+
+def test_shards_take_the_longest_walks_first_and_cut_nearest_half_the_work():
+    """Six meshes whose three walk-length groups average exactly
+    SHARD_FLOATS floats; a mesh's work is W * L * (2d + ff_width + L), so
+    the two L=20 meshes (2 * 57,600) sit nearest half of 271,680.  Ties
+    keep their input order; frozen parameters never shard."""
+    import meshmoe.gate as gate
+    features = [np.zeros((16, length, 4)) for length in (11, 20, 17, 20, 11, 17)]
+    params = trainable(init_gate_params(WIDE, seed=3), np.float32)
+    assert 16 * 96 * WIDE.d_model == 3 * gate.SHARD_FLOATS
+    assert gate._shards(features, params, WIDE) == [[1, 3], [2, 5, 0, 4]]
+    assert gate._shards(features[:-1], params, WIDE) is None
+    assert gate._shards(features, frozen(init_gate_params(WIDE, seed=3)), WIDE) is None
+
+
+def shard_leaves(root, params) -> list:
+    """Nodes reachable from `root` that share a parameter's array but are
+    not that parameter: the shards' own leaves."""
+    arrays = {id(p.data): p for p in params.values()}
+    return [node for node in ad._topological_order(root)
+            if id(node.data) in arrays and node is not arrays[id(node.data)]]
+
+
+def mixed_rows(meshes, walks, params, seeds, mix):
+    rows = ad.stack(gate_forward_batch(meshes, walks, params, WIDE, seeds))
+    return rows, ad.tsum(ad.mul(rows, Tensor(mix)))
+
+
+def test_sharded_rows_are_the_unsharded_rows_and_gradients_agree(monkeypatch):
+    """Over the rule the boundary node returns each mesh's unsharded row bit
+    for bit; the master gradients, summed shard 0 + shard 1, agree with one
+    graph's to 1e-5 of each tensor's largest entry."""
+    import meshmoe.gate as gate
+    meshes, seeds = shard_batch()
+    masters = init_gate_params(WIDE, seed=3)
+    mix = Rng(4).normal_fill((len(meshes), 3))
+    results = []
+    for sharded in (True, False):
+        if not sharded:
+            monkeypatch.setattr(gate, "_shards", lambda *args: None)
+        view = compute_view(masters)
+        rows, loss = mixed_rows(meshes, 16, view, seeds, mix)
+        assert len(shard_leaves(loss, view)) == (2 * len(view) if sharded else 0)
+        loss.backward()
+        results.append((rows.data, {name: p.grad for name, p in masters.items()}))
+        for p in masters.values():
+            p.grad = None
+    (sharded_rows, sharded_grads), (rows, grads) = results
+    assert np.array_equal(sharded_rows, rows)
+    for name, grad in grads.items():
+        error = np.abs(sharded_grads[name] - grad).max() / np.abs(grad).max()
+        assert error <= 1e-5, (name, error)
+
+
+def test_below_the_shard_rule_the_graph_has_no_boundary_node():
+    meshes, seeds = shard_batch()
+    view = compute_view(init_gate_params(WIDE, seed=3))
+    _, loss = mixed_rows(meshes, 4, view, seeds, Rng(4).normal_fill((len(meshes), 3)))
+    assert shard_leaves(loss, view) == []
+
+
+def test_float64_gradients_pass_the_shard_boundary():
+    """The finite-difference check, on float64 masters, of a sharded batch."""
+    meshes, seeds = shard_batch()
+    params = init_gate_params(WIDE, seed=3)
+    mix = Rng(4).normal_fill((len(meshes), 3))
+    assert shard_leaves(mixed_rows(meshes, 16, params, seeds, mix)[1], params)
+    probed = {name: params[name] for name in
+              ("embed.w", "enc.0.attn.wk", "dec.0.attn.wv", "dec.0.ff.w2", "head.b")}
+    report = check_gradients(lambda: mixed_rows(meshes, 16, params, seeds, mix)[1],
+                             probed, max_coords=4)
+    assert report.passed, str(report)
+
+
+def shard_step(monkeypatch, workers: int) -> tuple:
+    """One `train_iteration` over the sharded batch with `workers` shard
+    threads: the gate's parameters as bytes, and the threads that ran the
+    body, `gate_forward_features` and `Tensor.backward`."""
+    import meshmoe.gate as gate
+    from meshmoe import trainer
+    from meshmoe.optim import Adam
+    meshes, _ = shard_batch()
+    experts = build_experts([f"oracle:{c}" for c in range(3)], num_classes=3, seed=1)
+    system = replace(trainer.build_system(experts, gate_config=WIDE, seed=2), walks_train=16)
+    threads = {"body": [], "features": [], "backward": []}
+
+    def recording(key, fn):
+        def wrapper(*args, **kwargs):
+            threads[key].append(threading.current_thread())
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(gate, "_chunk_workers", lambda items: workers)
+    monkeypatch.setattr(gate, "_walk_tokens", recording("body", gate._walk_tokens))
+    monkeypatch.setattr(gate, "gate_forward_features",
+                        recording("features", gate.gate_forward_features))
+    monkeypatch.setattr(Tensor, "backward", recording("backward", Tensor.backward))
+    trainer.train_iteration(system, meshes, 0.3, Adam(system.gate_params, lr=1e-3), {},
+                            seed=6)
+    monkeypatch.undo()
+    return {name: p.data.tobytes() for name, p in system.gate_params.items()}, threads
+
+
+def test_one_and_two_shard_workers_train_the_same_bits(monkeypatch):
+    one, threads_one = shard_step(monkeypatch, 1)
+    two, threads_two = shard_step(monkeypatch, 2)
+    assert len(set(threads_one["body"])) == 1 and len(set(threads_two["body"])) == 2
+    assert one == two
+
+
+def test_no_helper_thread_enters_a_traced_name(monkeypatch):
+    """perfbench's `Tracer` keeps one span stack, so the names it wraps run
+    on the main thread only, even while a helper runs a shard."""
+    _, threads = shard_step(monkeypatch, 2)
+    main = threading.main_thread()
+    assert threads["backward"] and set(threads["backward"]) == {main}
+    assert set(threads["features"]) <= {main}
+    assert set(threads["body"]) - {main}
